@@ -1,4 +1,4 @@
-"""Ablation: per-prefix counting backends.
+"""Ablation: per-prefix counting, vectorized vs the radix-trie oracle.
 
 TASS step 2 counts responsive addresses per prefix.  The library uses a
 vectorized two-``searchsorted`` pass over the sorted snapshot; the

@@ -63,7 +63,7 @@ def test_distributed_with_worker_failure(
     benchmark, scan_inputs, reference_result, monkeypatch
 ):
     """One injected worker death + requeue; results must not move."""
-    monkeypatch.setenv("REPRO_DIST_FAIL_SHARDS", "1")
+    monkeypatch.setenv("REPRO_FAULT_PLAN", "crash@1")
     selection, responsive = scan_inputs
     run = benchmark.pedantic(
         run_sharded,

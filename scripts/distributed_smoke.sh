@@ -27,7 +27,7 @@ echo "== run + SIGTERM mid-wave (worker failure injected on shard 1)"
 # knob changes any result.
 REPRO_DIST_WORKERS=2 \
 REPRO_DIST_SHARD_DELAY=0.5 \
-REPRO_DIST_FAIL_SHARDS=1 \
+REPRO_FAULT_PLAN=crash@1 \
 python -m repro.orchestrator run --dir "$WORK/interrupted" &
 PID=$!
 # Kill only after the first durable checkpoint exists (a fixed sleep

@@ -45,7 +45,7 @@ class AdaptiveResult:
         self.comparisons = list(comparisons)
 
 
-def run_adaptive(dataset, backend=None) -> AdaptiveResult:
+def run_adaptive(dataset) -> AdaptiveResult:
     table = dataset.topology.table
     partition = table.partition(LESS_SPECIFIC)
     announced = partition.address_count()
@@ -54,7 +54,7 @@ def run_adaptive(dataset, backend=None) -> AdaptiveResult:
         rng = np.random.default_rng(1000 + pi)
         series = dataset.series_for(protocol)
         seed_counts = partition.count_addresses(
-            series.seed_snapshot.addresses.values, backend=backend
+            series.seed_snapshot.addresses.values
         )
         base = select_by_density(partition, seed_counts, PHI)
 
@@ -68,15 +68,11 @@ def run_adaptive(dataset, backend=None) -> AdaptiveResult:
         absorbed = 0
         for month in range(1, len(series)):
             values = series[month].addresses.values
-            s_found, s_size = selection_stats(
-                partition, static_sel, values, backend=backend
-            )
+            s_found, s_size = selection_stats(partition, static_sel, values)
             static_probes += s_size
             static_final = s_found / len(values)
 
-            a_found, a_size = selection_stats(
-                partition, adaptive_sel, values, backend=backend
-            )
+            a_found, a_size = selection_stats(partition, adaptive_sel, values)
             explore_n = max(
                 1, int(EXPLORE_FRAC * (announced - a_size))
             )

@@ -42,7 +42,7 @@ class EfficiencyResult:
         return min(ratios), max(ratios)
 
 
-def run_efficiency(dataset, backend=None) -> EfficiencyResult:
+def run_efficiency(dataset) -> EfficiencyResult:
     table = dataset.topology.table
     announced = table.partition(LESS_SPECIFIC).address_count()
     rows = []
@@ -51,8 +51,8 @@ def run_efficiency(dataset, backend=None) -> EfficiencyResult:
         months = len(series)
         full_probes = months * announced
         for view, phi in _SETTINGS:
-            strategy = TassStrategy(table, phi=phi, view=view, backend=backend)
-            campaign = simulate_campaign(strategy, series, backend=backend)
+            strategy = TassStrategy(table, phi=phi, view=view)
+            campaign = simulate_campaign(strategy, series)
             selection = strategy.last_selection
             tass_probes = announced + (months - 1) * selection.probe_count()
             rows.append(

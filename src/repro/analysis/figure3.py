@@ -47,7 +47,7 @@ class Figure3Result:
         return float((hist * lengths).sum() / hist.sum())
 
 
-def run_figure3(dataset, backend=None) -> Figure3Result:
+def run_figure3(dataset) -> Figure3Result:
     table = dataset.topology.table
     hists = {}
     for view in _VIEWS:
@@ -57,9 +57,7 @@ def run_figure3(dataset, backend=None) -> Figure3Result:
             series = dataset.series_for(protocol)
             rows = np.zeros((len(series), _MAX_LENGTH), dtype=np.int64)
             for month, snapshot in enumerate(series):
-                counts = partition.count_addresses(
-                    snapshot.addresses.values, backend=backend
-                )
+                counts = partition.count_addresses(snapshot.addresses.values)
                 rows[month] = np.bincount(
                     lengths, weights=counts, minlength=_MAX_LENGTH
                 ).astype(np.int64)

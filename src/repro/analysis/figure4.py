@@ -53,7 +53,7 @@ class Figure4Result:
         }
 
 
-def run_figure4(dataset, backend=None) -> Figure4Result:
+def run_figure4(dataset) -> Figure4Result:
     table = dataset.topology.table
     curves = {}
     for view in _VIEWS:
@@ -62,9 +62,7 @@ def run_figure4(dataset, backend=None) -> Figure4Result:
         announced = partition.address_count()
         for protocol in dataset.protocols:
             seed = dataset.series_for(protocol).seed_snapshot
-            counts = partition.count_addresses(
-                seed.addresses.values, backend=backend
-            )
+            counts = partition.count_addresses(seed.addresses.values)
             density = counts / sizes
             order = np.argsort(-density, kind="stable")
             space = np.cumsum(sizes[order]) / announced

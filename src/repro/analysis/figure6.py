@@ -28,13 +28,13 @@ class Figure6Result:
         return self.campaigns[(phi, view, protocol)].decay_per_month()
 
 
-def run_figure6(dataset, backend=None) -> Figure6Result:
+def run_figure6(dataset) -> Figure6Result:
     table = dataset.topology.table
     campaigns = {}
     for phi, view, protocol in product(_PHIS, _VIEWS, dataset.protocols):
-        strategy = TassStrategy(table, phi=phi, view=view, backend=backend)
+        strategy = TassStrategy(table, phi=phi, view=view)
         campaigns[(phi, view, protocol)] = simulate_campaign(
-            strategy, dataset.series_for(protocol), backend=backend
+            strategy, dataset.series_for(protocol)
         )
     return Figure6Result(campaigns)
 

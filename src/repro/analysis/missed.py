@@ -46,7 +46,7 @@ def _tv_distance(a: np.ndarray, b: np.ndarray) -> float:
     return float(0.5 * np.abs(a - b).sum())
 
 
-def run_missed_hosts(dataset, backend=None) -> MissedHostsResult:
+def run_missed_hosts(dataset) -> MissedHostsResult:
     table = dataset.topology.table
     n_kinds = len(dataset.kind_names)
     total_found = np.zeros(n_kinds, dtype=np.int64)
@@ -54,9 +54,7 @@ def run_missed_hosts(dataset, backend=None) -> MissedHostsResult:
     rows = []
     for protocol in dataset.protocols:
         series = dataset.series_for(protocol)
-        strategy = TassStrategy(
-            table, phi=PHI, view=LESS_SPECIFIC, backend=backend
-        )
+        strategy = TassStrategy(table, phi=PHI, view=LESS_SPECIFIC)
         selection = strategy.plan(series.seed_snapshot)
         final = series[len(series) - 1]
         inside = selection.membership(final.addresses.values)

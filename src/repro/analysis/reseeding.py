@@ -42,8 +42,8 @@ class ReseedingResult:
         return [row for row in self.rows if row.protocol == protocol]
 
 
-def _simulate(table, series, announced, reseed_every, backend=None) -> ReseedRow:
-    strategy = TassStrategy(table, phi=PHI, view=LESS_SPECIFIC, backend=backend)
+def _simulate(table, series, announced, reseed_every) -> ReseedRow:
+    strategy = TassStrategy(table, phi=PHI, view=LESS_SPECIFIC)
     selection = strategy.plan(series.seed_snapshot)
     probes = announced  # the seed month is always a full discovery scan
     rates = [1.0]
@@ -52,8 +52,7 @@ def _simulate(table, series, announced, reseed_every, backend=None) -> ReseedRow
         snapshot = series[month]
         reseed = reseed_every is not None and month % reseed_every == 0
         selection, month_probes, rate = hold_or_reseed(
-            strategy, selection, snapshot, reseed, announced,
-            backend=backend,
+            strategy, selection, snapshot, reseed, announced
         )
         probes += month_probes
         rates.append(rate)
@@ -68,16 +67,14 @@ def _simulate(table, series, announced, reseed_every, backend=None) -> ReseedRow
     )
 
 
-def run_reseeding(dataset, backend=None) -> ReseedingResult:
+def run_reseeding(dataset) -> ReseedingResult:
     table = dataset.topology.table
     announced = table.partition(LESS_SPECIFIC).address_count()
     rows = []
     for protocol in dataset.protocols:
         series = dataset.series_for(protocol)
         for interval in INTERVALS:
-            rows.append(
-                _simulate(table, series, announced, interval, backend=backend)
-            )
+            rows.append(_simulate(table, series, announced, interval))
     return ReseedingResult(rows)
 
 

@@ -33,15 +33,13 @@ class Section34Result:
     dense_prefix_frac: float = DENSE_PREFIX_FRAC
 
 
-def run_section34(dataset, backend=None) -> Section34Result:
+def run_section34(dataset) -> Section34Result:
     table = dataset.topology.table
     seed = dataset.series_for(PROTOCOL).seed_snapshot
     spaces = {}
     for view in (LESS_SPECIFIC, MORE_SPECIFIC):
         partition = table.partition(view)
-        counts = partition.count_addresses(
-            seed.addresses.values, backend=backend
-        )
+        counts = partition.count_addresses(seed.addresses.values)
         for phi in (1.0, 0.95):
             spaces[(view, phi)] = select_by_density(
                 partition, counts, phi
@@ -49,7 +47,7 @@ def run_section34(dataset, backend=None) -> Section34Result:
 
     # Densest ~15% of l-prefixes: their share of hosts and of space.
     partition = table.partition(LESS_SPECIFIC)
-    counts = partition.count_addresses(seed.addresses.values, backend=backend)
+    counts = partition.count_addresses(seed.addresses.values)
     density = counts / partition.sizes
     order = np.argsort(-density, kind="stable")
     top = order[: max(1, int(DENSE_PREFIX_FRAC * len(partition)))]

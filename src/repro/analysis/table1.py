@@ -26,16 +26,14 @@ class Table1Result:
         return self.cells[(view, phi, protocol)]
 
 
-def run_table1(dataset, backend=None) -> Table1Result:
+def run_table1(dataset) -> Table1Result:
     table = dataset.topology.table
     cells = {}
     for view in _VIEWS:
         partition = table.partition(view)
         for protocol in dataset.protocols:
             seed = dataset.series_for(protocol).seed_snapshot
-            counts = partition.count_addresses(
-                seed.addresses.values, backend=backend
-            )
+            counts = partition.count_addresses(seed.addresses.values)
             for phi in PHIS:
                 selection = select_by_density(partition, counts, phi)
                 cells[(view, phi, protocol)] = selection.space_coverage

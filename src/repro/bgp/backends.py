@@ -1,117 +1,23 @@
-"""Pluggable per-interval counting backends.
+"""Cross-wave reuse of per-interval counts.
 
 Every layer of the pipeline ultimately answers the same question: given
-a sorted, duplicate-free ``int64`` address array and a sorted disjoint
+a sorted, duplicate-free address array and a sorted disjoint
 ``[start, end)`` interval set, how many addresses fall in each interval?
-This module makes the answer a *registry* of interchangeable backends
-instead of a hard-wired call:
-
-- ``searchsorted`` — the production two-``searchsorted`` pass
-  (:func:`repro.bgp.table.count_in_intervals`); O((n+m) log) and the
-  default everywhere.
-- ``bitmap``       — a packed NumPy bitmap over the *compacted*
-  interval coordinate space: each covered address maps to one bit, and
-  per-interval occupancy is a popcount over the interval's bit slice.
-  Memory is one bit per covered address, independent of where the
-  intervals sit in the 2^32 space.
-- ``trie``         — the pure-Python binary radix trie
-  (:mod:`repro.core.density`), one longest-prefix-match walk per
-  address.  Orders of magnitude slower; kept as the correctness oracle
-  the differential test suite checks every other backend against.
-
-Selection is by explicit ``backend=`` argument anywhere counting
-happens (``Partition.count_addresses``, ``Selection.count_in``,
-``TassStrategy``, ``simulate_campaign``, the analysis ``run_*``
-functions) or globally via the ``REPRO_COUNT_BACKEND`` environment
-variable.  Registering a new backend is one decorated function::
-
-    from repro.bgp.backends import register_backend
-
-    @register_backend("mybackend")
-    def count(starts, ends, values):
-        ...  # return per-interval int64 counts
-
-All backends assume the :class:`~repro.census.addrset.AddressSet`
-contract: ``values`` sorted and duplicate-free.
+The answer is always the two-``searchsorted`` pass
+(:func:`repro.bgp.table.count_in_intervals`); this module memoizes it
+per immutable snapshot in the process-wide :data:`COUNT_CACHE`.
 """
 
 from __future__ import annotations
 
-import os
 import weakref
 from collections import OrderedDict
 
 import numpy as np
 
-from repro.bgp.table import count_in_intervals as _searchsorted_count
+from repro.bgp.table import count_in_intervals
 
-__all__ = [
-    "ENV_VAR",
-    "DEFAULT_BACKEND",
-    "register_backend",
-    "available_backends",
-    "get_backend",
-    "resolve_backend_name",
-    "count_with_backend",
-    "CountCache",
-    "COUNT_CACHE",
-]
-
-#: Environment variable that selects the process-wide default backend.
-ENV_VAR = "REPRO_COUNT_BACKEND"
-
-DEFAULT_BACKEND = "searchsorted"
-
-_REGISTRY: dict[str, object] = {}
-
-
-def register_backend(name: str):
-    """Class-of-one decorator: register ``fn(starts, ends, values)``."""
-
-    def decorate(fn):
-        _REGISTRY[name] = fn
-        return fn
-
-    return decorate
-
-
-def available_backends() -> list[str]:
-    """Registered backend names, sorted."""
-    return sorted(_REGISTRY)
-
-
-def resolve_backend_name(name: str | None = None) -> str:
-    """The backend name an explicit/env/default resolution lands on."""
-    return name or os.environ.get(ENV_VAR) or DEFAULT_BACKEND
-
-
-def get_backend(name=None):
-    """Resolve a backend by name, env var, or passthrough callable.
-
-    ``None`` falls back to ``$REPRO_COUNT_BACKEND`` and then to the
-    ``searchsorted`` default; a callable is returned unchanged so call
-    sites can take ad-hoc counting functions too.
-    """
-    if callable(name):
-        return name
-    resolved = resolve_backend_name(name)
-    try:
-        return _REGISTRY[resolved]
-    except KeyError:
-        raise ValueError(
-            f"unknown counting backend {resolved!r}; "
-            f"available: {available_backends()}"
-        ) from None
-
-
-def count_with_backend(starts, ends, values, backend=None) -> np.ndarray:
-    """Per-interval occupancy via the resolved backend."""
-    return get_backend(backend)(starts, ends, values)
-
-
-# ---------------------------------------------------------------------------
-# Cross-wave count reuse
-# ---------------------------------------------------------------------------
+__all__ = ["CountCache", "COUNT_CACHE"]
 
 
 class CountCache:
@@ -121,8 +27,8 @@ class CountCache:
     accounting pass sharing a snapshot — asks the same question: the
     per-interval occupancy of one immutable sorted address array over
     one partition.  This cache answers it once per
-    ``(partition, values, backend)`` triple and hands the same
-    read-only counts array to every caller, so ``TassStrategy.plan``,
+    ``(partition, values)`` pair and hands the same read-only counts
+    array to every caller, so ``TassStrategy.plan``,
     ``hold_or_reseed``, ``selection_stats`` and ``simulate_campaign``
     share a single two-``searchsorted`` pass per snapshot instead of
     recounting from scratch.
@@ -136,8 +42,7 @@ class CountCache:
     re-checking identity through the weakrefs and treating any
     mismatch as a miss.  Only **read-only** ndarrays are cached — a
     writable array could be mutated after insertion and go stale, so
-    it bypasses the cache entirely, as does any ad-hoc callable
-    backend (no stable name to key on).
+    it bypasses the cache entirely.
     """
 
     __slots__ = ("maxsize", "hits", "misses", "_entries")
@@ -159,19 +64,15 @@ class CountCache:
             and not values.flags.writeable
         )
 
-    def counts(self, partition, values, backend=None) -> np.ndarray:
+    def counts(self, partition, values) -> np.ndarray:
         """Per-interval occupancy of ``values`` over ``partition``.
 
-        Identical to ``partition`` counting via
-        :func:`count_with_backend`; uncacheable inputs fall straight
-        through to the backend.
+        Identical to :func:`count_in_intervals` over the partition;
+        uncacheable inputs fall straight through to it.
         """
-        if callable(backend) or not self.cacheable(values):
-            return count_with_backend(
-                partition.starts, partition.ends, values, backend
-            )
-        name = resolve_backend_name(backend)
-        key = (id(partition), id(values), name)
+        if not self.cacheable(values):
+            return count_in_intervals(partition.starts, partition.ends, values)
+        key = (id(partition), id(values))
         entry = self._entries.get(key)
         if (
             entry is not None
@@ -181,9 +82,7 @@ class CountCache:
             self._entries.move_to_end(key)
             self.hits += 1
             return entry[2]
-        counts = count_with_backend(
-            partition.starts, partition.ends, values, name
-        )
+        counts = count_in_intervals(partition.starts, partition.ends, values)
         counts = np.asarray(counts, dtype=np.int64)
         counts.setflags(write=False)
         self.misses += 1
@@ -221,129 +120,3 @@ class CountCache:
 #: The process-wide cache every ``Partition.count_addresses`` call
 #: (and everything layered on it) routes through.
 COUNT_CACHE = CountCache()
-
-
-# ---------------------------------------------------------------------------
-# searchsorted — the production pass
-# ---------------------------------------------------------------------------
-
-register_backend("searchsorted")(_searchsorted_count)
-
-
-# ---------------------------------------------------------------------------
-# bitmap — packed occupancy bits over the compacted covered space
-# ---------------------------------------------------------------------------
-
-#: Per-byte popcount lookup table.
-_POPCOUNT = np.array(
-    [bin(b).count("1") for b in range(256)], dtype=np.int64
-)
-
-
-def _bit_rank(cum_bytes, bitmap, bits):
-    """Set bits in ``[0, bit)`` of the little-endian packed bitmap."""
-    byte = bits >> 3
-    rank = cum_bytes[byte]
-    rem = bits & 7
-    partial = bitmap[np.minimum(byte, len(bitmap) - 1)] & (
-        (1 << rem) - 1
-    ).astype(np.uint8)
-    return rank + _POPCOUNT[partial]
-
-
-@register_backend("bitmap")
-def count_bitmap(starts, ends, values) -> np.ndarray:
-    """Bitmap counting: mark each covered address, popcount per slice.
-
-    Addresses are first mapped into the *compacted* coordinate space of
-    the interval set (interval i occupies bits
-    ``[offset_i, offset_i + size_i)``), so the bitmap costs one bit per
-    covered address no matter how sparse the intervals are in the full
-    2^32 space.  Counting an interval is then a vectorized popcount of
-    its bit slice via a byte-level cumulative sum.
-    """
-    if np.asarray(starts).dtype.kind == "S":
-        # v6 intervals cover up to 2^96 addresses — a one-bit-per-address
-        # bitmap is unbuildable.  Count by covering-interval index +
-        # bincount instead: same contract, one bucket per interval.
-        starts = np.asarray(starts)
-        ends = np.asarray(ends)
-        values = np.asarray(values)
-        if len(starts) == 0:
-            return np.zeros(0, dtype=np.int64)
-        if values.size == 0:
-            return np.zeros(len(starts), dtype=np.int64)
-        idx = np.searchsorted(starts, values, side="right") - 1
-        safe = idx.clip(0)
-        inside = (idx >= 0) & (values < ends[safe])
-        return np.bincount(
-            safe[inside], minlength=len(starts)
-        ).astype(np.int64)
-    starts = np.asarray(starts, dtype=np.int64)
-    ends = np.asarray(ends, dtype=np.int64)
-    values = np.asarray(values, dtype=np.int64)
-    if len(starts) == 0:
-        return np.zeros(0, dtype=np.int64)
-    sizes = ends - starts
-    offsets = np.concatenate(
-        [np.zeros(1, dtype=np.int64), np.cumsum(sizes)]
-    )
-    total_bits = int(offsets[-1])
-    if total_bits == 0:
-        return np.zeros(len(starts), dtype=np.int64)
-    bitmap = np.zeros((total_bits + 7) >> 3, dtype=np.uint8)
-    if values.size and total_bits:
-        idx = np.searchsorted(starts, values, side="right") - 1
-        safe = idx.clip(0)
-        inside = (idx >= 0) & (values < ends[safe])
-        hit = safe[inside]
-        pos = offsets[hit] + (values[inside] - starts[hit])
-        np.bitwise_or.at(
-            bitmap, pos >> 3, np.uint8(1) << (pos & 7).astype(np.uint8)
-        )
-    # cum_bytes[k] = set bits in bytes [0, k); one extra slot so a bit
-    # offset landing exactly on the bitmap end indexes cleanly.
-    cum_bytes = np.zeros(len(bitmap) + 1, dtype=np.int64)
-    np.cumsum(_POPCOUNT[bitmap], out=cum_bytes[1:])
-    return _bit_rank(cum_bytes, bitmap, offsets[1:]) - _bit_rank(
-        cum_bytes, bitmap, offsets[:-1]
-    )
-
-
-# ---------------------------------------------------------------------------
-# trie — the pure-Python longest-prefix-match oracle
-# ---------------------------------------------------------------------------
-
-
-@register_backend("trie")
-def count_trie(starts, ends, values) -> np.ndarray:
-    """Radix-trie counting over arbitrary ``[start, end)`` intervals.
-
-    Each interval is decomposed into its minimal aligned CIDR cover
-    (:func:`repro.bgp.deaggregate.split_range`), the cover is inserted
-    into a binary trie mapping to the *source interval* index, and
-    every address is longest-prefix-matched one Python iteration at a
-    time — the :mod:`repro.core.density` reference generalised beyond
-    prefix-shaped partitions.
-    """
-    from repro.bgp.deaggregate import split_range
-    from repro.core.addrspace import space_of
-    from repro.core.density import count_lookups, trie_insert
-
-    starts = np.asarray(starts)
-    if starts.dtype.kind == "S":
-        space = space_of(starts)
-        bits = space.bits
-        start_ints = space.decode(starts)
-        end_ints = space.decode(np.asarray(ends))
-    else:
-        bits = 32
-        starts = np.asarray(starts, dtype=np.int64)
-        ends = np.asarray(ends, dtype=np.int64)
-        start_ints = starts.tolist()
-        end_ints = ends.tolist()
-    root = [None, None, None]
-    for index, (start, end) in enumerate(zip(start_ints, end_ints)):
-        for prefix in split_range(start, end, bits):
-            trie_insert(root, prefix.network, prefix.length, index, bits)
-    return count_lookups(root, values, len(start_ints), bits)

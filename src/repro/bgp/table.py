@@ -186,16 +186,9 @@ class Partition:
 
     # __weakref__ lets the COUNT_CACHE key entries on partitions
     # without extending their lifetime.
-    __slots__ = (
-        "starts",
-        "ends",
-        "count_backend",
-        "_prefixes",
-        "__dict__",
-        "__weakref__",
-    )
+    __slots__ = ("starts", "ends", "_prefixes", "__dict__", "__weakref__")
 
-    def __init__(self, starts, ends, prefixes=None, count_backend=None):
+    def __init__(self, starts, ends, prefixes=None):
         self.starts = _as_address_array(starts)
         self.ends = _as_address_array(ends)
         self.space = space_of(self.starts)
@@ -208,26 +201,23 @@ class Partition:
         ).all():
             raise ValueError("partition intervals must be sorted disjoint")
         self._prefixes = list(prefixes) if prefixes is not None else None
-        #: Default counting backend for this partition (None = resolve
-        #: via ``$REPRO_COUNT_BACKEND`` / the registry default).
-        self.count_backend = count_backend
 
     @classmethod
-    def from_prefixes(cls, prefixes, count_backend=None) -> "Partition":
+    def from_prefixes(cls, prefixes) -> "Partition":
         prefixes = sorted(prefixes, key=lambda p: p.network)
         if prefixes and prefixes[0].bits == 128:
             from repro.core.addrspace import V6
 
             starts = V6.encode([p.start for p in prefixes])
             ends = V6.encode([p.end for p in prefixes])
-            return cls(starts, ends, prefixes, count_backend=count_backend)
+            return cls(starts, ends, prefixes)
         starts = np.fromiter(
             (p.start for p in prefixes), dtype=np.int64, count=len(prefixes)
         )
         ends = np.fromiter(
             (p.end for p in prefixes), dtype=np.int64, count=len(prefixes)
         )
-        return cls(starts, ends, prefixes, count_backend=count_backend)
+        return cls(starts, ends, prefixes)
 
     # -- structure -----------------------------------------------------
 
@@ -304,15 +294,12 @@ class Partition:
 
     # -- vectorized hot paths -----------------------------------------
 
-    def count_addresses(self, values: np.ndarray, backend=None) -> np.ndarray:
-        """Per-interval occupancy of a **sorted** int64 address array.
+    def count_addresses(self, values: np.ndarray) -> np.ndarray:
+        """Per-interval occupancy of a **sorted** address array.
 
-        By default this is the two-``searchsorted`` interval-counting
-        pass; ``backend`` (or the partition's ``count_backend``, or
-        ``$REPRO_COUNT_BACKEND``) selects any backend registered in
-        :mod:`repro.bgp.backends` instead.
-
-        Counts over immutable snapshot arrays are memoized in the
+        The two-``searchsorted`` interval-counting pass
+        (:func:`count_in_intervals`).  Counts over immutable snapshot
+        arrays are memoized in the
         process-wide :data:`~repro.bgp.backends.COUNT_CACHE`, so every
         wave/strategy sharing a snapshot shares one counting pass; the
         returned array is read-only and must not be mutated.
@@ -320,8 +307,7 @@ class Partition:
         # Imported lazily: backends imports this module at load time.
         from repro.bgp.backends import COUNT_CACHE
 
-        backend = backend if backend is not None else self.count_backend
-        return COUNT_CACHE.counts(self, values, backend)
+        return COUNT_CACHE.counts(self, values)
 
     def index_of(self, values: np.ndarray) -> np.ndarray:
         """Covering-interval index per address (-1 when uncovered)."""
@@ -343,7 +329,7 @@ class RoutingTable:
     more-specific announcements hang beneath them (possibly nested).
     """
 
-    def __init__(self, l_prefixes, children=None, count_backend=None):
+    def __init__(self, l_prefixes, children=None):
         self._l_prefixes = sorted(l_prefixes, key=lambda p: p.network)
         self._children = {
             parent: tuple(sorted(kids, key=lambda p: p.network))
@@ -351,9 +337,6 @@ class RoutingTable:
             if kids
         }
         self._partitions = {}
-        #: Counting backend inherited by every partition derived from
-        #: this table (None = registry default / env var).
-        self.count_backend = count_backend
 
     @property
     def l_prefixes(self):
@@ -384,16 +367,13 @@ class RoutingTable:
         except KeyError:
             pass
         if view == LESS_SPECIFIC:
-            part = Partition.from_prefixes(
-                self._l_prefixes, count_backend=self.count_backend
-            )
+            part = Partition.from_prefixes(self._l_prefixes)
         elif view == MORE_SPECIFIC:
             from repro.bgp.deaggregate import partition_table
 
             forest = {p: self.children_of(p) for p in self.prefixes}
             part = Partition.from_prefixes(
-                partition_table(forest, self._l_prefixes),
-                count_backend=self.count_backend,
+                partition_table(forest, self._l_prefixes)
             )
         else:
             raise ValueError(f"unknown prefix view: {view!r}")

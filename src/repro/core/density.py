@@ -1,11 +1,12 @@
-"""Per-prefix density counting — the slow radix-trie reference backend.
+"""Per-prefix density counting — the slow radix-trie reference.
 
 The production path is ``Partition.count_addresses`` (two vectorized
 ``searchsorted`` passes).  This module keeps the classic alternative —
 longest-prefix-matching every single address through a binary radix
-trie, one Python iteration per address — as the correctness reference
-for the counting ablation (``bench_ablation_counting.py``), which
-quantifies the 2-3 orders of magnitude between the two.
+trie, one Python iteration per address — as the correctness oracle the
+differential tests check the production path against, and as the
+baseline of the counting ablation (``bench_ablation_counting.py``),
+which quantifies the 2-3 orders of magnitude between the two.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ __all__ = [
     "trie_insert",
     "count_lookups",
     "count_with_trie",
+    "count_trie",
     "lookup",
 ]
 
@@ -95,3 +97,34 @@ def count_with_trie(addresses, partition) -> np.ndarray:
         build_trie(partition), values, len(partition),
         bits=partition.space.bits,
     )
+
+
+def count_trie(starts, ends, values) -> np.ndarray:
+    """Radix-trie counting over arbitrary ``[start, end)`` intervals.
+
+    Each interval is decomposed into its minimal aligned CIDR cover
+    (:func:`repro.bgp.deaggregate.split_range`), the cover is inserted
+    into a binary trie mapping to the *source interval* index, and
+    every address is longest-prefix-matched one Python iteration at a
+    time — :func:`count_with_trie` generalised beyond prefix-shaped
+    partitions, with the signature of
+    :func:`repro.bgp.table.count_in_intervals`.
+    """
+    from repro.bgp.deaggregate import split_range
+    from repro.core.addrspace import space_of
+
+    starts = np.asarray(starts)
+    if starts.dtype.kind == "S":
+        space = space_of(starts)
+        bits = space.bits
+        start_ints = space.decode(starts)
+        end_ints = space.decode(np.asarray(ends))
+    else:
+        bits = 32
+        start_ints = np.asarray(starts, dtype=np.int64).tolist()
+        end_ints = np.asarray(ends, dtype=np.int64).tolist()
+    root = [None, None, None]
+    for index, (start, end) in enumerate(zip(start_ints, end_ints)):
+        for prefix in split_range(start, end, bits):
+            trie_insert(root, prefix.network, prefix.length, index, bits)
+    return count_lookups(root, values, len(start_ints), bits)

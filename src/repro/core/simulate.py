@@ -49,18 +49,13 @@ class Campaign:
         return int(np.sum(self.probes_per_month))
 
 
-def simulate_campaign(strategy, series, backend=None) -> Campaign:
-    """Plan on the seed snapshot, replay every monthly snapshot.
-
-    ``backend`` selects the per-month interval-counting backend (see
-    :mod:`repro.bgp.backends`); planning uses the strategy's own
-    backend choice.
-    """
+def simulate_campaign(strategy, series) -> Campaign:
+    """Plan on the seed snapshot, replay every monthly snapshot."""
     selection = strategy.plan(series.seed_snapshot)
     rates = []
     for snapshot in series:
         values = snapshot.addresses.values
-        found = selection.count_in(values, backend=backend)
+        found = selection.count_in(values)
         rates.append(found / len(values) if len(values) else 0.0)
     probes = [selection.probe_count()] * len(rates)
     return Campaign(rates, selection, probes)

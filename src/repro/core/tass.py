@@ -14,12 +14,13 @@ import numpy as np
 
 # Module-level on purpose: count_in sits inside per-wave hot loops and
 # must not pay an import-machinery lookup per call.
-from repro.bgp.backends import COUNT_CACHE, count_with_backend
+from repro.bgp.backends import COUNT_CACHE
 from repro.bgp.table import (
     LESS_SPECIFIC,
     Partition,
     RoutingTable,
     coalesce_intervals,
+    count_in_intervals,
     interval_membership,
 )
 
@@ -95,12 +96,8 @@ class Selection:
             self._coalesced = coalesce_intervals(self.starts, self.ends)
         return self._coalesced
 
-    def count_in(self, values: np.ndarray, backend=None) -> int:
+    def count_in(self, values: np.ndarray) -> int:
         """How many of a sorted address array fall inside the selection.
-
-        ``backend`` (or the partition's ``count_backend``, or
-        ``$REPRO_COUNT_BACKEND``) selects a registered counting
-        backend; the default is the two-``searchsorted`` pass.
 
         Immutable snapshot arrays hit the process-wide
         :data:`~repro.bgp.backends.COUNT_CACHE`: the full-partition
@@ -108,15 +105,13 @@ class Selection:
         a fancy-index sum, so repeated waves/strategies over the same
         snapshot never recount it.  (The selection's intervals are by
         construction a subset of the partition's disjoint intervals, so
-        the subset sum equals a direct count under every backend.)
+        the subset sum equals a direct count.)
         """
-        if backend is None:
-            backend = getattr(self.partition, "count_backend", None)
-        if not callable(backend) and COUNT_CACHE.cacheable(values):
-            counts = COUNT_CACHE.counts(self.partition, values, backend)
+        if COUNT_CACHE.cacheable(values):
+            counts = COUNT_CACHE.counts(self.partition, values)
             return int(counts[self.indices].sum())
         starts, ends = self.coalesced()
-        return int(count_with_backend(starts, ends, values, backend).sum())
+        return int(count_in_intervals(starts, ends, values).sum())
 
     def membership(self, values: np.ndarray) -> np.ndarray:
         """Boolean mask over ``values``: inside the selection or not."""
@@ -153,7 +148,6 @@ class TassStrategy:
         table,
         phi: float = 1.0,
         view: str = LESS_SPECIFIC,
-        backend=None,
     ):
         if isinstance(table, RoutingTable):
             self.partition = table.partition(view)
@@ -166,15 +160,13 @@ class TassStrategy:
             )
         self.phi = float(phi)
         self.view = view
-        #: Counting backend for planning (None = partition default).
-        self.backend = backend
         self.last_selection: Selection | None = None
 
     def plan(self, snapshot) -> Selection:
         """Derive the probe plan from a seed snapshot (TASS steps 2-4)."""
         addresses = getattr(snapshot, "addresses", snapshot)
         values = getattr(addresses, "values", addresses)
-        counts = self.partition.count_addresses(values, backend=self.backend)
+        counts = self.partition.count_addresses(values)
         selection = select_by_density(self.partition, counts, self.phi)
         self.last_selection = selection
         return selection

@@ -13,8 +13,6 @@ Knobs:
 - ``REPRO_SCAN_EXECUTOR`` — an executor registered in
   :mod:`repro.scan.executors` (``serial``, ``process``,
   ``distributed``, or anything registered on top);
-- ``REPRO_COUNT_BACKEND`` — a counting backend registered in
-  :mod:`repro.bgp.backends`;
 - ``REPRO_DIST_WORKERS``  — worker-process count for the
   ``distributed`` executor (default: one per shard, CPU-capped);
 - ``REPRO_FAULT_PLAN``    — declarative chaos plan for the distributed
@@ -25,6 +23,9 @@ Knobs:
   backoff in seconds (default 0.05; ``0`` disables the backoff);
 - ``REPRO_DIST_CRASH_LOOP``     — consecutive spawn-side failures that
   declare a crash loop and degrade the fleet (default 3);
+- ``REPRO_DIST_SHARD_DELAY``    — seconds each distributed worker
+  sleeps per shard, a test hook that stretches shards so a kill lands
+  mid-campaign (default 0);
 - ``REPRO_DIST_ADDRESS_BOOK``   — comma-separated ``host:port`` entries
   of pre-started remote workers (``python -m repro.scan.distributed
   --listen host:port``) the coordinator dials out to; spawned and
@@ -58,12 +59,12 @@ import os
 __all__ = [
     "ENV_SCAN_SHARDS",
     "ENV_SCAN_EXECUTOR",
-    "ENV_COUNT_BACKEND",
     "ENV_DIST_WORKERS",
     "ENV_FAULT_PLAN",
     "ENV_DIST_SHARD_DEADLINE",
     "ENV_DIST_RESPAWN_BASE",
     "ENV_DIST_CRASH_LOOP",
+    "ENV_DIST_SHARD_DELAY",
     "ENV_DIST_ADDRESS_BOOK",
     "ENV_DIST_SECRET",
     "ENV_OBS",
@@ -75,12 +76,12 @@ __all__ = [
     "EXECUTORS",
     "scan_shards",
     "scan_executor",
-    "count_backend",
     "dist_workers",
     "fault_plan",
     "dist_shard_deadline",
     "dist_respawn_base",
     "dist_crash_loop_threshold",
+    "dist_shard_delay",
     "dist_address_book",
     "dist_secret",
     "obs_mode",
@@ -91,12 +92,12 @@ __all__ = [
 
 ENV_SCAN_SHARDS = "REPRO_SCAN_SHARDS"
 ENV_SCAN_EXECUTOR = "REPRO_SCAN_EXECUTOR"
-ENV_COUNT_BACKEND = "REPRO_COUNT_BACKEND"
 ENV_DIST_WORKERS = "REPRO_DIST_WORKERS"
 ENV_FAULT_PLAN = "REPRO_FAULT_PLAN"
 ENV_DIST_SHARD_DEADLINE = "REPRO_DIST_SHARD_DEADLINE"
 ENV_DIST_RESPAWN_BASE = "REPRO_DIST_RESPAWN_BASE"
 ENV_DIST_CRASH_LOOP = "REPRO_DIST_CRASH_LOOP"
+ENV_DIST_SHARD_DELAY = "REPRO_DIST_SHARD_DELAY"
 ENV_DIST_ADDRESS_BOOK = "REPRO_DIST_ADDRESS_BOOK"
 ENV_DIST_SECRET = "REPRO_DIST_SECRET"
 ENV_OBS = "REPRO_OBS"
@@ -255,6 +256,17 @@ def dist_respawn_base(explicit=None) -> float:
     """Base (seconds) of the exponential worker-respawn backoff."""
     raw, source = _resolve(explicit, ENV_DIST_RESPAWN_BASE, 0.05)
     return _positive_float(raw, source, "respawn base", zero_ok=True)
+
+
+def dist_shard_delay(explicit=None) -> float:
+    """Seconds each distributed worker sleeps per shard (>= 0).
+
+    ``explicit`` wins over ``$REPRO_DIST_SHARD_DELAY`` over the default
+    of 0 (no delay).  A test hook: it stretches every shard so a kill
+    or a deadline lands mid-campaign.
+    """
+    raw, source = _resolve(explicit, ENV_DIST_SHARD_DELAY, 0.0)
+    return _positive_float(raw, source, "shard delay", zero_ok=True)
 
 
 def dist_crash_loop_threshold(explicit=None) -> int:
@@ -421,26 +433,6 @@ def fs_fault_plan(explicit=None):
         raise ValueError(
             f"bad storage fault plan (from {source}): {exc}"
         ) from None
-
-
-def count_backend(explicit=None) -> str:
-    """The validated counting-backend *name* the resolution lands on.
-
-    Unlike :func:`repro.bgp.backends.get_backend` — which resolves at
-    counting time, deep inside a campaign — this validates up front so
-    knob errors surface before any work is done.
-    """
-    # Imported lazily: backends is a leaf module but pulls in numpy
-    # machinery this module doesn't otherwise need.
-    from repro.bgp.backends import DEFAULT_BACKEND, available_backends
-
-    raw, source = _resolve(explicit, ENV_COUNT_BACKEND, DEFAULT_BACKEND)
-    if raw not in available_backends():
-        raise ValueError(
-            f"unknown counting backend {raw!r} (from {source}); "
-            f"available: {available_backends()}"
-        )
-    return raw
 
 
 def addr_family(explicit=None) -> str:

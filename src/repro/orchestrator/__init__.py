@@ -1,7 +1,7 @@
 """Campaign orchestrator: resumable multi-wave scan campaigns.
 
 A *campaign* is a declarative spec (dataset preset, strategy
-parameters, wave count, reseed policy, shard/executor/backend knobs,
+parameters, wave count, reseed policy, shard/executor knobs,
 probe budget, pacing rate) compiled into a sequence of *waves*.  Each
 wave plans a selection with :class:`~repro.core.tass.TassStrategy`,
 executes it through the sharded scan layer, and feeds the achieved

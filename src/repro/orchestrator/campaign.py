@@ -1,7 +1,7 @@
 """Campaign spec, state, and the resumable multi-wave runner.
 
 A :class:`CampaignSpec` declares *what* to scan — dataset preset,
-strategy parameters, wave count, reseed policy, shard/executor/backend
+strategy parameters, wave count, reseed policy, shard/executor
 knobs, probe budget, pacing rate.  :class:`CampaignRunner` compiles it
 into waves and executes them: each wave plans a selection with
 :class:`~repro.core.tass.TassStrategy`, drains it through
@@ -31,13 +31,7 @@ import numpy as np
 from repro import obs
 from repro.bgp.table import LESS_SPECIFIC, MORE_SPECIFIC
 from repro.core.tass import TassStrategy
-from repro.env import (
-    ENV_ADDR_FAMILY,
-    addr_family,
-    count_backend,
-    scan_executor,
-    scan_shards,
-)
+from repro.env import ENV_ADDR_FAMILY, addr_family, scan_executor, scan_shards
 from repro.orchestrator.checkpoint import CheckpointStore
 from repro.orchestrator.pacing import PacedTargets, TokenBucket
 from repro.orchestrator.waves import (
@@ -85,6 +79,9 @@ PROGRESS_KEYS = {
 
 _VIEWS = (LESS_SPECIFIC, MORE_SPECIFIC)
 
+#: The counting path every spec records (``CampaignSpec.backend``).
+_BACKEND = "searchsorted"
+
 #: Ceiling on one wave-retry backoff sleep, whatever the base.
 _RETRY_BACKOFF_CAP = 30.0
 
@@ -122,6 +119,8 @@ class CampaignSpec:
     explore_frac: float = 0.0
     shards: int | None = None
     executor: str | None = None
+    #: The counting path, recorded in ``campaign.json`` and manifests:
+    #: ``None`` resolves to ``"searchsorted"``, the only one there is.
     backend: str | None = None
     batch_size: int = 1 << 16
     #: Total probe budget; the campaign stops at the first wave
@@ -173,9 +172,14 @@ class CampaignSpec:
             raise ValueError("wave_retry_backoff must be >= 0")
         if self.samples_per_prefix < 0:
             raise ValueError("samples_per_prefix must be >= 0")
+        if self.backend not in (None, _BACKEND):
+            raise ValueError(
+                f"backend must be {_BACKEND!r} (the only counting "
+                f"path), got {self.backend!r}"
+            )
 
     def resolved(self) -> "CampaignSpec":
-        """Pin the shard/executor/backend knobs (argument > env > default).
+        """Pin the shard/executor knobs (argument > env > default).
 
         Resolution happens once, at plan time, and the resolved values
         are stored in ``campaign.json`` — so a resume under a different
@@ -213,7 +217,7 @@ class CampaignSpec:
             self,
             shards=scan_shards(self.shards),
             executor=executor,
-            backend=count_backend(self.backend),
+            backend=_BACKEND,
             family=family,
         )
 
@@ -299,9 +303,7 @@ class CampaignRunner:
         self.series = dataset.series_for(self.spec.protocol)
         self.partition = dataset.topology.table.partition(self.spec.view)
         self.announced = self.partition.address_count()
-        self.strategy = TassStrategy(
-            self.partition, phi=self.spec.phi, backend=self.spec.backend
-        )
+        self.strategy = TassStrategy(self.partition, phi=self.spec.phi)
         self.blocklist = (
             default_blocklist() if self.spec.use_blocklist else None
         )

@@ -79,7 +79,6 @@ def build_parser() -> argparse.ArgumentParser:
         "REPRO_DIST_ADDRESS_BOOK=host:port,..., handshake auth via "
         "REPRO_DIST_SECRET)",
     )
-    plan.add_argument("--backend", default=None)
     plan.add_argument("--batch-size", type=int, default=1 << 16)
     plan.add_argument("--probe-budget", type=int, default=None)
     plan.add_argument("--probes-per-sec", type=float, default=None)
@@ -204,7 +203,6 @@ def _spec_from_args(args) -> CampaignSpec:
         explore_frac=args.explore_frac,
         shards=args.shards,
         executor=args.executor,
-        backend=args.backend,
         batch_size=args.batch_size,
         probe_budget=args.probe_budget,
         probes_per_sec=args.probes_per_sec,

@@ -160,7 +160,7 @@ def sample_complement(rng, partition, selected, n):
     return partition.starts[unselected[slot]] + offset, unselected
 
 
-def selection_stats(partition, selected, values, backend=None):
+def selection_stats(partition, selected, values):
     """(responsive addresses found, probe cost) of a masked selection.
 
     Counts via the full-partition pass so immutable snapshot arrays
@@ -168,7 +168,7 @@ def selection_stats(partition, selected, values, backend=None):
     against the same snapshot (static vs adaptive, wave after wave)
     reduces to a masked sum over one shared counting pass.
     """
-    found = COUNT_CACHE.counts(partition, values, backend)[selected].sum()
+    found = COUNT_CACHE.counts(partition, values)[selected].sum()
     return int(found), int(partition.sizes[selected].sum())
 
 
@@ -198,9 +198,7 @@ def explore_unselected(rng, partition, selected, values, n):
     return probes, hits, parts[~selected[parts]]
 
 
-def hold_or_reseed(
-    strategy, selection, snapshot, reseed, announced, backend=None
-):
+def hold_or_reseed(strategy, selection, snapshot, reseed, announced):
     """One campaign wave of the paper's step-5 accounting.
 
     Re-seeding scans the whole announced space (``announced`` probes)
@@ -211,9 +209,5 @@ def hold_or_reseed(
     if reseed:
         return strategy.plan(snapshot), announced, 1.0
     values = snapshot.addresses.values
-    rate = (
-        selection.count_in(values, backend=backend) / len(values)
-        if len(values)
-        else 0.0
-    )
+    rate = selection.count_in(values) / len(values) if len(values) else 0.0
     return selection, selection.probe_count(), rate

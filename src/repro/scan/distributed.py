@@ -89,12 +89,9 @@ fault injection; see :mod:`repro.scan.faults`),
 ``REPRO_DIST_SHARD_DEADLINE``
 (per-shard attempt deadline, default 30 s; 0 disables),
 ``REPRO_DIST_RESPAWN_BASE`` / ``REPRO_DIST_CRASH_LOOP`` (respawn
-backoff base and crash-loop threshold).  Legacy fault injection:
-``REPRO_DIST_FAIL_SHARDS`` (comma-separated shard indices whose first
-assigned worker dies mid-shard — sugar for ``crash@i`` plan entries)
-and ``REPRO_DIST_SHARD_DELAY`` (seconds each worker sleeps per shard,
-to make smoke-test kill windows deterministic); none of these change
-any result.
+backoff base and crash-loop threshold), ``REPRO_DIST_SHARD_DELAY``
+(seconds each worker sleeps per shard, to make smoke-test kill windows
+deterministic); none of these change any result.
 """
 
 from __future__ import annotations
@@ -125,6 +122,7 @@ from repro.env import (
     dist_respawn_base,
     dist_secret,
     dist_shard_deadline,
+    dist_shard_delay,
     fault_plan as _env_fault_plan,
 )
 from repro.scan.engine import ScanResult
@@ -133,11 +131,9 @@ from repro.scan.executors import (
     build_worker,
     register_executor,
 )
-from repro.scan.faults import FaultPlan, RespawnGovernor, deadline_action
+from repro.scan.faults import RespawnGovernor, deadline_action
 
 __all__ = [
-    "ENV_FAIL_SHARDS",
-    "ENV_SHARD_DELAY",
     "FrameStream",
     "Coordinator",
     "distributed_executor",
@@ -145,9 +141,6 @@ __all__ = [
     "listen_main",
     "main",
 ]
-
-ENV_FAIL_SHARDS = "REPRO_DIST_FAIL_SHARDS"
-ENV_SHARD_DELAY = "REPRO_DIST_SHARD_DELAY"
 
 _HEADER = struct.Struct(">I")
 #: Frame-size sanity cap: a corrupt length prefix must not allocate GBs.
@@ -301,12 +294,6 @@ class FrameStream:
 # ---------------------------------------------------------------------------
 
 
-def _parse_fail_shards(raw: str | None) -> frozenset:
-    if not raw:
-        return frozenset()
-    return frozenset(int(part) for part in raw.split(",") if part.strip())
-
-
 class _Worker:
     """One connected worker: its stream, process, and assigned shard."""
 
@@ -348,10 +335,7 @@ class Coordinator:
     resolution, so env vars apply unless a test passes a value):
 
     - ``fault_plan`` — a :class:`~repro.scan.faults.FaultPlan` (or plan
-      string) of injected faults; default ``$REPRO_FAULT_PLAN``.  The
-      legacy ``fail_shards`` / ``fail_every_spawn`` parameters (and
-      ``$REPRO_DIST_FAIL_SHARDS``) are folded in as ``crash@i``
-      entries.
+      string) of injected faults; default ``$REPRO_FAULT_PLAN``.
     - ``shard_deadline`` — seconds one attempt may hold a shard before
       it is speculatively re-dispatched to an idle worker (first
       result wins, duplicates discarded); ``None`` disables.
@@ -369,8 +353,6 @@ class Coordinator:
         self,
         worker_args,
         workers: int | None = None,
-        fail_shards=None,
-        fail_every_spawn: bool = False,
         timeout: float = 120.0,
         fault_plan=None,
         shard_deadline=_ENV,
@@ -394,19 +376,11 @@ class Coordinator:
             self.secret = None
         else:
             self.secret = dist_secret(secret)
-        legacy = (
-            frozenset(fail_shards)
-            if fail_shards is not None
-            else _parse_fail_shards(os.environ.get(ENV_FAIL_SHARDS))
-        )
-        plan = _env_fault_plan(fault_plan)
-        if legacy:
-            plan = plan.merged_with(
-                FaultPlan.crash_shards(
-                    legacy, every_attempt=fail_every_spawn
-                )
-            )
-        self.fault_plan = plan
+        self.fault_plan = _env_fault_plan(fault_plan)
+        # Spawned workers read the delay from the inherited environment;
+        # resolving it here makes a bad value fail once, before any
+        # worker starts, instead of killing every spawn.
+        dist_shard_delay()
         self.shard_deadline = (
             dist_shard_deadline()
             if shard_deadline is _ENV
@@ -1350,14 +1324,15 @@ def _execute_fault_and_maybe_die(stream: FrameStream, kind: str,
 def _session(
     stream: FrameStream,
     *,
-    fail_shards=frozenset(),
+    delay: float = 0.0,
     secret: str | None = None,
     auth_fail: bool = False,
     strict: bool = True,
 ) -> str:
     """Serve one coordinator over ``stream``; the remote-node loop.
 
-    Sends hello, then drains frames until the session ends.  Returns
+    Sends hello, then drains frames until the session ends, sleeping
+    ``delay`` seconds before each shard.  Returns
     how it ended: ``"shutdown"`` (clean drain), ``"eof"`` (the
     coordinator vanished), ``"denied"`` (authentication failed in
     either direction — a worker with a secret refuses to drain shards
@@ -1371,7 +1346,6 @@ def _session(
     # import would be circular.
     from repro.scan.sharded import IntervalTargets
 
-    delay = float(os.environ.get(ENV_SHARD_DELAY, "0") or 0.0)
     nonce_w = os.urandom(16).hex()
     stream.send({"type": "hello", "pid": os.getpid(), "nonce": nonce_w})
     engine = truth = protocol = None
@@ -1480,10 +1454,6 @@ def _session(
             kind = fault.get("kind")
             if delay:
                 time.sleep(delay)
-            if shard in fail_shards:
-                # Legacy --fail-shards injection (same as kind=crash).
-                _scream(f"injected fault 'crash' on shard {shard}")
-                os._exit(_EXIT_CRASH)
             if kind == "corrupt":
                 # A well-framed body that is not JSON: recv() raises
                 # JSONDecodeError.  No result follows; the coordinator
@@ -1541,14 +1511,15 @@ def _session(
             return "protocol"
 
 
-def worker_main(host: str, port: int, fail_shards=frozenset(),
-                auth_fail: bool = False, secret=_ENV) -> int:
+def worker_main(host: str, port: int, auth_fail: bool = False,
+                secret=_ENV) -> int:
     """Dial out to a coordinator, drain shards until shutdown/EOF."""
+    delay = dist_shard_delay()
     stream = FrameStream(socket.create_connection((host, port)))
     try:
         outcome = _session(
             stream,
-            fail_shards=fail_shards,
+            delay=delay,
             secret=dist_secret() if secret is _ENV else secret,
             auth_fail=auth_fail,
         )
@@ -1568,7 +1539,6 @@ def listen_main(
     host: str,
     port: int,
     *,
-    fail_shards=frozenset(),
     auth_fail: bool = False,
     secret=_ENV,
     max_sessions: int | None = None,
@@ -1590,6 +1560,7 @@ def listen_main(
     """
     if secret is _ENV:
         secret = dist_secret()
+    delay = dist_shard_delay()
     server = socket.socket()
     server.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
     server.bind((host, port))
@@ -1614,7 +1585,7 @@ def listen_main(
             try:
                 outcome = _session(
                     stream,
-                    fail_shards=fail_shards,
+                    delay=delay,
                     secret=secret,
                     auth_fail=auth_fail,
                     strict=False,
@@ -1649,10 +1620,6 @@ def main(argv=None) -> int:
         "sequence; HOST:0 picks a free port, announced on stdout",
     )
     parser.add_argument(
-        "--fail-shards", default="",
-        help="test-only: die when first asked for these shard indices",
-    )
-    parser.add_argument(
         "--die-at-spawn", action="store_true",
         help="test-only: exit immediately (an injected crash-looping "
         "spawn; see repro.scan.faults)",
@@ -1670,14 +1637,9 @@ def main(argv=None) -> int:
     host, _, port = addr.rpartition(":")
     if not host or not port.isdigit():
         parser.error(f"address must be HOST:PORT, got {addr!r}")
-    fail = _parse_fail_shards(args.fail_shards)
     if args.listen:
-        return listen_main(
-            host, int(port), fail_shards=fail, auth_fail=args.auth_fail
-        )
-    return worker_main(
-        host, int(port), fail_shards=fail, auth_fail=args.auth_fail
-    )
+        return listen_main(host, int(port), auth_fail=args.auth_fail)
+    return worker_main(host, int(port), auth_fail=args.auth_fail)
 
 
 if __name__ == "__main__":

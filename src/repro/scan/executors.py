@@ -1,4 +1,4 @@
-"""Pluggable shard-executor registry (mirrors :mod:`repro.bgp.backends`).
+"""Pluggable shard-executor registry.
 
 ``run_sharded`` used to hard-code a ``serial``/``process`` branch; this
 module makes the execution strategy a *registry* of interchangeable

@@ -66,7 +66,7 @@ ENV_FAULT_PLAN = "REPRO_FAULT_PLAN"
 
 #: Faults executed by a worker when armed in a ``shard`` frame.
 WORKER_FAULT_KINDS = (
-    "crash",       # die mid-shard, no result (the old --fail-shards)
+    "crash",       # die mid-shard, no result
     "hang",        # never answer; only a shard deadline can rescue it
     "stall",       # sleep ``delay`` seconds, then answer normally
     "corrupt",     # send a well-framed but non-JSON body
@@ -224,20 +224,6 @@ class FaultPlan:
     @classmethod
     def from_env(cls) -> "FaultPlan":
         return cls.parse(os.environ.get(ENV_FAULT_PLAN))
-
-    @classmethod
-    def crash_shards(cls, shards, every_attempt: bool = False) -> "FaultPlan":
-        """The old ``--fail-shards`` semantics as a plan (back-compat)."""
-        return cls(
-            FaultSpec(
-                "crash", shard=int(s),
-                attempts=None if every_attempt else 1,
-            )
-            for s in sorted(shards)
-        )
-
-    def merged_with(self, other: "FaultPlan") -> "FaultPlan":
-        return FaultPlan(self.specs + other.specs)
 
     def to_string(self) -> str:
         return ",".join(spec.to_string() for spec in self.specs)

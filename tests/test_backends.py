@@ -1,34 +1,23 @@
-"""Differential oracle for the counting-backend registry.
+"""Differential oracle for the one counting path.
 
-Every backend registered in :mod:`repro.bgp.backends` must agree
-*exactly* with the pure-Python radix-trie reference on randomized
-routing tables and address populations — this is the safety net that
-makes swapping backends (by argument or ``$REPRO_COUNT_BACKEND``)
-a no-risk operation.
+The two-``searchsorted`` pass (:func:`repro.bgp.table.count_in_intervals`,
+and ``Partition.count_addresses`` layered on it) must agree *exactly*
+with the pure-Python interval trie (:func:`repro.core.density.count_trie`)
+on randomized routing tables, unaligned intervals and empty inputs.
 """
 
 import numpy as np
 import pytest
 
-from repro.bgp.backends import (
-    DEFAULT_BACKEND,
-    ENV_VAR,
-    available_backends,
-    count_with_backend,
-    get_backend,
-    register_backend,
-    resolve_backend_name,
-)
 from repro.bgp.table import (
     LESS_SPECIFIC,
     MORE_SPECIFIC,
-    Partition,
     Prefix,
     RoutingTable,
+    count_in_intervals,
 )
 from repro.census.addrset import AddressSet
-from repro.core.density import count_with_trie
-from repro.core.tass import TassStrategy
+from repro.core.density import count_trie, count_with_trie
 
 
 def _random_table(rng) -> RoutingTable:
@@ -70,130 +59,33 @@ def test_all_backends_agree_with_trie_on_random_tables(seed, view):
     rng = np.random.default_rng(seed)
     partition = _random_table(rng).partition(view)
     values = _random_addresses(rng, partition)
-    oracle = count_with_backend(
-        partition.starts, partition.ends, values, "trie"
-    )
+    oracle = count_trie(partition.starts, partition.ends, values)
     # The prefix-shaped trie reference agrees with the interval trie.
     assert np.array_equal(oracle, count_with_trie(values, partition))
-    for name in available_backends():
-        counts = count_with_backend(
-            partition.starts, partition.ends, values, name
-        )
-        assert np.array_equal(counts, oracle), name
+    counts = count_in_intervals(partition.starts, partition.ends, values)
+    assert np.array_equal(counts, oracle)
+    assert np.array_equal(partition.count_addresses(values), oracle)
 
 
 @pytest.mark.parametrize("seed", range(4))
 def test_backends_agree_on_unaligned_intervals(seed):
-    """Backends must handle arbitrary [start, end), not just CIDRs."""
+    """Counting must handle arbitrary [start, end), not just CIDRs."""
     rng = np.random.default_rng(100 + seed)
     edges = np.sort(rng.choice(1 << 20, size=14, replace=False))
     starts, ends = edges[0::2], edges[1::2]
     values = AddressSet(rng.integers(0, 1 << 20, 3000)).values
-    oracle = count_with_backend(starts, ends, values, "trie")
-    for name in available_backends():
-        got = count_with_backend(starts, ends, values, name)
-        assert np.array_equal(got, oracle), name
+    oracle = count_trie(starts, ends, values)
+    assert np.array_equal(count_in_intervals(starts, ends, values), oracle)
 
 
-@pytest.mark.parametrize("name", ["searchsorted", "bitmap", "trie"])
-def test_backend_handles_empty_inputs(name):
+@pytest.mark.parametrize(
+    "count",
+    [count_in_intervals, count_trie],
+    ids=["searchsorted", "trie"],
+)
+def test_backend_handles_empty_inputs(count):
     empty = np.empty(0, dtype=np.int64)
-    assert count_with_backend(empty, empty, empty, name).tolist() == []
+    assert count(empty, empty, empty).tolist() == []
     starts = np.array([10], dtype=np.int64)
     ends = np.array([20], dtype=np.int64)
-    assert count_with_backend(starts, ends, empty, name).tolist() == [0]
-
-
-def test_registry_resolution(monkeypatch):
-    monkeypatch.delenv(ENV_VAR, raising=False)
-    assert resolve_backend_name(None) == DEFAULT_BACKEND
-    assert resolve_backend_name("trie") == "trie"
-    assert {"searchsorted", "bitmap", "trie"} <= set(available_backends())
-    with pytest.raises(ValueError, match="unknown counting backend"):
-        get_backend("no-such-backend")
-    # Callables pass straight through.
-    fn = lambda s, e, v: np.zeros(len(s), dtype=np.int64)  # noqa: E731
-    assert get_backend(fn) is fn
-
-
-def test_env_var_selects_default_backend(monkeypatch):
-    monkeypatch.setenv(ENV_VAR, "bitmap")
-    assert resolve_backend_name(None) == "bitmap"
-    rng = np.random.default_rng(7)
-    partition = _random_table(rng).partition(LESS_SPECIFIC)
-    values = _random_addresses(rng, partition)
-    via_env = partition.count_addresses(values)
-    monkeypatch.delenv(ENV_VAR)
-    assert np.array_equal(via_env, partition.count_addresses(values))
-    monkeypatch.setenv(ENV_VAR, "no-such-backend")
-    with pytest.raises(ValueError, match="unknown counting backend"):
-        partition.count_addresses(values)
-
-
-def test_backend_threads_through_strategy_and_partition():
-    rng = np.random.default_rng(11)
-    table = _random_table(rng)
-    partition = table.partition(LESS_SPECIFIC)
-    values = _random_addresses(rng, partition)
-    baseline = TassStrategy(table, phi=0.9).plan(AddressSet(values))
-    for name in available_backends():
-        strategy = TassStrategy(table, phi=0.9, backend=name)
-        selection = strategy.plan(AddressSet(values))
-        assert np.array_equal(selection.indices, baseline.indices), name
-        assert selection.count_in(values, backend=name) == baseline.count_in(
-            values
-        )
-    # A table-level default backend is inherited by its partitions.
-    pinned = RoutingTable(table.l_prefixes, count_backend="bitmap")
-    assert pinned.partition(LESS_SPECIFIC).count_backend == "bitmap"
-    assert np.array_equal(
-        pinned.partition(LESS_SPECIFIC).count_addresses(values),
-        partition.count_addresses(values),
-    )
-
-
-def test_table_level_backend_reaches_campaign_replay():
-    """Selection.count_in inherits the partition's count_backend."""
-    calls = []
-
-    @register_backend("test-recording")
-    def recording(starts, ends, values):
-        calls.append(len(starts))
-        return count_with_backend(starts, ends, values, "searchsorted")
-
-    try:
-        rng = np.random.default_rng(13)
-        table = _random_table(rng)
-        pinned = RoutingTable(table.l_prefixes, count_backend="test-recording")
-        values = _random_addresses(rng, pinned.partition(LESS_SPECIFIC))
-        selection = TassStrategy(pinned).plan(AddressSet(values))
-        planning_calls = len(calls)
-        assert planning_calls > 0  # plan counted through the pinned backend
-        selection.count_in(values)  # replay must use the same backend
-        assert len(calls) == planning_calls + 1
-    finally:
-        from repro.bgp import backends
-
-        backends._REGISTRY.pop("test-recording", None)
-
-
-def test_registering_a_custom_backend(monkeypatch):
-    calls = []
-
-    @register_backend("test-custom")
-    def custom(starts, ends, values):
-        calls.append(len(values))
-        return count_with_backend(starts, ends, values, "searchsorted")
-
-    try:
-        partition = Partition.from_prefixes(
-            [Prefix.from_cidr("10.0.0.0/24")]
-        )
-        values = np.array([Prefix.from_cidr("10.0.0.5/32").network])
-        counts = partition.count_addresses(values, backend="test-custom")
-        assert counts.tolist() == [1]
-        assert calls == [1]
-    finally:
-        from repro.bgp import backends
-
-        backends._REGISTRY.pop("test-custom", None)
+    assert count(starts, ends, empty).tolist() == [0]

@@ -7,7 +7,8 @@ Two invariants guard the PR-4 hot-path work:
   entry, bounded memory;
 - a coalesced :class:`~repro.core.tass.Selection` must be observably
   identical to the uncoalesced interval set (``count_in`` /
-  ``membership`` / ``probe_count``) under every counting backend.
+  ``membership`` / ``probe_count``), checked against the interval
+  trie oracle.
 """
 
 import numpy as np
@@ -15,13 +16,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.bgp.backends import (
-    COUNT_CACHE,
-    CountCache,
-    available_backends,
-    count_with_backend,
+from repro.bgp.backends import COUNT_CACHE, CountCache
+from repro.bgp.table import (
+    Partition,
+    coalesce_intervals,
+    count_in_intervals,
+    interval_membership,
 )
-from repro.bgp.table import Partition, coalesce_intervals, interval_membership
+from repro.core.density import count_trie
 from repro.core.tass import Selection
 
 
@@ -52,7 +54,7 @@ class TestCountCache:
         assert first is second
         assert cache.hits == 1 and cache.misses == 1
         assert not first.flags.writeable
-        assert first.tolist() == count_with_backend(
+        assert first.tolist() == count_in_intervals(
             part.starts, part.ends, values
         ).tolist()
 
@@ -73,33 +75,6 @@ class TestCountCache:
         cache.counts(part, values)
         cache.counts(part, values)
         assert len(cache) == 0 and cache.misses == 0
-
-    def test_callable_backends_bypass_the_cache(self):
-        cache = CountCache()
-        part = _partition()
-        values = _frozen([1, 5, 11])
-        calls = []
-
-        def backend(starts, ends, vals):
-            calls.append(1)
-            return count_with_backend(starts, ends, vals)
-
-        cache.counts(part, values, backend)
-        cache.counts(part, values, backend)
-        assert len(calls) == 2 and len(cache) == 0
-
-    def test_backend_name_is_part_of_the_key(self):
-        cache = CountCache()
-        part = _partition()
-        values = _frozen([1, 5, 11, 39, 55])
-        results = {
-            name: cache.counts(part, values, name)
-            for name in available_backends()
-        }
-        assert cache.misses == len(available_backends())
-        reference = results["searchsorted"].tolist()
-        for name, counts in results.items():
-            assert counts.tolist() == reference, name
 
     def test_lru_bound_evicts_oldest(self):
         cache = CountCache(maxsize=2)
@@ -139,22 +114,12 @@ class TestCountCache:
         key = next(iter(cache._entries))
         stale = cache._entries[key]
         fresh = _frozen([55])
-        cache._entries[(id(part), id(fresh), key[2])] = stale
+        cache._entries[(id(part), id(fresh))] = stale
         got = cache.counts(part, fresh)
-        assert got.tolist() == count_with_backend(
+        assert got.tolist() == count_in_intervals(
             part.starts, part.ends, fresh
         ).tolist()
         assert got.tolist() != first
-
-    def test_env_var_resolution_is_part_of_the_key(self, monkeypatch):
-        cache = CountCache()
-        part = _partition()
-        values = _frozen([1, 5, 11])
-        monkeypatch.setenv("REPRO_COUNT_BACKEND", "searchsorted")
-        cache.counts(part, values)
-        monkeypatch.setenv("REPRO_COUNT_BACKEND", "bitmap")
-        cache.counts(part, values)
-        assert cache.misses == 2 and cache.hits == 0
 
     def test_partition_count_addresses_routes_through_shared_cache(self):
         part = _partition()
@@ -245,19 +210,10 @@ def test_coalesced_selection_identical_across_backends(raw, pick):
     )
     assert selection.membership(values).tolist() == expected_mask.tolist()
 
-    for backend in available_backends():
-        expected = int(
-            count_with_backend(
-                selection.starts, selection.ends, values, backend
-            ).sum()
-        )
-        # Writable values: the direct coalesced counting path.
-        assert selection.count_in(values, backend=backend) == expected
-        # Frozen values: the shared full-partition cache path.
-        frozen = _frozen(values.copy())
-        assert selection.count_in(frozen, backend=backend) == expected
-        # Coalesced interval table counts the same total outright.
-        assert (
-            int(count_with_backend(cstarts, cends, values, backend).sum())
-            == expected
-        )
+    expected = int(count_trie(selection.starts, selection.ends, values).sum())
+    # Writable values: the direct coalesced counting path.
+    assert selection.count_in(values) == expected
+    # Frozen values: the shared full-partition cache path.
+    assert selection.count_in(_frozen(values.copy())) == expected
+    # Coalesced interval table counts the same total outright.
+    assert int(count_in_intervals(cstarts, cends, values).sum()) == expected

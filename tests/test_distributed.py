@@ -19,11 +19,10 @@ import numpy as np
 import pytest
 
 from conftest import build_mini_dataset
+from repro.env import ENV_DIST_SHARD_DELAY, ENV_FAULT_PLAN
 from repro.orchestrator import CampaignRunner, CampaignSpec, ReseedPolicy
 from repro.scan.blocklist import Blocklist
 from repro.scan.distributed import (
-    ENV_FAIL_SHARDS,
-    ENV_SHARD_DELAY,
     MAX_FRAME,
     Coordinator,
     FrameStream,
@@ -294,13 +293,13 @@ def test_garbled_hello_still_charges_budget():
 
 
 def test_stray_peers_mid_run_do_not_perturb_results(monkeypatch):
-    monkeypatch.setenv(ENV_SHARD_DELAY, "0.2")
+    monkeypatch.setenv(ENV_DIST_SHARD_DELAY, "0.2")
     spec, responsive = _world()
-    monkeypatch.delenv(ENV_SHARD_DELAY)
+    monkeypatch.delenv(ENV_DIST_SHARD_DELAY)
     serial = run_sharded(
         spec, responsive, shards=3, executor="serial", config=_CONFIG
     )
-    monkeypatch.setenv(ENV_SHARD_DELAY, "0.2")
+    monkeypatch.setenv(ENV_DIST_SHARD_DELAY, "0.2")
     targets = shard_targets(spec, shards=3, seed=0)
     worker_args = (responsive, _CONFIG.batch_size, None, None)
     with Coordinator(worker_args, workers=2) as coordinator:
@@ -409,7 +408,7 @@ def test_worker_failure_requeues_without_perturbing_results():
     targets = shard_targets(spec, shards=4, seed=0)
     worker_args = (responsive, _CONFIG.batch_size, None, None)
     with Coordinator(
-        worker_args, workers=2, fail_shards={2}
+        worker_args, workers=2, fault_plan="crash@2"
     ) as coordinator:
         results = list(coordinator.run(targets))
         assert coordinator.failures >= 1
@@ -423,7 +422,7 @@ def test_env_fail_injection_through_run_sharded(monkeypatch):
     serial = run_sharded(
         spec, responsive, shards=3, executor="serial", config=_CONFIG
     )
-    monkeypatch.setenv(ENV_FAIL_SHARDS, "1")
+    monkeypatch.setenv(ENV_FAULT_PLAN, "crash@1")
     dist = run_sharded(
         spec, responsive, shards=3, executor="distributed", config=_CONFIG
     )
@@ -437,11 +436,23 @@ def test_unrecoverable_failures_raise():
     with Coordinator(
         worker_args,
         workers=1,
-        fail_shards={0, 1},
-        fail_every_spawn=True,
+        fault_plan="crash@0:attempts=*,crash@1:attempts=*",
     ) as coordinator:
         with pytest.raises(RuntimeError, match="worker failures"):
             list(coordinator.run(targets))
+
+
+def test_bad_shard_delay_raises_before_any_worker_starts(monkeypatch):
+    spec, responsive = _world()
+    spawned = []
+    monkeypatch.setattr(Coordinator, "_spawn", lambda *a: spawned.append(a))
+    monkeypatch.setenv(ENV_DIST_SHARD_DELAY, "soon")
+    with pytest.raises(ValueError, match=ENV_DIST_SHARD_DELAY):
+        run_sharded(
+            spec, responsive, shards=2, executor="distributed",
+            config=_CONFIG,
+        )
+    assert spawned == []
 
 
 # ---------------------------------------------------------------------------
@@ -513,7 +524,7 @@ def test_distributed_kill_and_resume_with_worker_failure(
         DIST_SPEC, dataset=build_mini_dataset()
     ).run()
 
-    monkeypatch.setenv(ENV_FAIL_SHARDS, "1")
+    monkeypatch.setenv(ENV_FAULT_PLAN, "crash@1")
     directory = tmp_path / "dist-faulty"
     runner = CampaignRunner(
         DIST_SPEC, dataset=build_mini_dataset(), directory=directory

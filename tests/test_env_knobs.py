@@ -4,14 +4,15 @@ import pytest
 
 from repro.env import (
     ckpt_keep,
-    count_backend,
     dist_address_book,
     dist_secret,
+    dist_shard_delay,
     dist_workers,
     obs_mode,
     scan_executor,
     scan_shards,
 )
+from repro.orchestrator import CampaignSpec
 from repro.scan.sharded import run_sharded
 
 
@@ -194,21 +195,41 @@ class TestDistSecret:
 
 
 class TestCountBackend:
+    """Counting has one path; the spec's ``backend`` only records it."""
+
     def test_defaults_to_searchsorted(self, monkeypatch):
-        monkeypatch.delenv("REPRO_COUNT_BACKEND", raising=False)
-        assert count_backend() == "searchsorted"
+        # REPRO_COUNT_BACKEND is no knob: even a bogus value is ignored.
+        monkeypatch.setenv("REPRO_COUNT_BACKEND", "gpu")
+        assert CampaignSpec().resolved().backend == "searchsorted"
 
     def test_registered_names_accepted(self):
-        for name in ("searchsorted", "bitmap", "trie"):
-            assert count_backend(name) == name
+        spec = CampaignSpec(backend="searchsorted")
+        assert spec.resolved().backend == "searchsorted"
 
-    def test_bad_value_lists_available(self, monkeypatch):
-        monkeypatch.setenv("REPRO_COUNT_BACKEND", "gpu")
+    def test_bad_value_lists_available(self):
         with pytest.raises(ValueError) as excinfo:
-            count_backend()
+            CampaignSpec(backend="gpu")
         message = str(excinfo.value)
-        assert "unknown counting backend 'gpu'" in message
+        assert "backend" in message and "'gpu'" in message
         assert "searchsorted" in message
+
+
+class TestDistShardDelay:
+    def test_defaults_to_zero(self, monkeypatch):
+        monkeypatch.delenv("REPRO_DIST_SHARD_DELAY", raising=False)
+        assert dist_shard_delay() == 0.0
+
+    def test_explicit_wins_over_env(self, monkeypatch):
+        monkeypatch.setenv("REPRO_DIST_SHARD_DELAY", "0.5")
+        assert dist_shard_delay(0.25) == 0.25
+        assert dist_shard_delay() == 0.5
+
+    @pytest.mark.parametrize("bad", ["abc", "-1", ""])
+    def test_bad_values_name_the_knob(self, monkeypatch, bad):
+        monkeypatch.setenv("REPRO_DIST_SHARD_DELAY", bad)
+        with pytest.raises(ValueError, match="shard delay") as excinfo:
+            dist_shard_delay()
+        assert "REPRO_DIST_SHARD_DELAY" in str(excinfo.value)
 
 
 class TestObsMode:

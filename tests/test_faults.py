@@ -81,12 +81,6 @@ class TestPlanParsing:
         with pytest.raises(ValueError, match="spawn ordinal"):
             FaultPlan.parse("auth_fail@*")
 
-    def test_legacy_crash_shards(self):
-        plan = FaultPlan.crash_shards({3, 1})
-        assert plan.to_string() == "crash@1,crash@3"
-        loop = FaultPlan.crash_shards({0}, every_attempt=True)
-        assert loop.specs[0].attempts is None
-
 
 # ---------------------------------------------------------------------------
 # Matching
@@ -136,12 +130,6 @@ class TestMatching:
         assert plan.spawn_fault(2).kind == "auth_fail"
         assert plan.spawn_fault(3) is None
         assert plan.shard_fault(1, 0) is None
-
-    def test_merged_with_preserves_order(self):
-        merged = FaultPlan.parse("crash@1").merged_with(
-            FaultPlan.parse("hang@1")
-        )
-        assert merged.shard_fault(1, 0).kind == "crash"
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,8 @@
 """The 128-bit address-family surface, end to end.
 
 Covers the :mod:`repro.core.addrspace` representation, the interval
-math and counting backends on 128-bit partitions, the big-modulus
+math and counting (against the interval-trie oracle) on 128-bit
+partitions, the big-modulus
 cyclic walk, hitlist/sampled v6 target streams, executor parity, and a
 full v6 campaign with kill-and-resume byte-identity — plus the two
 ride-along regressions (exact ``Partition.lengths``, Python-int scalar
@@ -18,8 +19,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.bgp.backends import available_backends, count_with_backend
-from repro.bgp.table import Partition, Prefix, RoutingTable
+from repro.bgp.table import (
+    LESS_SPECIFIC,
+    Partition,
+    Prefix,
+    RoutingTable,
+    count_in_intervals,
+)
 from repro.census.addrset import AddressSet
 from repro.census.loader import (
     CensusDataset,
@@ -28,7 +34,8 @@ from repro.census.loader import (
     Topology,
 )
 from repro.core.addrspace import V4, V6, family_of, get_space, space_of
-from repro.core.tass import TassStrategy
+from repro.core.density import count_trie
+from repro.core.tass import TassStrategy, select_by_density
 from repro.env import addr_family
 from repro.scan.permutation import CyclicPermutation
 from repro.scan.sharded import IntervalTargets, run_sharded, shard_targets
@@ -328,13 +335,9 @@ def test_v6_backends_agree_on_random_intervals(raw, data):
     ]
     outside = data.draw(v6_addresses)
     values = np.unique(V6.encode(inside + outside))
-    counts = {
-        name: count_with_backend(
-            V6.encode(starts), V6.encode(ends), values, name
-        ).tolist()
-        for name in available_backends()
-    }
-    assert len(set(map(tuple, counts.values()))) == 1, counts
+    starts, ends = V6.encode(starts), V6.encode(ends)
+    counts = count_in_intervals(starts, ends, values)
+    assert counts.tolist() == count_trie(starts, ends, values).tolist()
 
 
 def test_v6_partition_exact_accounting():
@@ -397,11 +400,17 @@ def test_v6_dataset_npz_round_trip(tmp_path, v6_dataset):
 
 
 def test_v6_phi_selection_consistent_across_backends(v6_dataset):
+    """Planning selects what the interval-trie oracle's counts select."""
     snap = v6_dataset.series_for("http").seed_snapshot
-    table = v6_dataset.topology.table
+    partition = v6_dataset.topology.table.partition(LESS_SPECIFIC)
     outcomes = set()
-    for backend in available_backends():
-        selection = TassStrategy(table, phi=0.9, backend=backend).plan(snap)
+    oracle_counts = count_trie(
+        partition.starts, partition.ends, snap.addresses.values
+    )
+    for selection in (
+        TassStrategy(partition, phi=0.9).plan(snap),
+        select_by_density(partition, oracle_counts, 0.9),
+    ):
         outcomes.add(
             (
                 len(selection),

@@ -52,10 +52,21 @@ class TestCampaignSpec:
         resolved = CampaignSpec().resolved()
         assert resolved.shards == 5
         assert resolved.executor == "serial"
-        assert resolved.backend == "bitmap"
+        # The counting path is fixed; the environment never picks it.
+        assert resolved.backend == "searchsorted"
         # Resolution is idempotent: a stored spec re-resolves to itself.
         monkeypatch.setenv("REPRO_SCAN_SHARDS", "9")
         assert resolved.resolved() == resolved
+
+    def test_backend_other_than_searchsorted_rejected(self):
+        with pytest.raises(ValueError, match="backend"):
+            CampaignSpec(backend="bitmap")
+
+    def test_from_directory_rejects_recorded_trie_backend(self, tmp_path):
+        store = CheckpointStore(tmp_path)
+        store.write_spec(dict(SPEC.resolved().to_dict(), backend="trie"))
+        with pytest.raises(ValueError, match="backend"):
+            CampaignRunner.from_directory(tmp_path)
 
     def test_bad_env_knob_fails_at_resolution(self, monkeypatch):
         monkeypatch.setenv("REPRO_SCAN_EXECUTOR", "bogus")

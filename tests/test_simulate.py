@@ -65,21 +65,6 @@ def test_empty_months_count_as_zero_hitrate():
     assert campaign.hitrates() == [1.0, 0.0]
 
 
-def test_backend_choice_does_not_change_accounting():
-    partition = _partition()
-    series = _Series(
-        [
-            _Snapshot([_BASE0 + i for i in range(10)] + [_BASE1 + 1]),
-            _Snapshot([_BASE0 + 3, _BASE1 + 2]),
-        ]
-    )
-    baseline = simulate_campaign(TassStrategy(partition, phi=0.9), series)
-    for backend in ("searchsorted", "bitmap", "trie"):
-        strategy = TassStrategy(partition, phi=0.9, backend=backend)
-        campaign = simulate_campaign(strategy, series, backend=backend)
-        assert campaign.hitrates() == baseline.hitrates()
-
-
 def test_campaign_without_probe_costs():
     campaign = Campaign([0.5], selection=None)
     assert campaign.total_probes() == 0
