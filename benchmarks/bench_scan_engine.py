@@ -12,7 +12,7 @@ from repro.core.tass import TassStrategy
 from repro.scan.blocklist import default_blocklist
 from repro.scan.engine import EngineConfig, ScanEngine
 from repro.scan.permutation import CyclicPermutation
-from repro.scan.targets import PrefixTargets
+from repro.scan.sharded import IntervalTargets
 
 
 def test_permutation_throughput(benchmark):
@@ -60,7 +60,7 @@ def test_iter_tolist_reference(benchmark):
     assert benchmark(run) == 1 << 17
 
 
-def test_engine_throughput(benchmark, dataset):
+def test_engine_interval_throughput(benchmark, dataset):
     series = dataset.series_for("ftp")
     strategy = TassStrategy(dataset.topology.table, phi=0.5)
     plan = strategy.plan(series.seed_snapshot)
@@ -69,7 +69,7 @@ def test_engine_throughput(benchmark, dataset):
     )
 
     def run():
-        targets = PrefixTargets(plan.prefixes, seed=7)
+        targets = IntervalTargets(plan, seed=7)
         return engine.run(targets, series[1].addresses, protocol="ftp")
 
     result = benchmark.pedantic(run, rounds=1, iterations=1)

@@ -12,10 +12,19 @@ cd "$(dirname "$0")/.."
 export PYTHONPATH=src${PYTHONPATH:+:$PYTHONPATH}
 
 WORK=$(mktemp -d)
-WORKER_PIDS=()
 cleanup() {
-    for pid in "${WORKER_PIDS[@]:-}"; do
+    # start_worker runs inside $(...), so each worker's pid comes back
+    # through a file rather than a shell variable.
+    local pidfile pid
+    for pidfile in "$WORK"/*.pid; do
+        [ -e "$pidfile" ] || continue
+        pid=$(cat "$pidfile")
         kill "$pid" 2>/dev/null || true
+        for _ in $(seq 1 50); do
+            kill -0 "$pid" 2>/dev/null || break
+            sleep 0.1
+        done
+        kill -KILL "$pid" 2>/dev/null || true
     done
     rm -rf "$WORK"
 }
@@ -31,7 +40,7 @@ start_worker() {
     local name=$1; shift
     env "$@" python -m repro.scan.distributed --listen 127.0.0.1:0 \
         > "$WORK/$name.out" 2> "$WORK/$name.log" &
-    WORKER_PIDS+=("$!")
+    echo "$!" > "$WORK/$name.pid"
     local port=""
     for _ in $(seq 1 100); do
         port=$(sed -n 's/.*listening on 127\.0\.0\.1:\([0-9]*\)$/\1/p' \

@@ -11,7 +11,6 @@ uses: the first call generates the synthetic world (see
 from __future__ import annotations
 
 import json
-import os
 from pathlib import Path
 
 import numpy as np
@@ -20,6 +19,7 @@ from repro.census.addrset import AddressSet
 from repro.census.synth import KINDS, PRESETS, generate_world
 from repro.bgp.table import Prefix, RoutingTable
 from repro.core.addrspace import V6
+from repro.env import data_dir
 
 __all__ = [
     "LOADER_VERSION",
@@ -269,10 +269,6 @@ class CensusDataset:
         )
 
 
-def _cache_dir() -> Path:
-    return Path(os.environ.get("REPRO_DATA_DIR", "data"))
-
-
 def get_dataset(
     preset: str = "small", seed: int = 0, cache_dir=None
 ) -> CensusDataset:
@@ -281,7 +277,7 @@ def get_dataset(
         raise ValueError(
             f"unknown preset {preset!r}; choose from {sorted(PRESETS)}"
         )
-    directory = Path(cache_dir) if cache_dir is not None else _cache_dir()
+    directory = Path(data_dir(cache_dir))
     path = directory / f"census-{preset}-seed{seed}-v{LOADER_VERSION}.npz"
     if path.exists():
         try:

@@ -19,7 +19,6 @@ from repro.bgp.table import (
     LESS_SPECIFIC,
     Partition,
     RoutingTable,
-    coalesce_intervals,
     count_in_intervals,
     interval_membership,
 )
@@ -38,7 +37,6 @@ class Selection:
         "covered_hosts",
         "total_hosts",
         "phi",
-        "_coalesced",
     )
 
     def __init__(self, partition, indices, covered_hosts, total_hosts, phi):
@@ -50,7 +48,6 @@ class Selection:
         self.covered_hosts = int(covered_hosts)
         self.total_hosts = int(total_hosts)
         self.phi = phi
-        self._coalesced = None
 
     def __len__(self) -> int:
         return int(self.indices.shape[0])
@@ -84,18 +81,6 @@ class Selection:
         """Fraction of responsive addresses covered at selection time."""
         return self.covered_hosts / self.total_hosts if self.total_hosts else 0.0
 
-    def coalesced(self):
-        """The selection's intervals with adjacent runs merged.
-
-        A dense selection (many neighbouring prefixes) collapses to far
-        fewer ``[start, end)`` runs; every membership/count pass over
-        the coalesced table does the same work on a smaller table.
-        Computed once, cached for the life of the selection.
-        """
-        if self._coalesced is None:
-            self._coalesced = coalesce_intervals(self.starts, self.ends)
-        return self._coalesced
-
     def count_in(self, values: np.ndarray) -> int:
         """How many of a sorted address array fall inside the selection.
 
@@ -110,13 +95,11 @@ class Selection:
         if COUNT_CACHE.cacheable(values):
             counts = COUNT_CACHE.counts(self.partition, values)
             return int(counts[self.indices].sum())
-        starts, ends = self.coalesced()
-        return int(count_in_intervals(starts, ends, values).sum())
+        return int(count_in_intervals(self.starts, self.ends, values).sum())
 
     def membership(self, values: np.ndarray) -> np.ndarray:
         """Boolean mask over ``values``: inside the selection or not."""
-        starts, ends = self.coalesced()
-        return interval_membership(starts, ends, values)
+        return interval_membership(self.starts, self.ends, values)
 
 
 def select_by_density(

@@ -49,7 +49,9 @@ Knobs:
 - ``REPRO_ADDR_FAMILY``         — the address family campaigns run in:
   ``v4`` (default — today's exhaustive int64 pipeline) or ``v6``
   (128-bit addresses, hitlist/prefix-seeded targeting; see
-  :mod:`repro.core.addrspace`).
+  :mod:`repro.core.addrspace`);
+- ``REPRO_DATA_DIR``            — the census dataset cache directory
+  (default ``data``).
 """
 
 from __future__ import annotations
@@ -71,6 +73,7 @@ __all__ = [
     "ENV_CKPT_KEEP",
     "ENV_FS_FAULT_PLAN",
     "ENV_ADDR_FAMILY",
+    "ENV_DATA_DIR",
     "OBS_MODES",
     "ADDR_FAMILIES",
     "EXECUTORS",
@@ -88,6 +91,7 @@ __all__ = [
     "ckpt_keep",
     "fs_fault_plan",
     "addr_family",
+    "data_dir",
 ]
 
 ENV_SCAN_SHARDS = "REPRO_SCAN_SHARDS"
@@ -104,6 +108,7 @@ ENV_OBS = "REPRO_OBS"
 ENV_CKPT_KEEP = "REPRO_CKPT_KEEP"
 ENV_FS_FAULT_PLAN = "REPRO_FS_FAULT_PLAN"
 ENV_ADDR_FAMILY = "REPRO_ADDR_FAMILY"
+ENV_DATA_DIR = "REPRO_DATA_DIR"
 
 #: The observability modes, least to most recorded.
 OBS_MODES = ("off", "events", "full")
@@ -451,5 +456,21 @@ def addr_family(explicit=None) -> str:
         raise ValueError(
             f"unknown address family {raw!r} (from {source}); "
             f"choose one of {choices}"
+        )
+    return value
+
+
+def data_dir(explicit=None) -> str:
+    """The dataset cache directory.
+
+    ``explicit`` wins over ``$REPRO_DATA_DIR`` over the default
+    ``data``.  A blank value raises instead of silently meaning the
+    current directory.
+    """
+    raw, source = _resolve(explicit, ENV_DATA_DIR, "data")
+    value = str(raw)
+    if not value.strip():
+        raise ValueError(
+            f"data directory must be a non-empty path (from {source})"
         )
     return value

@@ -1,12 +1,13 @@
 """The batched scan engine: probe generation, filtering, classification.
 
 This is the zmap-class simulator core: it drains a target stream in
-fixed-size batches and classifies every probe in one fused pass per
-batch: each batch is brought into sorted order once (streams that
-already yield sorted batches, like the sharded interval walk, skip
-even that), then the blocklist mask and the responsive-membership test
-run as branch-predictable sorted ``searchsorted`` passes with no
-intermediate filtered copy of the batch.
+fixed-size batches and classifies every probe in one pass per batch —
+the blocklist mask (when a blocklist is set), then one ``searchsorted``
+of the batch into the responsive set, with blocked probes masked out
+of the hits rather than filtered into a copy.  Probe order within a
+batch never changes a counter, so batches may arrive in any order;
+the sharded interval walk yields them sorted, which keeps the lookups
+cache-friendly.
 """
 
 from __future__ import annotations
@@ -17,7 +18,6 @@ import numpy as np
 
 from repro import obs
 from repro.bgp.table import interval_membership
-from repro.census.addrset import AddressSet
 
 __all__ = ["EngineConfig", "ScanResult", "ScanEngine"]
 
@@ -44,24 +44,6 @@ class ScanResult:
         return self.responses / self.probes_sent if self.probes_sent else 0.0
 
 
-def _responsive_values(responsive) -> np.ndarray:
-    """The sorted unique address array behind any truth spec.
-
-    Accepts an :class:`AddressSet` or a raw array (``int64`` for v4,
-    ``S16`` for v6 — see :mod:`repro.core.addrspace`).  A raw array
-    that is already sorted and duplicate-free is used as-is — no
-    AddressSet re-wrap (and no ``np.unique`` re-sort) per call.
-    """
-    if isinstance(responsive, AddressSet):
-        return responsive.values
-    arr = np.asarray(responsive)
-    if arr.dtype.kind != "S":
-        arr = np.asarray(responsive, dtype=np.int64)
-    if arr.ndim == 1 and (arr.size < 2 or bool((arr[1:] > arr[:-1]).all())):
-        return arr
-    return AddressSet(arr).values
-
-
 class ScanEngine:
     """Batched probe engine with blocklist filtering."""
 
@@ -72,15 +54,16 @@ class ScanEngine:
     def run(self, targets, responsive, protocol: str | None = None) -> ScanResult:
         """Scan a target stream against a responsive-address set.
 
-        ``targets`` must provide ``batches(batch_size)`` yielding int64
-        address arrays; ``responsive`` is an :class:`AddressSet` or a
-        plain address array (pre-sorted duplicate-free arrays are used
-        directly) defining which probes elicit a response.
+        ``targets`` must provide ``batches(batch_size)`` yielding address
+        arrays (``int64`` for v4, ``S16`` for v6); ``responsive`` is the
+        :class:`~repro.census.addrset.AddressSet` defining which probes
+        elicit a response.
         """
-        truth = _responsive_values(responsive)
-        n_truth = len(truth)
+        truth = responsive.values
+        last = len(truth) - 1
         result = ScanResult(protocol=protocol)
-        blocklist = self.blocklist
+        # An empty blocklist is falsy: it blocks nothing, so skip its mask.
+        blocklist = self.blocklist or None
         # Resolved once per run: outside an observability scope this is
         # None and the batch loop pays a single predictable branch.
         registry = obs.get_registry()
@@ -96,64 +79,25 @@ class ScanEngine:
             result.batches += 1
             if size == 0:
                 continue
-            # Probe order within a batch never changes any counter, so
-            # sort once and every searchsorted below runs over sorted
-            # needles — several times faster than random-order lookups.
-            if size > 1 and not bool((batch[1:] >= batch[:-1]).all()):
-                batch = np.sort(batch)
-            # Raw scalars, not int(): v6 batches are 16-byte strings,
-            # and searchsorted takes both families' scalars directly.
-            lo, hi = batch[0], batch[-1]
-            # Blocklist fast path: two scalar lookups decide whether the
-            # batch's [lo, hi] span touches any blocked range at all;
-            # target streams stay inside announced space, so the full
-            # per-probe mask is almost always skipped.
-            blocked = None
             if blocklist is not None:
-                b_lo = int(np.searchsorted(blocklist.starts, lo, side="right"))
-                b_hi = int(np.searchsorted(blocklist.starts, hi, side="right"))
-                if b_lo != b_hi or (
-                    b_lo > 0 and lo < blocklist.ends[b_lo - 1]
-                ):
-                    blocked = interval_membership(
-                        blocklist.starts, blocklist.ends, batch
-                    )
-                    n_blocked = int(blocked.sum())
-                    if n_blocked:
-                        result.blocked += n_blocked
-                        size -= n_blocked
-                    else:
-                        blocked = None
+                blocked = interval_membership(
+                    blocklist.starts, blocklist.ends, batch
+                )
+                n_blocked = int(blocked.sum())
+                result.blocked += n_blocked
+                size -= n_blocked
             result.probes_sent += size
-            if n_truth == 0:
+            if last < 0:
                 continue
-            # Only the truth addresses inside the batch's span can
-            # match; the slice is usually far smaller than the batch.
-            t_lo = int(np.searchsorted(truth, lo))
-            t_hi = int(np.searchsorted(truth, hi, side="right"))
-            sliver = truth[t_lo:t_hi]
-            if sliver.size == 0:
-                continue
-            if blocked is None and sliver.size <= batch.size >> 3:
-                # Sparse truth: probe it into the batch instead — far
-                # fewer needles.  The insertion-point difference counts
-                # every occurrence, so duplicate probes of the same
-                # responsive address each score a response, exactly as
-                # the per-probe direction below would count them.
-                span = np.searchsorted(batch, sliver, side="right")
-                span -= np.searchsorted(batch, sliver, side="left")
-                result.responses += int(span.sum())
-            else:
-                idx = np.searchsorted(sliver, batch)
-                np.minimum(idx, sliver.size - 1, out=idx)
-                hit = sliver[idx] == batch
-                if blocked is not None:
-                    # A blocked probe is never sent, so it can never
-                    # respond: fold the mask in place of filtering the
-                    # batch down to an allowed copy.
-                    np.logical_not(blocked, out=blocked)
-                    np.logical_and(hit, blocked, out=hit)
-                result.responses += int(hit.sum())
+            # One membership pass per probe, duplicates included: each
+            # probe of a responsive address scores its own response.
+            idx = np.searchsorted(truth, batch)
+            np.minimum(idx, last, out=idx)
+            hit = truth[idx] == batch
+            if blocklist is not None:
+                # A blocked probe is never sent, so it can never respond.
+                hit &= ~blocked
+            result.responses += int(hit.sum())
         if registry is not None:
             # Flush the last batch's probes and fold the run's totals.
             sent = result.probes_sent - probes_before

@@ -8,8 +8,8 @@ once; values above ``n`` are skipped and the rest are shifted down to
 ``0..n-1``.
 
 Batches are produced array-at-a-time: the powers ``g^0..g^{B-1}`` are
-built once per ``(prime, generator, size)`` — and memoized across
-walks, resumes, and shard workers — and every batch is a single modular
+built once per walk by vectorized doubling (a few vector multiplies,
+far cheaper than the walk it drives), and every batch is a single modular
 multiply of that table by the cursor element into a preallocated
 buffer; no Python-level loop per address, no per-batch allocation
 beyond the yielded array itself.
@@ -186,15 +186,8 @@ def _power_table_big(p: int, g: int, m: int) -> tuple:
     return tuple(table)
 
 
-@lru_cache(maxsize=128)
 def _power_table(p: int, g: int, m: int) -> np.ndarray:
-    """Read-only ``[g^0, g^1, ..., g^{m-1}] mod p`` by vectorized doubling.
-
-    Memoized per ``(prime, generator, size)``: every ``batches()`` call
-    over the same walk — each campaign resume, each of K shard workers
-    draining the same shard geometry — reuses one table instead of
-    rebuilding it by repeated concatenation.
-    """
+    """``[g^0, g^1, ..., g^{m-1}] mod p`` by vectorized doubling."""
     table = np.empty(m, dtype=np.int64)
     table[0] = 1
     filled = 1
@@ -203,7 +196,6 @@ def _power_table(p: int, g: int, m: int) -> np.ndarray:
         scalar = int(table[filled - 1]) * g % p  # g^filled
         _mulmod(table[:span], scalar, p, out=table[filled:filled + span])
         filled += span
-    table.setflags(write=False)
     return table
 
 
@@ -298,9 +290,6 @@ class PermutationShard:
         walked = 0
         buf = np.empty(m, dtype=np.int64)
         tmp = np.empty(m, dtype=np.int64) if p > _INT64_SAFE_MOD else None
-        # When p - 1 == n every group element 1..p-1 maps to a target,
-        # so the `values <= n` filter pass is pure overhead — skip it.
-        dense = p - 1 == n
         while walked < total:
             k = min(m, total - walked)
             values = _mulmod(
@@ -312,13 +301,10 @@ class PermutationShard:
             )
             cursor = cursor * step % p
             walked += k
-            if dense:
-                yield values - 1
-            else:
-                kept = values[values <= n]
-                if kept.size:
-                    kept -= 1
-                    yield kept
+            kept = values[values <= n]
+            if kept.size:
+                kept -= 1
+                yield kept
 
     def _batches_bigint(self, m: int):
         """Exact Python-int walk for primes beyond the int64-safe range.

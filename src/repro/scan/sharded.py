@@ -201,10 +201,10 @@ class IntervalTargets:
 
         Each batch is sorted before the flat-coordinate -> address
         mapping: probe order within a batch is irrelevant to every
-        consumer (the engine only counts), sorting makes the mapping
-        ``searchsorted`` branch-predictable, and the engine's own
-        sorted fast path then kicks in for free.  Which addresses each
-        batch carries — and thus every merged result — is unchanged.
+        consumer (the engine only counts), and sorted needles keep both
+        the mapping ``searchsorted`` and the engine's membership
+        ``searchsorted`` cache-friendly.  Which addresses each batch
+        carries — and thus every merged result — is unchanged.
         """
         total = self.address_count()
         if total == 0:
@@ -260,11 +260,6 @@ class IntervalTargets:
             yield np.sort(batch)
 
     def __getstate__(self):
-        if self._v6 is None:
-            # The historical five-value tuple, byte-for-byte.
-            return (
-                self.starts, self.ends, self.seed, self.shard, self.shards
-            )
         return (
             self.starts,
             self.ends,
@@ -276,8 +271,7 @@ class IntervalTargets:
         )
 
     def __setstate__(self, state):
-        starts, ends, seed, shard, shards = state[:5]
-        hitlist, samples = state[5:] if len(state) > 5 else (None, None)
+        starts, ends, seed, shard, shards, hitlist, samples = state
         self.__init__(
             (starts, ends),
             seed=seed,

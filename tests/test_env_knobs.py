@@ -2,8 +2,10 @@
 
 import pytest
 
+from repro.census.loader import get_dataset
 from repro.env import (
     ckpt_keep,
+    data_dir,
     dist_address_book,
     dist_secret,
     dist_shard_delay,
@@ -192,6 +194,28 @@ class TestDistSecret:
         monkeypatch.setenv("REPRO_DIST_SECRET", bad)
         with pytest.raises(ValueError, match="non-empty"):
             dist_secret()
+
+
+class TestDataDir:
+    def test_defaults_to_data(self, monkeypatch):
+        monkeypatch.delenv("REPRO_DATA_DIR", raising=False)
+        assert data_dir() == "data"
+
+    def test_explicit_wins_over_env(self, monkeypatch):
+        monkeypatch.setenv("REPRO_DATA_DIR", "/env/cache")
+        assert data_dir("/arg/cache") == "/arg/cache"
+        assert data_dir() == "/env/cache"
+
+    @pytest.mark.parametrize("bad", ["", "   "])
+    def test_blank_rejected_with_source(self, monkeypatch, bad):
+        # A blank directory would silently mean the current directory.
+        monkeypatch.setenv("REPRO_DATA_DIR", bad)
+        with pytest.raises(ValueError, match="REPRO_DATA_DIR"):
+            data_dir()
+        with pytest.raises(ValueError, match="non-empty"):
+            get_dataset(preset="tiny")
+        with pytest.raises(ValueError, match="argument"):
+            data_dir(bad)
 
 
 class TestCountBackend:

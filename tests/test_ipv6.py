@@ -39,7 +39,6 @@ from repro.core.tass import TassStrategy, select_by_density
 from repro.env import addr_family
 from repro.scan.permutation import CyclicPermutation
 from repro.scan.sharded import IntervalTargets, run_sharded, shard_targets
-from repro.scan.targets import PrefixTargets
 
 v6_addresses = st.lists(
     st.integers(min_value=0, max_value=(1 << 128) - 1), max_size=120
@@ -163,22 +162,6 @@ class TestPythonIntIteration:
     def test_permutation_iter(self):
         values = list(CyclicPermutation(50, seed=3))
         assert sorted(values) == list(range(50))
-        assert all(type(v) is int for v in values)
-
-    def test_prefix_targets_iter_v4(self):
-        targets = PrefixTargets([Prefix.from_cidr("10.0.0.0/28")], seed=1)
-        values = list(targets)
-        assert sorted(values) == list(range(10 << 24, (10 << 24) + 16))
-        assert all(type(v) is int for v in values)
-        json.dumps(values)
-
-    def test_prefix_targets_iter_v6(self):
-        targets = PrefixTargets(
-            [Prefix.from_cidr("2001:db8::/124")], seed=1
-        )
-        values = list(targets)
-        base = 0x20010DB8 << 96
-        assert sorted(values) == list(range(base, base + 16))
         assert all(type(v) is int for v in values)
 
 
@@ -490,12 +473,6 @@ class TestV6IntervalTargets:
         ends = np.array([64], dtype=np.int64)
         with pytest.raises(ValueError, match="v6-only"):
             IntervalTargets((starts, ends), samples=4)
-
-    def test_v4_pickle_state_unchanged(self):
-        starts = np.array([0], dtype=np.int64)
-        ends = np.array([64], dtype=np.int64)
-        targets = IntervalTargets((starts, ends), seed=2, shard=0, shards=2)
-        assert len(targets.__getstate__()) == 5  # the historical tuple
 
 
 class TestV6ExecutorParity:

@@ -230,23 +230,21 @@ def test_merge_results_rejects_conflicting_protocols():
 @pytest.mark.parametrize(
     "spec",
     [
-        # 4098 = 4099 - 1 with 4099 prime: the dense p - 1 == n fast
-        # path, where batches are derived straight from the walk's
-        # preallocated multiply buffer.
+        # 4098 = 4099 - 1 with 4099 prime: every group element maps to
+        # a target, so the `values <= n` filter keeps the whole batch.
         4098,
-        # Two intervals: the sparse path (`values <= n` filter copy).
+        # Two intervals: the filter drops the group elements above n.
         (np.array([0, 10000]), np.array([4096, 12000])),
     ],
-    ids=["dense", "sparse"],
+    ids=["unfiltered", "filtered"],
 )
 def test_interleaved_walks_are_immune_to_batch_sorting(spec):
-    """``batches``'s in-place ``values.sort()`` must never corrupt state
-    aliased with the memoized/preallocated :class:`CyclicPermutation`
-    buffers (the PR-4 fast paths).
+    """``batches``'s in-place ``values.sort()`` must never corrupt the
+    walk's state: its power table or its reused multiply buffers.
 
-    Two interleaved walks over the same modulus share one memoized
-    power table; each must still reproduce its own fresh,
-    uninterleaved drain exactly.
+    Two interleaved walks over the same modulus run side by side;
+    each must still reproduce its own fresh, uninterleaved drain
+    exactly.
     """
     interleaved: dict[str, list] = {"a": [], "b": []}
     live = {
