@@ -56,8 +56,7 @@ python -m repro.orchestrator plan --dir "$WORK/killed" "${SPEC[@]}" \
     > /dev/null
 REPRO_DIST_WORKERS=2 \
 REPRO_DIST_SHARD_DEADLINE=2 \
-REPRO_DIST_SHARD_DELAY=0.5 \
-REPRO_FAULT_PLAN="crash@1,corrupt@3" \
+REPRO_FAULT_PLAN="crash@1,corrupt@3,stall@*:attempts=*:delay=0.5" \
 python -m repro.orchestrator run --dir "$WORK/killed" &
 PID=$!
 for _ in $(seq 1 120); do

@@ -21,13 +21,12 @@ echo "== plan (interrupted arm)"
 python -m repro.orchestrator plan --dir "$WORK/interrupted" "${SPEC[@]}"
 
 echo "== run + SIGTERM mid-wave (worker failure injected on shard 1)"
-# The per-shard delay stretches each wave to a couple of seconds so the
-# SIGTERM reliably lands mid-campaign; the injected failure makes the
-# first worker assigned shard 1 die and the shard requeue.  Neither
-# knob changes any result.
+# The universal stall entry stretches each wave to a couple of seconds
+# so the SIGTERM reliably lands mid-campaign; the crash entry (first
+# match wins) makes the first worker assigned shard 1 die and the
+# shard requeue.  Neither entry changes any result.
 REPRO_DIST_WORKERS=2 \
-REPRO_DIST_SHARD_DELAY=0.5 \
-REPRO_FAULT_PLAN=crash@1 \
+REPRO_FAULT_PLAN='crash@1,stall@*:attempts=*:delay=0.5' \
 python -m repro.orchestrator run --dir "$WORK/interrupted" &
 PID=$!
 # Kill only after the first durable checkpoint exists (a fixed sleep
@@ -53,7 +52,7 @@ python - "$WORK/mid.json" <<'PY'
 import json, sys
 status = json.load(open(sys.argv[1]))
 assert not status["finished"], (
-    "campaign finished before the SIGTERM - raise the shard delay?")
+    "campaign finished before the SIGTERM - raise the stall delay?")
 position = status["position"]
 print(f"   killed at wave {position['wave']} shard {position['shard']} "
       f"({status['waves_completed']} wave(s) complete)")

@@ -70,7 +70,8 @@ cmp "$(latest_ckpt "$WORK/off")" "$(latest_ckpt "$WORK/full")"
 echo "== toggle arm: kill under REPRO_OBS=events, resume under full"
 python -m repro.orchestrator plan --dir "$WORK/toggle" "${SPEC[@]}" \
     > /dev/null
-REPRO_OBS=events REPRO_DIST_WORKERS=2 REPRO_DIST_SHARD_DELAY=0.5 \
+REPRO_OBS=events REPRO_DIST_WORKERS=2 \
+REPRO_FAULT_PLAN="stall@*:attempts=*:delay=0.5" \
 python -m repro.orchestrator run --dir "$WORK/toggle" &
 PID=$!
 for _ in $(seq 1 120); do

@@ -9,23 +9,12 @@ cryptic failure deep inside a hot loop.
 
 Knobs:
 
-- ``REPRO_SCAN_SHARDS``   — positive shard count for sharded scans;
-- ``REPRO_SCAN_EXECUTOR`` — an executor registered in
-  :mod:`repro.scan.executors` (``serial``, ``process``,
-  ``distributed``, or anything registered on top);
 - ``REPRO_DIST_WORKERS``  — worker-process count for the
   ``distributed`` executor (default: one per shard, CPU-capped);
 - ``REPRO_FAULT_PLAN``    — declarative chaos plan for the distributed
   executor (:mod:`repro.scan.faults` syntax, e.g. ``crash@2,hang@0``);
 - ``REPRO_DIST_SHARD_DEADLINE`` — per-shard attempt deadline in seconds
   before speculative re-dispatch (default 30; ``0`` disables);
-- ``REPRO_DIST_RESPAWN_BASE``   — base of the exponential respawn
-  backoff in seconds (default 0.05; ``0`` disables the backoff);
-- ``REPRO_DIST_CRASH_LOOP``     — consecutive spawn-side failures that
-  declare a crash loop and degrade the fleet (default 3);
-- ``REPRO_DIST_SHARD_DELAY``    — seconds each distributed worker
-  sleeps per shard, a test hook that stretches shards so a kill lands
-  mid-campaign (default 0);
 - ``REPRO_DIST_ADDRESS_BOOK``   — comma-separated ``host:port`` entries
   of pre-started remote workers (``python -m repro.scan.distributed
   --listen host:port``) the coordinator dials out to; spawned and
@@ -46,92 +35,49 @@ Knobs:
 - ``REPRO_FS_FAULT_PLAN``       — declarative storage chaos plan for
   the checkpoint store (:mod:`repro.orchestrator.storage_faults`
   syntax, e.g. ``torn_write@save-2,bitrot@gen-3``);
-- ``REPRO_ADDR_FAMILY``         — the address family campaigns run in:
-  ``v4`` (default — today's exhaustive int64 pipeline) or ``v6``
-  (128-bit addresses, hitlist/prefix-seeded targeting; see
-  :mod:`repro.core.addrspace`);
 - ``REPRO_DATA_DIR``            — the census dataset cache directory
   (default ``data``).
 """
 
 from __future__ import annotations
 
+import math
 import os
 
 __all__ = [
-    "ENV_SCAN_SHARDS",
-    "ENV_SCAN_EXECUTOR",
     "ENV_DIST_WORKERS",
     "ENV_FAULT_PLAN",
     "ENV_DIST_SHARD_DEADLINE",
-    "ENV_DIST_RESPAWN_BASE",
-    "ENV_DIST_CRASH_LOOP",
-    "ENV_DIST_SHARD_DELAY",
     "ENV_DIST_ADDRESS_BOOK",
     "ENV_DIST_SECRET",
     "ENV_OBS",
     "ENV_CKPT_KEEP",
     "ENV_FS_FAULT_PLAN",
-    "ENV_ADDR_FAMILY",
     "ENV_DATA_DIR",
     "OBS_MODES",
-    "ADDR_FAMILIES",
-    "EXECUTORS",
-    "scan_shards",
-    "scan_executor",
     "dist_workers",
     "fault_plan",
     "dist_shard_deadline",
-    "dist_respawn_base",
-    "dist_crash_loop_threshold",
-    "dist_shard_delay",
     "dist_address_book",
     "dist_secret",
     "obs_mode",
     "ckpt_keep",
     "fs_fault_plan",
-    "addr_family",
     "data_dir",
 ]
 
-ENV_SCAN_SHARDS = "REPRO_SCAN_SHARDS"
-ENV_SCAN_EXECUTOR = "REPRO_SCAN_EXECUTOR"
 ENV_DIST_WORKERS = "REPRO_DIST_WORKERS"
 ENV_FAULT_PLAN = "REPRO_FAULT_PLAN"
 ENV_DIST_SHARD_DEADLINE = "REPRO_DIST_SHARD_DEADLINE"
-ENV_DIST_RESPAWN_BASE = "REPRO_DIST_RESPAWN_BASE"
-ENV_DIST_CRASH_LOOP = "REPRO_DIST_CRASH_LOOP"
-ENV_DIST_SHARD_DELAY = "REPRO_DIST_SHARD_DELAY"
 ENV_DIST_ADDRESS_BOOK = "REPRO_DIST_ADDRESS_BOOK"
 ENV_DIST_SECRET = "REPRO_DIST_SECRET"
 ENV_OBS = "REPRO_OBS"
 ENV_CKPT_KEEP = "REPRO_CKPT_KEEP"
 ENV_FS_FAULT_PLAN = "REPRO_FS_FAULT_PLAN"
-ENV_ADDR_FAMILY = "REPRO_ADDR_FAMILY"
 ENV_DATA_DIR = "REPRO_DATA_DIR"
 
 #: The observability modes, least to most recorded.
 OBS_MODES = ("off", "events", "full")
-
-#: The address families the pipeline runs in.
-ADDR_FAMILIES = ("v4", "v6")
-
-
-def _executor_choices() -> tuple[str, ...]:
-    # Imported lazily: the executor registry lives in the scan layer,
-    # which itself imports this module for the other knobs.
-    from repro.scan.executors import available_executors
-
-    return tuple(available_executors())
-
-
-def __getattr__(name: str):
-    # ``EXECUTORS`` is registry-backed: reading it always reflects the
-    # live executor registry (including anything registered at runtime)
-    # instead of a tuple frozen at import.
-    if name == "EXECUTORS":
-        return _executor_choices()
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def _resolve(explicit, env_var, default):
@@ -144,43 +90,6 @@ def _resolve(explicit, env_var, default):
     return default, "default"
 
 
-def scan_shards(explicit=None) -> int:
-    """The validated scan shard count (>= 1).
-
-    ``explicit`` wins over ``$REPRO_SCAN_SHARDS`` over the default of 1.
-    Non-integer or non-positive values raise a :class:`ValueError` that
-    names the source of the bad value.
-    """
-    raw, source = _resolve(explicit, ENV_SCAN_SHARDS, 1)
-    try:
-        # Round-trip through str so 2.5 (or True) is rejected rather
-        # than silently truncated by int().
-        value = int(str(raw).strip())
-    except (TypeError, ValueError):
-        raise ValueError(
-            f"scan shards must be a positive integer, got {raw!r} "
-            f"(from {source})"
-        ) from None
-    if value < 1:
-        raise ValueError(
-            f"scan shards must be >= 1, got {value} (from {source})"
-        )
-    return value
-
-
-def scan_executor(explicit=None) -> str:
-    """The validated scan executor name, against the live registry."""
-    raw, source = _resolve(explicit, ENV_SCAN_EXECUTOR, "serial")
-    executors = _executor_choices()
-    if raw not in executors:
-        choices = ", ".join(repr(e) for e in executors)
-        raise ValueError(
-            f"unknown executor {raw!r} (from {source}); "
-            f"choose one of {choices}"
-        )
-    return raw
-
-
 def dist_workers(explicit=None) -> int | None:
     """The validated distributed worker count, or ``None`` for auto.
 
@@ -191,19 +100,7 @@ def dist_workers(explicit=None) -> int | None:
     raw, source = _resolve(explicit, ENV_DIST_WORKERS, None)
     if raw is None:
         return None
-    try:
-        value = int(str(raw).strip())
-    except (TypeError, ValueError):
-        raise ValueError(
-            f"distributed workers must be a positive integer, got "
-            f"{raw!r} (from {source})"
-        ) from None
-    if value < 1:
-        raise ValueError(
-            f"distributed workers must be >= 1, got {value} "
-            f"(from {source})"
-        )
-    return value
+    return _positive_int(raw, source, "distributed workers")
 
 
 def fault_plan(explicit=None):
@@ -227,17 +124,36 @@ def fault_plan(explicit=None):
         raise ValueError(f"bad fault plan (from {source}): {exc}") from None
 
 
-def _positive_float(raw, source, knob, *, zero_ok=False):
+def _positive_float(raw, source, knob):
+    """A finite float >= 0, or a ValueError naming ``knob``."""
     try:
         value = float(str(raw).strip())
     except (TypeError, ValueError):
         raise ValueError(
             f"{knob} must be a number, got {raw!r} (from {source})"
         ) from None
-    if value < 0 or (value == 0 and not zero_ok):
+    if not math.isfinite(value) or value < 0:
         raise ValueError(
-            f"{knob} must be {'>= 0' if zero_ok else '> 0'}, got "
-            f"{value} (from {source})"
+            f"{knob} must be a finite number >= 0, got {raw!r} "
+            f"(from {source})"
+        )
+    return value
+
+
+def _positive_int(raw, source, knob):
+    """An integer >= 1, or a ValueError naming ``knob``."""
+    try:
+        # Round-trip through str so 2.5 (or True) is rejected rather
+        # than silently truncated by int().
+        value = int(str(raw).strip())
+    except (TypeError, ValueError):
+        raise ValueError(
+            f"{knob} must be a positive integer, got {raw!r} "
+            f"(from {source})"
+        ) from None
+    if value < 1:
+        raise ValueError(
+            f"{knob} must be >= 1, got {value} (from {source})"
         )
     return value
 
@@ -251,45 +167,7 @@ def dist_shard_deadline(explicit=None) -> float | None:
     the coordinator's global no-progress timeout then applies).
     """
     raw, source = _resolve(explicit, ENV_DIST_SHARD_DEADLINE, 30.0)
-    value = _positive_float(
-        raw, source, "shard deadline", zero_ok=True
-    )
-    return value or None
-
-
-def dist_respawn_base(explicit=None) -> float:
-    """Base (seconds) of the exponential worker-respawn backoff."""
-    raw, source = _resolve(explicit, ENV_DIST_RESPAWN_BASE, 0.05)
-    return _positive_float(raw, source, "respawn base", zero_ok=True)
-
-
-def dist_shard_delay(explicit=None) -> float:
-    """Seconds each distributed worker sleeps per shard (>= 0).
-
-    ``explicit`` wins over ``$REPRO_DIST_SHARD_DELAY`` over the default
-    of 0 (no delay).  A test hook: it stretches every shard so a kill
-    or a deadline lands mid-campaign.
-    """
-    raw, source = _resolve(explicit, ENV_DIST_SHARD_DELAY, 0.0)
-    return _positive_float(raw, source, "shard delay", zero_ok=True)
-
-
-def dist_crash_loop_threshold(explicit=None) -> int:
-    """Consecutive spawn-side failures that declare a crash loop."""
-    raw, source = _resolve(explicit, ENV_DIST_CRASH_LOOP, 3)
-    try:
-        value = int(str(raw).strip())
-    except (TypeError, ValueError):
-        raise ValueError(
-            f"crash-loop threshold must be a positive integer, got "
-            f"{raw!r} (from {source})"
-        ) from None
-    if value < 1:
-        raise ValueError(
-            f"crash-loop threshold must be >= 1, got {value} "
-            f"(from {source})"
-        )
-    return value
+    return _positive_float(raw, source, "shard deadline") or None
 
 
 def _parse_book_entry(entry, source) -> tuple[str, int]:
@@ -401,19 +279,7 @@ def ckpt_keep(explicit=None) -> int:
     fails verification at resume).
     """
     raw, source = _resolve(explicit, ENV_CKPT_KEEP, 2)
-    try:
-        value = int(str(raw).strip())
-    except (TypeError, ValueError):
-        raise ValueError(
-            f"checkpoint keep window must be a positive integer, got "
-            f"{raw!r} (from {source})"
-        ) from None
-    if value < 1:
-        raise ValueError(
-            f"checkpoint keep window must be >= 1, got {value} "
-            f"(from {source})"
-        )
-    return value
+    return _positive_int(raw, source, "checkpoint keep window")
 
 
 def fs_fault_plan(explicit=None):
@@ -438,26 +304,6 @@ def fs_fault_plan(explicit=None):
         raise ValueError(
             f"bad storage fault plan (from {source}): {exc}"
         ) from None
-
-
-def addr_family(explicit=None) -> str:
-    """The validated address family: ``v4`` or ``v6``.
-
-    ``explicit`` wins over ``$REPRO_ADDR_FAMILY`` over the default
-    ``v4``.  The family decides the address representation end to end
-    (int64 vs 128-bit ``S16``; see :mod:`repro.core.addrspace`) and is
-    recorded in campaign specs and checkpoint manifests so a resume
-    can reject a family mismatch.
-    """
-    raw, source = _resolve(explicit, ENV_ADDR_FAMILY, "v4")
-    value = str(raw).strip().lower()
-    if value not in ADDR_FAMILIES:
-        choices = ", ".join(repr(f) for f in ADDR_FAMILIES)
-        raise ValueError(
-            f"unknown address family {raw!r} (from {source}); "
-            f"choose one of {choices}"
-        )
-    return value
 
 
 def data_dir(explicit=None) -> str:

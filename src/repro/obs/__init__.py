@@ -25,8 +25,8 @@ scope — normally :class:`~repro.orchestrator.campaign.CampaignRunner`
 — *installs* a tracer and a registry for its duration via
 :func:`observe`.  Cross-cutting code (the coordinator, the engine, the
 token bucket) asks :func:`get_tracer` / :func:`get_registry` and gets
-a no-op tracer / ``None`` outside any scope, so standalone library
-calls pay nothing.
+a no-op tracer / a falsy no-op registry outside any scope, so
+standalone library calls record nothing.
 
 The one always-on seam is the executor-telemetry mailbox
 (:func:`publish_executor_telemetry` / :func:`take_executor_telemetry`):
@@ -42,7 +42,7 @@ import contextlib
 
 from repro.env import OBS_MODES, obs_mode
 from repro.obs.events import NullTracer, Tracer
-from repro.obs.metrics import MetricsRegistry
+from repro.obs.metrics import MetricsRegistry, NullRegistry
 
 __all__ = [
     "OBS_MODES",
@@ -52,6 +52,7 @@ __all__ = [
     "Tracer",
     "NullTracer",
     "MetricsRegistry",
+    "NullRegistry",
     "observe",
     "get_tracer",
     "get_registry",
@@ -61,13 +62,14 @@ __all__ = [
 ]
 
 _NULL_TRACER = NullTracer()
+_NULL_REGISTRY = NullRegistry()
 
 #: The installed (tracer, registry) scope; module-level because the
 #: components that report are constructed far from the campaign that
 #: owns them (the coordinator inside an executor generator, the engine
 #: inside a worker builder).
 _tracer: Tracer | NullTracer = _NULL_TRACER
-_registry: MetricsRegistry | None = None
+_registry: MetricsRegistry | NullRegistry = _NULL_REGISTRY
 
 #: Telemetry dicts published by executors since the last take — the
 #: always-on mailbox between the coordinator and the orchestrator.
@@ -89,8 +91,8 @@ def get_tracer():
     return _tracer
 
 
-def get_registry() -> MetricsRegistry | None:
-    """The installed metrics registry, or ``None`` outside any scope."""
+def get_registry() -> MetricsRegistry | NullRegistry:
+    """The installed metrics registry, or a falsy no-op registry."""
     return _registry
 
 
@@ -105,7 +107,7 @@ def observe(tracer=None, registry=None):
     global _tracer, _registry
     previous = (_tracer, _registry)
     _tracer = tracer if tracer is not None else _NULL_TRACER
-    _registry = registry
+    _registry = registry if registry is not None else _NULL_REGISTRY
     try:
         yield
     finally:

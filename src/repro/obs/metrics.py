@@ -28,7 +28,9 @@ from __future__ import annotations
 import math
 import threading
 
-__all__ = ["Counter", "Gauge", "Histogram", "MetricsRegistry"]
+__all__ = [
+    "Counter", "Gauge", "Histogram", "MetricsRegistry", "NullRegistry",
+]
 
 
 class Counter:
@@ -139,22 +141,46 @@ class MetricsRegistry:
     def histogram(self, name: str) -> Histogram:
         return self._get(name, Histogram)
 
-    def fold_counts(self, prefix: str, mapping: dict) -> None:
-        """Add every numeric in ``mapping`` to ``{prefix}.{key}`` counters.
-
-        Booleans count occurrences of ``True``; non-numeric values are
-        skipped — this is how coordinator telemetry and worker stats
-        frames (arbitrary plain dicts) land in the registry without a
-        schema of their own.
-        """
-        for key, value in mapping.items():
-            if isinstance(value, bool):
-                self.counter(f"{prefix}.{key}").inc(int(value))
-            elif isinstance(value, (int, float)):
-                self.counter(f"{prefix}.{key}").inc(value)
-
     def snapshot(self) -> dict:
         """The whole registry as one plain-JSON dict, sorted by name."""
         with self._lock:
             items = sorted(self._instruments.items())
         return {name: instrument.to_json() for name, instrument in items}
+
+
+class _NullInstrument:
+    """Counter, gauge and histogram at once; every update is dropped."""
+
+    __slots__ = ()
+
+    def inc(self, amount=1) -> None:
+        return None
+
+    def set(self, value) -> None:
+        return None
+
+    def observe(self, value) -> None:
+        return None
+
+
+_NULL_INSTRUMENT = _NullInstrument()
+
+
+class NullRegistry:
+    """The falsy no-op registry installed outside any metrics scope.
+
+    Reporting code updates instruments unconditionally; only code that
+    does I/O for metrics (the ``metrics.json`` write, the shutdown
+    stats wait) tests the registry's truthiness first.
+    """
+
+    def __bool__(self) -> bool:
+        return False
+
+    def counter(self, name: str) -> _NullInstrument:
+        return _NULL_INSTRUMENT
+
+    gauge = histogram = counter
+
+    def snapshot(self) -> dict:
+        return {}

@@ -22,7 +22,7 @@ wave accounting, and status JSON to an uninterrupted run.
 from __future__ import annotations
 
 import dataclasses
-import os
+import math
 import time
 from dataclasses import dataclass, field
 
@@ -30,8 +30,8 @@ import numpy as np
 
 from repro import obs
 from repro.bgp.table import LESS_SPECIFIC, MORE_SPECIFIC
+from repro.core.addrspace import FAMILIES
 from repro.core.tass import TassStrategy
-from repro.env import ENV_ADDR_FAMILY, addr_family, scan_executor, scan_shards
 from repro.orchestrator.checkpoint import CheckpointStore
 from repro.orchestrator.pacing import PacedTargets, TokenBucket
 from repro.orchestrator.waves import (
@@ -130,8 +130,8 @@ class CampaignSpec:
     probes_per_sec: float | None = None
     use_blocklist: bool = False
     scan_seed: int = 0
-    #: Address family (``"v4"``/``"v6"``); ``None`` resolves from
-    #: ``$REPRO_ADDR_FAMILY``, then the preset's own family, then v4.
+    #: Address family (``"v4"``/``"v6"``); ``None`` resolves to the
+    #: preset's own family, or v4 for a preset the registry lacks.
     family: str | None = None
     #: v6 only: pseudorandom probe draws per selected prefix on top of
     #: the hitlist seeding (ignored for v4, which scans exhaustively).
@@ -160,18 +160,41 @@ class CampaignSpec:
             )
         if not 0.0 <= self.explore_frac < 1.0:
             raise ValueError("explore_frac must be in [0, 1)")
+        if self.shards is not None and (
+            not isinstance(self.shards, int)
+            or isinstance(self.shards, bool)
+            or self.shards < 1
+        ):
+            raise ValueError(
+                f"shards must be a positive integer, got {self.shards!r}"
+            )
         if self.batch_size < 1:
             raise ValueError("batch_size must be >= 1")
         if self.probe_budget is not None and self.probe_budget < 0:
             raise ValueError("probe_budget must be >= 0")
-        if self.probes_per_sec is not None and self.probes_per_sec <= 0:
-            raise ValueError("probes_per_sec must be > 0")
+        if self.probes_per_sec is not None and not (
+            math.isfinite(self.probes_per_sec) and self.probes_per_sec > 0
+        ):
+            raise ValueError(
+                f"probes_per_sec must be a finite number > 0, got "
+                f"{self.probes_per_sec!r}"
+            )
         if self.wave_retries < 0:
             raise ValueError("wave_retries must be >= 0")
-        if self.wave_retry_backoff < 0:
-            raise ValueError("wave_retry_backoff must be >= 0")
+        if not (
+            math.isfinite(self.wave_retry_backoff)
+            and self.wave_retry_backoff >= 0
+        ):
+            raise ValueError(
+                f"wave_retry_backoff must be a finite number >= 0, got "
+                f"{self.wave_retry_backoff!r}"
+            )
         if self.samples_per_prefix < 0:
             raise ValueError("samples_per_prefix must be >= 0")
+        if self.family not in (None, *FAMILIES):
+            raise ValueError(
+                f"family must be one of {FAMILIES}, got {self.family!r}"
+            )
         if self.backend not in (None, _BACKEND):
             raise ValueError(
                 f"backend must be {_BACKEND!r} (the only counting "
@@ -179,29 +202,28 @@ class CampaignSpec:
             )
 
     def resolved(self) -> "CampaignSpec":
-        """Pin the shard/executor knobs (argument > env > default).
+        """Pin the shard/executor/family defaults and validate them.
 
         Resolution happens once, at plan time, and the resolved values
-        are stored in ``campaign.json`` — so a resume under a different
-        environment still replays the original campaign exactly.
+        are stored in ``campaign.json`` — so a resume replays the
+        original campaign exactly.
         """
-        executor = scan_executor(self.executor)
-        if self.probes_per_sec is not None and not executor_supports_wrap(
-            executor
-        ):
+        executor = self.executor or "serial"
+        # Also rejects an unregistered executor, paced or not.
+        wraps = executor_supports_wrap(executor)
+        if self.probes_per_sec is not None and not wraps:
             raise ValueError(
                 "pacing (probes_per_sec) requires the serial executor: "
                 "a token bucket cannot be shared across worker processes"
             )
-        if self.family is None and not os.environ.get(ENV_ADDR_FAMILY):
-            # Neither argument nor environment: a preset that is
-            # intrinsically one family (e.g. "v6-tiny") implies it.
+        family = self.family
+        if family is None:
+            # A preset that is intrinsically one family (e.g. "v6-tiny")
+            # implies it.
             from repro.census.synth import PRESETS
 
             preset_spec = PRESETS.get(self.preset)
             family = preset_spec.family if preset_spec else "v4"
-        else:
-            family = addr_family(self.family)
         if family == "v6":
             if self.explore_frac > 0.0:
                 raise ValueError(
@@ -215,7 +237,7 @@ class CampaignSpec:
                 )
         return dataclasses.replace(
             self,
-            shards=scan_shards(self.shards),
+            shards=self.shards or 1,
             executor=executor,
             backend=_BACKEND,
             family=family,
@@ -463,8 +485,7 @@ class CampaignRunner:
             data = dict(incident)
             type_ = data.pop("type")
             tracer.point(type_, **data)
-            if registry is not None:
-                registry.counter(type_).inc()
+            registry.counter(type_).inc()
 
     def _progress(self, pacer=None, manifest=None) -> None:
         if self.store is None:
@@ -491,30 +512,27 @@ class CampaignRunner:
         assert set(document) == set(PROGRESS_KEYS)
         self.store.write_progress(document)
         registry = obs.get_registry()
-        if registry is not None:
-            registry.gauge("campaign.wave").set(self.state.wave)
-            registry.gauge("campaign.shard").set(self.state.shard)
-            if pacer is not None:
-                registry.gauge("pacing.achieved_probes_per_sec").set(
-                    pacer.achieved_rate
-                )
-            # Snapshotting + serializing the registry at every shard
-            # boundary would dominate short shards, so the advisory
-            # metrics file refreshes at most ~1/sec — except the final
-            # document, which must hold the campaign's complete totals.
-            now = time.monotonic()
-            if (
-                self.state.finished
-                or self._metrics_written_at is None
-                or now - self._metrics_written_at >= 1.0
-            ):
-                self._metrics_written_at = now
-                self.store.write_metrics(registry.snapshot())
+        registry.gauge("campaign.wave").set(self.state.wave)
+        registry.gauge("campaign.shard").set(self.state.shard)
+        if pacer is not None:
+            registry.gauge("pacing.achieved_probes_per_sec").set(
+                pacer.achieved_rate
+            )
+        # Snapshotting + serializing the registry at every shard
+        # boundary would dominate short shards, so the advisory metrics
+        # file refreshes at most ~1/sec — except the final document,
+        # which must hold the campaign's complete totals.  Outside a
+        # metrics scope no metrics.json is written at all.
+        now = time.monotonic()
+        if registry and (
+            self.state.finished
+            or self._metrics_written_at is None
+            or now - self._metrics_written_at >= 1.0
+        ):
+            self._metrics_written_at = now
+            self.store.write_metrics(registry.snapshot())
 
     # -- accounting ----------------------------------------------------
-
-    def _totals(self) -> dict:
-        return status_from_manifest(self._manifest())["totals"]
 
     def _budget_spent(self) -> int:
         """Probes charged against the budget (completed waves only)."""
@@ -666,7 +684,7 @@ class CampaignRunner:
         # the executor generator) nest under the in-flight wave.
         tracer.current = wave_span
         registry = obs.get_registry()
-        if registry is not None and spec.probes_per_sec is not None:
+        if spec.probes_per_sec is not None:
             registry.gauge("pacing.configured_probes_per_sec").set(
                 spec.probes_per_sec
             )
@@ -689,18 +707,12 @@ class CampaignRunner:
                 batches=result.batches,
                 seconds=seconds,
             )
-            if registry is not None:
-                registry.histogram("shard.seconds").observe(seconds)
-                registry.counter("campaign.probes_sent").inc(
-                    result.probes_sent
-                )
-                registry.counter("campaign.responses").inc(
-                    result.responses
-                )
+            registry.histogram("shard.seconds").observe(seconds)
+            registry.counter("campaign.probes_sent").inc(result.probes_sent)
+            registry.counter("campaign.responses").inc(result.responses)
             manifest = self._checkpoint()
             tracer.point("checkpoint", wave=plan.wave, shard=state.shard)
-            if registry is not None:
-                registry.counter("campaign.checkpoints").inc()
+            registry.counter("campaign.checkpoints").inc()
             self._progress(pacer, manifest=manifest)
 
         # Wave-level retry: an executor whose *infrastructure* collapsed
@@ -757,8 +769,7 @@ class CampaignRunner:
                         wave=plan.wave,
                         attempt=state.wave_attempts,
                     )
-                    if registry is not None:
-                        registry.counter("campaign.wave_retries").inc()
+                    registry.counter("campaign.wave_retries").inc()
                     manifest = self._checkpoint()
                     self._progress(pacer, manifest=manifest)
                     if state.wave_attempts > spec.wave_retries:
@@ -848,12 +859,11 @@ class CampaignRunner:
         for update in obs.take_executor_telemetry():
             obs.merge_telemetry(self._telemetry_totals, update)
         registry = obs.get_registry()
-        if registry is not None:
-            for key, value in self._telemetry_totals.items():
-                if isinstance(value, (int, float)) and not isinstance(
-                    value, bool
-                ):
-                    registry.gauge(f"executor.{key}").set(value)
+        for key, value in self._telemetry_totals.items():
+            if isinstance(value, (int, float)) and not isinstance(
+                value, bool
+            ):
+                registry.gauge(f"executor.{key}").set(value)
 
 
 def status_from_manifest(manifest: dict) -> dict:

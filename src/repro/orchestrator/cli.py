@@ -69,7 +69,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="re-seed waves scan the full announced space",
     )
     plan.add_argument("--explore-frac", type=float, default=0.0)
-    plan.add_argument("--shards", default=None)
+    plan.add_argument("--shards", type=int, default=None)
     plan.add_argument(
         "--executor",
         default=None,
@@ -84,13 +84,6 @@ def build_parser() -> argparse.ArgumentParser:
     plan.add_argument("--probes-per-sec", type=float, default=None)
     plan.add_argument("--use-blocklist", action="store_true")
     plan.add_argument("--scan-seed", type=int, default=0)
-    plan.add_argument(
-        "--family",
-        default=None,
-        choices=("v4", "v6"),
-        help="address family (default: $REPRO_ADDR_FAMILY, then the "
-        "preset's own family, then v4)",
-    )
     plan.add_argument(
         "--samples-per-prefix",
         type=int,
@@ -182,10 +175,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _spec_from_args(args) -> CampaignSpec:
-    # .resolved() validates the knob strings (argument > env var >
-    # default, via repro.env), so a typo'd --shards or REPRO_SCAN_*
-    # value fails at plan time with a clear message instead of deep
-    # inside wave execution.
+    # The spec validates every field and .resolved() the executor, so
+    # a bad --shards or --executor fails at plan time with a clear
+    # message instead of deep inside wave execution.  The address
+    # family follows from the preset.
     return CampaignSpec(
         name=args.name,
         preset=args.preset,
@@ -208,7 +201,6 @@ def _spec_from_args(args) -> CampaignSpec:
         probes_per_sec=args.probes_per_sec,
         use_blocklist=args.use_blocklist,
         scan_seed=args.scan_seed,
-        family=args.family,
         samples_per_prefix=args.samples_per_prefix,
         wave_retries=args.wave_retries,
         wave_retry_backoff=args.wave_retry_backoff,

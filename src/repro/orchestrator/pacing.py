@@ -76,11 +76,10 @@ class TokenBucket:
             self._tokens -= n
         self.consumed += int(n)
         registry = obs.get_registry()
-        if registry is not None:
-            registry.counter("pacing.tokens_consumed").inc(int(n))
-            if waited:
-                registry.counter("pacing.throttle_sleeps").inc()
-                registry.counter("pacing.slept_seconds").inc(waited)
+        registry.counter("pacing.tokens_consumed").inc(int(n))
+        if waited:
+            registry.counter("pacing.throttle_sleeps").inc()
+            registry.counter("pacing.slept_seconds").inc(waited)
         return waited
 
     @property

@@ -40,12 +40,10 @@ matches or it does not.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from pathlib import Path
 
 __all__ = [
-    "ENV_FS_FAULT_PLAN",
     "FS_FAULT_KINDS",
     "SAVE_FAULT_KINDS",
     "GEN_FAULT_KINDS",
@@ -54,8 +52,6 @@ __all__ = [
     "SimulatedCrash",
     "flip_byte",
 ]
-
-ENV_FS_FAULT_PLAN = "REPRO_FS_FAULT_PLAN"
 
 #: Faults fired at a ``save()`` call site.
 SAVE_FAULT_KINDS = (
@@ -216,10 +212,6 @@ class FsFaultPlan:
         return cls(
             FsFaultSpec.parse(entry) for entry in entries if entry.strip()
         )
-
-    @classmethod
-    def from_env(cls) -> "FsFaultPlan":
-        return cls.parse(os.environ.get(ENV_FS_FAULT_PLAN))
 
     def to_string(self) -> str:
         return ",".join(spec.to_string() for spec in self.specs)

@@ -87,11 +87,9 @@ one per shard capped at the CPU count plus the address book),
 disables the challenge/response), ``REPRO_FAULT_PLAN`` (declarative
 fault injection; see :mod:`repro.scan.faults`),
 ``REPRO_DIST_SHARD_DEADLINE``
-(per-shard attempt deadline, default 30 s; 0 disables),
-``REPRO_DIST_RESPAWN_BASE`` / ``REPRO_DIST_CRASH_LOOP`` (respawn
-backoff base and crash-loop threshold), ``REPRO_DIST_SHARD_DELAY``
-(seconds each worker sleeps per shard, to make smoke-test kill windows
-deterministic); none of these change any result.
+(per-shard attempt deadline, default 30 s; 0 disables); none of these
+change any result.  A test that needs every shard to take a while
+appends ``stall@*:attempts=*:delay=S`` to its fault plan.
 """
 
 from __future__ import annotations
@@ -118,11 +116,8 @@ from repro import obs
 from repro.env import (
     ENV_DIST_SECRET,
     dist_address_book,
-    dist_crash_loop_threshold,
-    dist_respawn_base,
     dist_secret,
     dist_shard_deadline,
-    dist_shard_delay,
     fault_plan as _env_fault_plan,
 )
 from repro.scan.engine import ScanResult
@@ -339,10 +334,11 @@ class Coordinator:
     - ``shard_deadline`` — seconds one attempt may hold a shard before
       it is speculatively re-dispatched to an idle worker (first
       result wins, duplicates discarded); ``None`` disables.
-    - ``respawn_base`` / ``crash_loop_threshold`` — exponential-backoff
-      base for replacement spawns and the consecutive spawn-failure
-      count that degrades the fleet to its survivors.
     - ``timeout`` — the global no-progress watchdog (backstop).
+
+    Replacement spawns back off exponentially and a crash loop
+    degrades the fleet to its survivors, at the
+    :class:`~repro.scan.faults.RespawnGovernor` defaults.
 
     After (or during) a run, :attr:`telemetry` reports failures,
     respawns, speculative re-dispatches, discarded duplicates, and
@@ -356,11 +352,8 @@ class Coordinator:
         timeout: float = 120.0,
         fault_plan=None,
         shard_deadline=_ENV,
-        respawn_base=_ENV,
-        crash_loop_threshold=_ENV,
         address_book=_ENV,
         secret=_ENV,
-        clock=time.monotonic,
     ):
         self.worker_args = worker_args
         self.workers = workers
@@ -377,29 +370,13 @@ class Coordinator:
         else:
             self.secret = dist_secret(secret)
         self.fault_plan = _env_fault_plan(fault_plan)
-        # Spawned workers read the delay from the inherited environment;
-        # resolving it here makes a bad value fail once, before any
-        # worker starts, instead of killing every spawn.
-        dist_shard_delay()
         self.shard_deadline = (
             dist_shard_deadline()
             if shard_deadline is _ENV
             else shard_deadline
         )
         self.timeout = timeout
-        self._governor = RespawnGovernor(
-            base=(
-                dist_respawn_base()
-                if respawn_base is _ENV
-                else respawn_base
-            ),
-            crash_loop_threshold=(
-                dist_crash_loop_threshold()
-                if crash_loop_threshold is _ENV
-                else crash_loop_threshold
-            ),
-        )
-        self._clock = clock
+        self._governor = RespawnGovernor()
         self.failures = 0
         self.telemetry = {
             "failures": 0,
@@ -448,7 +425,7 @@ class Coordinator:
 
     def close(self) -> None:
         """Tear everything down; safe to call twice."""
-        collect_stats = obs.get_registry() is not None
+        collect_stats = bool(obs.get_registry())
         for worker in self._live:
             try:
                 worker.stream.send({"type": "shutdown"})
@@ -576,7 +553,7 @@ class Coordinator:
         if self._governor.in_crash_loop:
             self._enter_degraded()
             return
-        now = self._clock()
+        now = time.monotonic()
         if now < self._next_spawn_at:
             return
         self._spawn_backlog -= 1
@@ -646,13 +623,8 @@ class Coordinator:
     def _flush_worker_bytes(self, worker: _Worker) -> None:
         """Fold this side's wire counters in as a worker detaches."""
         registry = obs.get_registry()
-        if registry is not None:
-            registry.counter("dist.bytes_in").inc(
-                worker.stream.bytes_in
-            )
-            registry.counter("dist.bytes_out").inc(
-                worker.stream.bytes_out
-            )
+        registry.counter("dist.bytes_in").inc(worker.stream.bytes_in)
+        registry.counter("dist.bytes_out").inc(worker.stream.bytes_out)
 
     def _absorb_stats(self, pid: int, stats) -> None:
         """Worker-side counters (shipped home in frames) → gauges.
@@ -661,9 +633,9 @@ class Coordinator:
         *cumulative* session counters, so the latest value is the
         truth and summing frames would multiply it.
         """
-        registry = obs.get_registry()
-        if registry is None or not isinstance(stats, dict):
+        if not isinstance(stats, dict):
             return
+        registry = obs.get_registry()
         for key, value in stats.items():
             if isinstance(value, (int, float)) and not isinstance(
                 value, bool
@@ -762,7 +734,7 @@ class Coordinator:
         try:
             worker.stream.send(message)
             worker.assigned = index
-            worker.assigned_at = self._clock()
+            worker.assigned_at = time.monotonic()
             worker.fault_kind = spec.kind if spec is not None else None
             tracer.point(
                 "shard_dispatch",
@@ -938,7 +910,7 @@ class Coordinator:
     # -- dialing the address book --------------------------------------
 
     def _schedule_redial(self, addr) -> None:
-        self._remote_due[addr] = self._clock() + _REDIAL_INTERVAL
+        self._remote_due[addr] = time.monotonic() + _REDIAL_INTERVAL
 
     def _dial(self, addr, pending: deque, targets) -> bool:
         """One outbound connect to a pre-started --listen worker."""
@@ -960,7 +932,7 @@ class Coordinator:
         drive loop counts that as progress for its watchdog).
         """
         joined = False
-        now = self._clock()
+        now = time.monotonic()
         due = [a for a, t in self._remote_due.items() if t <= now]
         for addr in due:
             del self._remote_due[addr]
@@ -1049,9 +1021,10 @@ class Coordinator:
             probes_sent=int(message["probes_sent"]),
             seconds=seconds,
         )
-        registry = obs.get_registry()
-        if registry is not None and isinstance(seconds, (int, float)):
-            registry.histogram("dist.shard_seconds").observe(seconds)
+        if isinstance(seconds, (int, float)):
+            obs.get_registry().histogram("dist.shard_seconds").observe(
+                seconds
+            )
         self._absorb_stats(worker.pid, message.get("stats"))
         self._dispatch(worker, pending, targets)
         return True
@@ -1075,7 +1048,7 @@ class Coordinator:
         deadline = self.shard_deadline
         if deadline is None:
             return
-        now = self._clock()
+        now = time.monotonic()
         for worker in list(self._live):
             index = worker.assigned
             if index is None:
@@ -1206,26 +1179,26 @@ class Coordinator:
             self._spawn(first_generation=True)
         self._pump_dials(pending, targets)
 
-        last_progress = self._clock()
+        last_progress = time.monotonic()
         try:
             while next_emit < len(targets):
                 for key, _ in self._selector.select(timeout=0.2):
                     if key.data is None:
                         self._accept(pending, targets)
-                        last_progress = self._clock()
+                        last_progress = time.monotonic()
                     elif self._on_readable(
                         key.data, pending, targets, results
                     ):
-                        last_progress = self._clock()
+                        last_progress = time.monotonic()
                 self._reap_unconnected(pending)
                 self._check_deadlines(pending, targets)
                 self._pump_spawns()
                 if self._pump_dials(pending, targets):
-                    last_progress = self._clock()
+                    last_progress = time.monotonic()
                 while next_emit in results:
                     yield results.pop(next_emit)
                     next_emit += 1
-                    last_progress = self._clock()
+                    last_progress = time.monotonic()
                 if (
                     next_emit < len(targets)
                     and not self._live
@@ -1250,7 +1223,7 @@ class Coordinator:
                         f"last: {self._last_failure})"
                         + self._stderr_report()
                     )
-                if self._clock() - last_progress > self.timeout:
+                if time.monotonic() - last_progress > self.timeout:
                     raise ExecutorFailure(
                         "distributed executor: no worker progress for "
                         f"{self.timeout:.0f}s "
@@ -1324,15 +1297,13 @@ def _execute_fault_and_maybe_die(stream: FrameStream, kind: str,
 def _session(
     stream: FrameStream,
     *,
-    delay: float = 0.0,
     secret: str | None = None,
     auth_fail: bool = False,
     strict: bool = True,
 ) -> str:
     """Serve one coordinator over ``stream``; the remote-node loop.
 
-    Sends hello, then drains frames until the session ends, sleeping
-    ``delay`` seconds before each shard.  Returns
+    Sends hello, then drains frames until the session ends.  Returns
     how it ended: ``"shutdown"`` (clean drain), ``"eof"`` (the
     coordinator vanished), ``"denied"`` (authentication failed in
     either direction — a worker with a secret refuses to drain shards
@@ -1452,8 +1423,6 @@ def _session(
             shard = int(message["shard"])
             fault = message.get("fault") or {}
             kind = fault.get("kind")
-            if delay:
-                time.sleep(delay)
             if kind == "corrupt":
                 # A well-framed body that is not JSON: recv() raises
                 # JSONDecodeError.  No result follows; the coordinator
@@ -1514,12 +1483,10 @@ def _session(
 def worker_main(host: str, port: int, auth_fail: bool = False,
                 secret=_ENV) -> int:
     """Dial out to a coordinator, drain shards until shutdown/EOF."""
-    delay = dist_shard_delay()
     stream = FrameStream(socket.create_connection((host, port)))
     try:
         outcome = _session(
             stream,
-            delay=delay,
             secret=dist_secret() if secret is _ENV else secret,
             auth_fail=auth_fail,
         )
@@ -1560,7 +1527,6 @@ def listen_main(
     """
     if secret is _ENV:
         secret = dist_secret()
-    delay = dist_shard_delay()
     server = socket.socket()
     server.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
     server.bind((host, port))
@@ -1585,7 +1551,6 @@ def listen_main(
             try:
                 outcome = _session(
                     stream,
-                    delay=delay,
                     secret=secret,
                     auth_fail=auth_fail,
                     strict=False,

@@ -64,17 +64,16 @@ class ScanEngine:
         result = ScanResult(protocol=protocol)
         # An empty blocklist is falsy: it blocks nothing, so skip its mask.
         blocklist = self.blocklist or None
-        # Resolved once per run: outside an observability scope this is
-        # None and the batch loop pays a single predictable branch.
+        # Resolved once per run: outside a metrics scope this is the
+        # no-op registry, whose instruments drop every update.
         registry = obs.get_registry()
         probes_before = 0
         for batch in targets.batches(self.config.batch_size):
-            if registry is not None:
-                registry.counter("engine.batches").inc()
-                sent = result.probes_sent - probes_before
-                if sent:
-                    registry.counter("engine.probes_sent").inc(sent)
-                probes_before = result.probes_sent
+            registry.counter("engine.batches").inc()
+            sent = result.probes_sent - probes_before
+            if sent:
+                registry.counter("engine.probes_sent").inc(sent)
+            probes_before = result.probes_sent
             size = int(batch.size)
             result.batches += 1
             if size == 0:
@@ -98,11 +97,10 @@ class ScanEngine:
                 # A blocked probe is never sent, so it can never respond.
                 hit &= ~blocked
             result.responses += int(hit.sum())
-        if registry is not None:
-            # Flush the last batch's probes and fold the run's totals.
-            sent = result.probes_sent - probes_before
-            if sent:
-                registry.counter("engine.probes_sent").inc(sent)
-            registry.counter("engine.responses").inc(result.responses)
-            registry.counter("engine.blocked").inc(result.blocked)
+        # Flush the last batch's probes and fold the run's totals.
+        sent = result.probes_sent - probes_before
+        if sent:
+            registry.counter("engine.probes_sent").inc(sent)
+        registry.counter("engine.responses").inc(result.responses)
+        registry.counter("engine.blocked").inc(result.blocked)
         return result

@@ -47,11 +47,10 @@ sockets and clocks so unit tests pin the numbers exactly.
 
 from __future__ import annotations
 
-import os
+import math
 from dataclasses import dataclass
 
 __all__ = [
-    "ENV_FAULT_PLAN",
     "WORKER_FAULT_KINDS",
     "SPAWN_FAULT_KINDS",
     "FAULT_KINDS",
@@ -61,8 +60,6 @@ __all__ = [
     "deadline_action",
     "RespawnGovernor",
 ]
-
-ENV_FAULT_PLAN = "REPRO_FAULT_PLAN"
 
 #: Faults executed by a worker when armed in a ``shard`` frame.
 WORKER_FAULT_KINDS = (
@@ -111,8 +108,10 @@ class FaultSpec:
             raise ValueError(
                 f"fault attempts must be >= 1 or '*', got {self.attempts}"
             )
-        if self.delay < 0:
-            raise ValueError(f"fault delay must be >= 0, got {self.delay}")
+        if not math.isfinite(self.delay) or self.delay < 0:
+            raise ValueError(
+                f"fault delay must be a finite number >= 0, got {self.delay}"
+            )
         if self.kind in SPAWN_FAULT_KINDS and self.shard is None:
             raise ValueError(f"{self.kind} needs an explicit spawn ordinal")
 
@@ -220,10 +219,6 @@ class FaultPlan:
         return cls(
             FaultSpec.parse(entry) for entry in entries if entry.strip()
         )
-
-    @classmethod
-    def from_env(cls) -> "FaultPlan":
-        return cls.parse(os.environ.get(ENV_FAULT_PLAN))
 
     def to_string(self) -> str:
         return ",".join(spec.to_string() for spec in self.specs)

@@ -20,8 +20,8 @@ the merged result is **shard-count and executor invariant** (``K=1``
 serial and ``K=8`` distributed produce byte-identical merged results),
 which the differential test suite asserts.
 
-Knobs: ``shards``/``executor`` arguments, or the ``REPRO_SCAN_SHARDS``
-and ``REPRO_SCAN_EXECUTOR`` environment variables.
+Knobs: the ``shards``/``executor`` arguments (default: one shard,
+``serial``).
 """
 
 from __future__ import annotations
@@ -33,7 +33,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.census.addrset import AddressSet
-from repro.env import scan_executor, scan_shards
 from repro.scan.engine import EngineConfig, ScanResult
 from repro.scan.executors import executor_supports_wrap, get_executor
 from repro.scan.permutation import CyclicPermutation
@@ -399,17 +398,19 @@ def run_sharded(
     every :class:`IntervalTargets` shard (see its docstring); passing
     either for a v4 spec is an error.
     """
-    shards = scan_shards(shards)
-    executor = scan_executor(executor)
+    shards = 1 if shards is None else shards
+    executor = executor or "serial"
     config = config or EngineConfig()
+    # shard_targets rejects a non-positive shard count.
+    targets = shard_targets(
+        spec, shards=shards, seed=seed, hitlist=hitlist, samples=samples
+    )
     done = list(completed or [])
     if len(done) > shards:
         raise ValueError(
             f"{len(done)} completed shard results for a {shards}-shard scan"
         )
-    targets = shard_targets(
-        spec, shards=shards, seed=seed, hitlist=hitlist, samples=samples
-    )[len(done):]
+    targets = targets[len(done):]
     if not isinstance(responsive, AddressSet):
         responsive = AddressSet(responsive)
     values = responsive.values

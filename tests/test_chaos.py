@@ -30,7 +30,8 @@ from repro.scan.executors import (
     register_executor,
     serial_executor,
 )
-from repro.scan.faults import ENV_FAULT_PLAN, WORKER_FAULT_KINDS, FaultPlan
+from repro.env import ENV_FAULT_PLAN
+from repro.scan.faults import WORKER_FAULT_KINDS, FaultPlan
 from repro.scan.sharded import run_sharded, shard_targets
 
 _CONFIG = EngineConfig(batch_size=1 << 11)
@@ -63,7 +64,6 @@ def _run_under_plan(plan, shards=4, workers=2, **kwargs):
     targets = shard_targets(spec, shards=shards, seed=0)
     worker_args = (responsive, _CONFIG.batch_size, None, None)
     kwargs.setdefault("shard_deadline", _DEADLINE)
-    kwargs.setdefault("respawn_base", 0.01)
     kwargs.setdefault("timeout", 60.0)
     with Coordinator(
         worker_args,
@@ -175,7 +175,6 @@ def test_crash_loop_degrades_to_survivors():
     results, coordinator = _run_under_plan(
         "crash@1,stall@*:delay=0.3:attempts=*,spawn_crash@2:attempts=*",
         shards=6,
-        crash_loop_threshold=3,
         timeout=60.0,
     )
     assert coordinator.telemetry["degraded"] is True
@@ -192,8 +191,6 @@ def test_no_survivors_aborts_with_stderr_tails():
         workers=1,
         fault_plan="crash@0:attempts=*,crash@1:attempts=*,"
         "spawn_crash@1:attempts=*",
-        respawn_base=0.01,
-        crash_loop_threshold=3,
         timeout=30.0,
     ) as coordinator:
         with pytest.raises(ExecutorFailure, match="worker failures") as info:

@@ -19,7 +19,7 @@ import numpy as np
 import pytest
 
 from conftest import build_mini_dataset
-from repro.env import ENV_DIST_SHARD_DELAY, ENV_FAULT_PLAN
+from repro.env import ENV_FAULT_PLAN
 from repro.orchestrator import CampaignRunner, CampaignSpec, ReseedPolicy
 from repro.scan.blocklist import Blocklist
 from repro.scan.distributed import (
@@ -71,11 +71,6 @@ class TestExecutorRegistry:
         assert executor_supports_wrap("serial")
         assert not executor_supports_wrap("process")
         assert not executor_supports_wrap("distributed")
-
-    def test_env_registry_view_is_live(self):
-        import repro.env as env
-
-        assert set(env.EXECUTORS) == set(available_executors())
 
     def test_custom_executor_threads_through_run_sharded(self):
         from repro.scan.executors import _REGISTRY, serial_executor
@@ -292,17 +287,19 @@ def test_garbled_hello_still_charges_budget():
         coordinator._selector.close()
 
 
-def test_stray_peers_mid_run_do_not_perturb_results(monkeypatch):
-    monkeypatch.setenv(ENV_DIST_SHARD_DELAY, "0.2")
+def test_stray_peers_mid_run_do_not_perturb_results():
     spec, responsive = _world()
-    monkeypatch.delenv(ENV_DIST_SHARD_DELAY)
     serial = run_sharded(
         spec, responsive, shards=3, executor="serial", config=_CONFIG
     )
-    monkeypatch.setenv(ENV_DIST_SHARD_DELAY, "0.2")
     targets = shard_targets(spec, shards=3, seed=0)
     worker_args = (responsive, _CONFIG.batch_size, None, None)
-    with Coordinator(worker_args, workers=2) as coordinator:
+    with Coordinator(
+        worker_args,
+        workers=2,
+        # Every shard stalls, so the listener is still up for the strays.
+        fault_plan="stall@*:attempts=*:delay=0.2",
+    ) as coordinator:
         gen = coordinator.run(targets)
         results = [next(gen)]  # the listener is live past this point
         port = coordinator._listener.getsockname()[1]
@@ -443,15 +440,19 @@ def test_unrecoverable_failures_raise():
 
 
 def test_bad_shard_delay_raises_before_any_worker_starts(monkeypatch):
+    # The per-shard delay is the stall entry of the fault plan.
     spec, responsive = _world()
     spawned = []
     monkeypatch.setattr(Coordinator, "_spawn", lambda *a: spawned.append(a))
-    monkeypatch.setenv(ENV_DIST_SHARD_DELAY, "soon")
-    with pytest.raises(ValueError, match=ENV_DIST_SHARD_DELAY):
-        run_sharded(
-            spec, responsive, shards=2, executor="distributed",
-            config=_CONFIG,
+    for bad in ("soon", "nan", "inf"):
+        monkeypatch.setenv(
+            ENV_FAULT_PLAN, f"stall@*:attempts=*:delay={bad}"
         )
+        with pytest.raises(ValueError, match=ENV_FAULT_PLAN):
+            run_sharded(
+                spec, responsive, shards=2, executor="distributed",
+                config=_CONFIG,
+            )
     assert spawned == []
 
 

@@ -8,55 +8,45 @@ from repro.env import (
     data_dir,
     dist_address_book,
     dist_secret,
-    dist_shard_delay,
     dist_workers,
     obs_mode,
-    scan_executor,
-    scan_shards,
 )
 from repro.orchestrator import CampaignSpec
-from repro.scan.sharded import run_sharded
 
 
 class TestScanShards:
+    """The shard count is a spec field; no environment variable sets it."""
+
     def test_defaults_to_one(self, monkeypatch):
-        monkeypatch.delenv("REPRO_SCAN_SHARDS", raising=False)
-        assert scan_shards() == 1
+        monkeypatch.setenv("REPRO_SCAN_SHARDS", "8")
+        assert CampaignSpec().resolved().shards == 1
 
     def test_explicit_wins_over_env(self, monkeypatch):
         monkeypatch.setenv("REPRO_SCAN_SHARDS", "8")
-        assert scan_shards(3) == 3
-        assert scan_shards() == 8
-
-    def test_env_string_parsed(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SCAN_SHARDS", "4")
-        assert scan_shards() == 4
+        assert CampaignSpec(shards=3).resolved().shards == 3
 
     @pytest.mark.parametrize("bad", ["abc", "", "2.5", "0x4"])
-    def test_non_integer_rejected_with_source(self, monkeypatch, bad):
-        monkeypatch.setenv("REPRO_SCAN_SHARDS", bad)
+    def test_non_integer_rejected_with_source(self, bad):
         with pytest.raises(ValueError) as excinfo:
-            scan_shards()
+            CampaignSpec(shards=bad)
         message = str(excinfo.value)
-        assert "positive integer" in message
+        assert "shards must be a positive integer" in message
         assert repr(bad) in message
-        assert "REPRO_SCAN_SHARDS" in message
 
     @pytest.mark.parametrize("bad", ["0", "-3"])
-    def test_non_positive_rejected(self, monkeypatch, bad):
-        monkeypatch.setenv("REPRO_SCAN_SHARDS", bad)
-        with pytest.raises(ValueError, match="shards must be >= 1"):
-            scan_shards()
+    def test_non_positive_rejected(self, bad):
+        with pytest.raises(ValueError, match="shards must be a positive"):
+            CampaignSpec(shards=int(bad))
 
     def test_bad_explicit_names_argument(self):
-        with pytest.raises(ValueError, match=r"\(from argument\)"):
-            scan_shards("nope")
+        with pytest.raises(ValueError, match="shards"):
+            CampaignSpec(shards="nope")
 
     @pytest.mark.parametrize("bad", [2.5, True])
     def test_non_integral_python_values_rejected(self, bad):
-        # int() would silently truncate these; the knob must not.
+        # int() would silently truncate these; the spec must not.
         with pytest.raises(ValueError, match="positive integer"):
-            scan_shards(bad)
+            CampaignSpec(shards=bad)
 
 
 class TestCkptKeep:
@@ -90,37 +80,19 @@ class TestCkptKeep:
 
 
 class TestScanExecutor:
+    """The executor is a spec field; no environment variable sets it."""
+
     def test_defaults_to_serial(self, monkeypatch):
-        monkeypatch.delenv("REPRO_SCAN_EXECUTOR", raising=False)
-        assert scan_executor() == "serial"
-
-    def test_valid_values(self, monkeypatch):
-        assert scan_executor("process") == "process"
         monkeypatch.setenv("REPRO_SCAN_EXECUTOR", "process")
-        assert scan_executor() == "process"
+        assert CampaignSpec().resolved().executor == "serial"
 
-    def test_distributed_accepted(self, monkeypatch):
-        assert scan_executor("distributed") == "distributed"
-        monkeypatch.setenv("REPRO_SCAN_EXECUTOR", "distributed")
-        assert scan_executor() == "distributed"
+    def test_valid_values(self):
+        spec = CampaignSpec(executor="process")
+        assert spec.resolved().executor == "process"
 
-    def test_bad_env_value_lists_choices(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SCAN_EXECUTOR", "threads")
-        with pytest.raises(ValueError) as excinfo:
-            scan_executor()
-        message = str(excinfo.value)
-        assert "unknown executor 'threads'" in message
-        assert "'serial'" in message and "'process'" in message
-        assert "'distributed'" in message
-        assert "REPRO_SCAN_EXECUTOR" in message
-
-    def test_executors_attribute_is_registry_backed(self):
-        import repro.env as env
-        from repro.scan.executors import available_executors
-
-        assert env.EXECUTORS == tuple(available_executors())
-        with pytest.raises(AttributeError):
-            env.NOT_A_KNOB
+    def test_distributed_accepted(self):
+        spec = CampaignSpec(executor="distributed")
+        assert spec.resolved().executor == "distributed"
 
 
 class TestDistWorkers:
@@ -238,24 +210,6 @@ class TestCountBackend:
         assert "searchsorted" in message
 
 
-class TestDistShardDelay:
-    def test_defaults_to_zero(self, monkeypatch):
-        monkeypatch.delenv("REPRO_DIST_SHARD_DELAY", raising=False)
-        assert dist_shard_delay() == 0.0
-
-    def test_explicit_wins_over_env(self, monkeypatch):
-        monkeypatch.setenv("REPRO_DIST_SHARD_DELAY", "0.5")
-        assert dist_shard_delay(0.25) == 0.25
-        assert dist_shard_delay() == 0.5
-
-    @pytest.mark.parametrize("bad", ["abc", "-1", ""])
-    def test_bad_values_name_the_knob(self, monkeypatch, bad):
-        monkeypatch.setenv("REPRO_DIST_SHARD_DELAY", bad)
-        with pytest.raises(ValueError, match="shard delay") as excinfo:
-            dist_shard_delay()
-        assert "REPRO_DIST_SHARD_DELAY" in str(excinfo.value)
-
-
 class TestObsMode:
     def test_defaults_to_off(self, monkeypatch):
         monkeypatch.delenv("REPRO_OBS", raising=False)
@@ -286,11 +240,3 @@ class TestObsMode:
     def test_bad_explicit_names_argument(self):
         with pytest.raises(ValueError, match=r"\(from argument\)"):
             obs_mode("nope")
-
-
-def test_run_sharded_surfaces_bad_env_shards(monkeypatch):
-    import numpy as np
-
-    monkeypatch.setenv("REPRO_SCAN_SHARDS", "lots")
-    with pytest.raises(ValueError, match="positive integer"):
-        run_sharded(1000, np.array([1, 2, 3], dtype=np.int64))

@@ -65,6 +65,8 @@ class TestPlanParsing:
             "crash@-1",             # negative shard
             "crash@1:attempts=0",   # zero attempts
             "spawn_crash@*",        # spawn faults need an ordinal
+            "stall@0:delay=nan",    # non-finite delay
+            "stall@0:delay=inf",
         ],
     )
     def test_bad_entries_raise(self, bad):
@@ -211,7 +213,7 @@ class TestRespawnGovernor:
 
 
 class TestEnvKnobs:
-    def test_fault_plan_from_env(self, monkeypatch):
+    def test_fault_plan_reads_env(self, monkeypatch):
         monkeypatch.setenv(env.ENV_FAULT_PLAN, "crash@1,hang@2")
         plan = env.fault_plan()
         assert [s.kind for s in plan.specs] == ["crash", "hang"]
@@ -244,14 +246,11 @@ class TestEnvKnobs:
             env.dist_shard_deadline()
         with pytest.raises(ValueError, match="shard deadline"):
             env.dist_shard_deadline(-1)
-
-    def test_respawn_base_and_crash_loop(self, monkeypatch):
-        monkeypatch.setenv(env.ENV_DIST_RESPAWN_BASE, "0.2")
-        assert env.dist_respawn_base() == 0.2
-        monkeypatch.setenv(env.ENV_DIST_CRASH_LOOP, "5")
-        assert env.dist_crash_loop_threshold() == 5
-        with pytest.raises(ValueError, match="crash-loop"):
-            env.dist_crash_loop_threshold(0)
+        # A nan deadline would compare false forever: never speculate.
+        for bad in ("nan", "inf"):
+            monkeypatch.setenv(env.ENV_DIST_SHARD_DEADLINE, bad)
+            with pytest.raises(ValueError, match="shard deadline"):
+                env.dist_shard_deadline()
 
     def test_all_kinds_documented_in_module(self):
         import repro.scan.faults as faults

@@ -36,7 +36,6 @@ from repro.census.loader import (
 from repro.core.addrspace import V4, V6, family_of, get_space, space_of
 from repro.core.density import count_trie
 from repro.core.tass import TassStrategy, select_by_density
-from repro.env import addr_family
 from repro.scan.permutation import CyclicPermutation
 from repro.scan.sharded import IntervalTargets, run_sharded, shard_targets
 
@@ -87,26 +86,6 @@ class TestAddressSpace:
         assert text == "2001:db8::"
         assert V6.parse_address(text) == 0x20010DB8 << 96
         assert V4.format_address(0x01000000) == "1.0.0.0"
-
-
-class TestEnvKnob:
-    def test_default_is_v4(self, monkeypatch):
-        monkeypatch.delenv("REPRO_ADDR_FAMILY", raising=False)
-        assert addr_family() == "v4"
-
-    def test_env_sets_family(self, monkeypatch):
-        monkeypatch.setenv("REPRO_ADDR_FAMILY", "v6")
-        assert addr_family() == "v6"
-
-    def test_explicit_wins_over_env(self, monkeypatch):
-        monkeypatch.setenv("REPRO_ADDR_FAMILY", "v6")
-        assert addr_family("v4") == "v4"
-
-    def test_invalid_rejected_with_source(self, monkeypatch):
-        monkeypatch.setenv("REPRO_ADDR_FAMILY", "ipv5")
-        with pytest.raises(ValueError) as exc:
-            addr_family()
-        assert "REPRO_ADDR_FAMILY" in str(exc.value)
 
 
 # ---------------------------------------------------------------------------
@@ -647,18 +626,17 @@ class TestV6Campaign:
     def test_family_resolution_order(self, monkeypatch):
         from repro.orchestrator.campaign import CampaignSpec
 
-        monkeypatch.delenv("REPRO_ADDR_FAMILY", raising=False)
-        # Preset implies the family when nothing else names one.
+        # The preset implies the family when the spec names none ...
         assert CampaignSpec(preset="v6-tiny").resolved().family == "v6"
         assert CampaignSpec(preset="tiny").resolved().family == "v4"
-        # The environment knob outranks the preset ...
-        monkeypatch.setenv("REPRO_ADDR_FAMILY", "v6")
-        assert CampaignSpec(preset="tiny").resolved().family == "v6"
-        # ... and the explicit argument outranks the environment.
+        # ... an explicit family wins ...
         assert (
-            CampaignSpec(preset="tiny", family="v4").resolved().family
-            == "v4"
+            CampaignSpec(preset="tiny", family="v6").resolved().family
+            == "v6"
         )
+        # ... and the environment changes nothing.
+        monkeypatch.setenv("REPRO_ADDR_FAMILY", "v6")
+        assert CampaignSpec(preset="tiny").resolved().family == "v4"
 
     def test_obs_events_flow_on_v6(
         self, tmp_path, mini_v6_dataset, monkeypatch

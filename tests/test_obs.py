@@ -185,17 +185,6 @@ class TestMetrics:
         with pytest.raises(TypeError, match="x"):
             registry.gauge("x")
 
-    def test_fold_counts(self):
-        registry = MetricsRegistry()
-        registry.fold_counts(
-            "t", {"n": 2, "flag": True, "label": "skip", "none": None}
-        )
-        registry.fold_counts("t", {"n": 3, "flag": False})
-        snapshot = registry.snapshot()
-        assert snapshot["t.n"]["value"] == 5
-        assert snapshot["t.flag"]["value"] == 1
-        assert "t.label" not in snapshot
-
 
 class TestMergeTelemetry:
     def test_numeric_add_bool_count_sample_latest(self):
@@ -217,7 +206,12 @@ class TestMergeTelemetry:
 class TestObserveScope:
     def test_defaults_outside_any_scope(self):
         assert isinstance(obs.get_tracer(), NullTracer)
-        assert obs.get_registry() is None
+        null = obs.get_registry()
+        assert isinstance(null, obs.NullRegistry) and not null
+        null.counter("c").inc(3)
+        null.gauge("g").set(1)
+        null.histogram("h").observe(0.5)
+        assert null.snapshot() == {}
 
     def test_install_and_restore(self, tmp_path):
         registry = MetricsRegistry()
@@ -226,7 +220,7 @@ class TestObserveScope:
                 assert obs.get_tracer() is tracer
                 assert obs.get_registry() is registry
             assert isinstance(obs.get_tracer(), NullTracer)
-            assert obs.get_registry() is None
+            assert isinstance(obs.get_registry(), obs.NullRegistry)
 
     def test_mailbox_is_always_on(self):
         obs.take_executor_telemetry()  # drain any leftovers

@@ -47,15 +47,14 @@ class TestCampaignSpec:
         assert again == spec
 
     def test_resolved_pins_knobs(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SCAN_SHARDS", "5")
         monkeypatch.setenv("REPRO_COUNT_BACKEND", "bitmap")
-        resolved = CampaignSpec().resolved()
+        resolved = CampaignSpec(shards=5).resolved()
         assert resolved.shards == 5
         assert resolved.executor == "serial"
+        assert resolved.family == "v4"
         # The counting path is fixed; the environment never picks it.
         assert resolved.backend == "searchsorted"
         # Resolution is idempotent: a stored spec re-resolves to itself.
-        monkeypatch.setenv("REPRO_SCAN_SHARDS", "9")
         assert resolved.resolved() == resolved
 
     def test_backend_other_than_searchsorted_rejected(self):
@@ -68,10 +67,22 @@ class TestCampaignSpec:
         with pytest.raises(ValueError, match="backend"):
             CampaignRunner.from_directory(tmp_path)
 
-    def test_bad_env_knob_fails_at_resolution(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SCAN_EXECUTOR", "bogus")
-        with pytest.raises(ValueError, match="unknown executor"):
-            CampaignSpec().resolved()
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("shards", 0),
+            ("shards", "lots"),
+            ("executor", "bogus"),
+            ("family", "ipv5"),
+        ],
+    )
+    def test_from_directory_rejects_bad_recorded_field(
+        self, tmp_path, field, value
+    ):
+        store = CheckpointStore(tmp_path)
+        store.write_spec(dict(SPEC.resolved().to_dict(), **{field: value}))
+        with pytest.raises(ValueError, match=field):
+            CampaignRunner.from_directory(tmp_path)
 
     def test_pacing_requires_serial_executor(self):
         spec = CampaignSpec(executor="process", probes_per_sec=1000.0)
@@ -90,6 +101,10 @@ class TestCampaignSpec:
             {"probe_budget": -1},
             {"probes_per_sec": 0.0},
             {"name": ""},
+            {"probes_per_sec": float("nan")},
+            {"probes_per_sec": float("inf")},
+            {"wave_retry_backoff": float("nan")},
+            {"wave_retry_backoff": float("inf")},
         ],
     )
     def test_invalid_specs_rejected(self, kwargs):
@@ -666,9 +681,13 @@ class TestCli:
     def test_bad_knob_is_a_clean_error(self, tmp_path, capsys, cli_env):
         from repro.orchestrator.cli import main
 
-        code = main(
-            ["plan", "--dir", str(tmp_path), "--preset", "tiny",
-             "--shards", "lots"]
-        )
-        assert code == 2
-        assert "positive integer" in capsys.readouterr().err
+        plan = ["plan", "--dir", str(tmp_path), "--preset", "tiny"]
+        assert main([*plan, "--shards", "0"]) == 2
+        assert "shards must be a positive integer" in capsys.readouterr().err
+        assert main([*plan, "--probes-per-sec", "nan"]) == 2
+        assert "probes_per_sec" in capsys.readouterr().err
+        # A non-integer never reaches the spec: argparse rejects it.
+        with pytest.raises(SystemExit) as excinfo:
+            main([*plan, "--shards", "lots"])
+        assert excinfo.value.code == 2
+        assert "--shards: invalid int value" in capsys.readouterr().err

@@ -95,6 +95,9 @@ def test_single_shard_process_request_reports_serial():
     )
     assert run.executor == "serial"
     assert run.shards == 1
+    # With neither argument given, the defaults are one serial shard.
+    default = run_sharded(selection, responsive, config=_CONFIG)
+    assert (default.shards, default.executor) == (1, "serial")
 
 
 def test_process_executor_matches_serial():
@@ -149,19 +152,6 @@ def test_blocklist_accounting_is_shard_invariant():
     assert runs[0].result.protocol == "http"
 
 
-def test_env_knobs_select_shards_and_executor(monkeypatch):
-    table, _, responsive = _world()
-    selection = TassStrategy(table, phi=0.9).plan(responsive)
-    monkeypatch.setenv("REPRO_SCAN_SHARDS", "4")
-    monkeypatch.setenv("REPRO_SCAN_EXECUTOR", "serial")
-    run = run_sharded(selection, responsive, config=_CONFIG)
-    assert run.shards == 4
-    assert run.executor == "serial"
-    monkeypatch.setenv("REPRO_SCAN_EXECUTOR", "bogus")
-    with pytest.raises(ValueError, match="unknown executor"):
-        run_sharded(selection, responsive, config=_CONFIG)
-
-
 def test_target_spec_normalisation():
     # Range size, raw interval arrays, and prefix lists all shard.
     for spec in (
@@ -181,16 +171,13 @@ def test_target_spec_normalisation():
 
 
 @pytest.mark.parametrize("shards", [0, -3])
-def test_non_positive_shard_counts_rejected(shards, monkeypatch):
+def test_non_positive_shard_counts_rejected(shards):
     table, _, responsive = _world()
     selection = TassStrategy(table, phi=0.9).plan(responsive)
     with pytest.raises(ValueError, match="shards"):
         shard_targets(selection, shards=shards)
     with pytest.raises(ValueError, match="shards"):
         run_sharded(selection, responsive, shards=shards, config=_CONFIG)
-    monkeypatch.setenv("REPRO_SCAN_SHARDS", str(shards))
-    with pytest.raises(ValueError, match="shards"):
-        run_sharded(selection, responsive, config=_CONFIG)
 
 
 def test_merge_results_normalises_batches():
