@@ -1,12 +1,12 @@
 """Distributed shard execution: a coordinator driving socket workers.
 
-This is the multi-node seam: the coordinator serializes
-:class:`~repro.scan.sharded.IntervalTargets` shard descriptions onto a
-work queue and drives ``N`` workers over a small wire protocol —
-length-prefixed JSON frames over TCP, with ``int64`` arrays carried as
-base64 ``tobytes`` payloads pinned to little-endian (``<i8``) on the
-wire, so hosts of different endianness interoperate.  Workers join the
-fleet two ways, mixed freely:
+This is the multi-node seam: the coordinator sends each worker the
+wave's :class:`~repro.scan.sharded.IntervalTargets` walk once, then
+shard indices from a work queue, and drives ``N`` workers over a small
+wire protocol — length-prefixed JSON frames over TCP, with ``int64``
+arrays carried as base64 ``tobytes`` payloads pinned to little-endian
+(``<i8``) on the wire, so hosts of different endianness interoperate.
+Workers join the fleet two ways, mixed freely:
 
 - **spawned** — local child processes the coordinator launches
   (``python -m repro.scan.distributed --connect HOST:PORT``) that dial
@@ -35,12 +35,14 @@ Protocol (all frames are ``>I``-length-prefixed UTF-8 JSON):
   failure budget** — stray or impostor connections must not be able to
   abort a healthy campaign.
 - ``init``     coordinator → worker: responsive set, blocklist, engine
-  batch size, protocol, and the shared shard geometry
+  batch size, protocol, and the wave's walk
   (``starts``/``ends``/``seed``/``shards``, plus the v6-only
-  ``hitlist``/``samples`` seeding) — sent once per worker.
-- ``shard``    coordinator → worker: ``{"type": "shard", "shard": i}``
-  — drain the ``i``-th sub-walk of the init geometry.  May carry a
-  ``fault`` object when a chaos plan armed one for this attempt.
+  ``hitlist``/``samples`` seeding) — sent once per worker, which
+  builds the walk once per ``init``.
+- ``shard``    coordinator → worker: ``{"type": "shard", "shard": i,
+  "index": q}`` — drain the ``i``-th sub-walk of the init walk (``q``
+  is the coordinator's queue index, echoed in the result).  May carry
+  a ``fault`` object when a chaos plan armed one for this attempt.
 - ``result``   worker → coordinator: the shard's ``ScanResult`` counters.
 - ``shutdown`` coordinator → worker: drain done — a spawned worker
   exits cleanly, a listen worker returns to ``accept``.
@@ -222,6 +224,16 @@ def _auth_proof(secret: str, role: str, nonce_c: str, nonce_w: str) -> str:
     """
     message = f"{role}:{nonce_c}:{nonce_w}".encode()
     return hmac.new(secret.encode(), message, hashlib.sha256).hexdigest()
+
+
+def _hello_pid(hello) -> int | None:
+    """The pid a well-formed ``hello`` frame carries, else ``None``."""
+    if not isinstance(hello, dict) or hello.get("type") != "hello":
+        return None
+    try:
+        return int(hello.get("pid", -1))
+    except (TypeError, ValueError, OverflowError):
+        return None
 
 
 class FrameStream:
@@ -802,14 +814,14 @@ class Coordinator:
             if origin is not None:
                 self._schedule_redial(origin)
             return False
-        if not isinstance(hello, dict) or hello.get("type") != "hello":
+        pid = _hello_pid(hello)
+        if pid is None:
             stream.close()
             self._governor.record_failure()
             self._fail(f"{label} connected without a valid hello")
             if pending:
                 self._request_spawn()
             return False
-        pid = int(hello.get("pid", -1))
         if self.secret is not None and not self._authenticate(
             stream, hello
         ):
@@ -866,8 +878,11 @@ class Coordinator:
             return False
         proof = reply.get("proof")
         expected = _auth_proof(self.secret, "worker", nonce_c, nonce_w)
-        return isinstance(proof, str) and hmac.compare_digest(
-            proof, expected
+        # compare_digest raises TypeError on non-ASCII str: reject it.
+        return (
+            isinstance(proof, str)
+            and proof.isascii()
+            and hmac.compare_digest(proof, expected)
         )
 
     def _reject_unauthenticated(self, stream: FrameStream, pid: int,
@@ -993,6 +1008,17 @@ class Coordinator:
                 worker, pending, "sent a result for an unassigned shard"
             )
             return False
+        try:
+            result = ScanResult(
+                probes_sent=int(message["probes_sent"]),
+                responses=int(message["responses"]),
+                blocked=int(message["blocked"]),
+                batches=int(message["batches"]),
+                protocol=message.get("protocol"),
+            )
+        except (KeyError, TypeError, ValueError, OverflowError):
+            self._drop_worker(worker, pending, "sent a malformed result")
+            return False
         worker.assigned = None
         worker.fault_kind = None
         if index in results:
@@ -1006,19 +1032,13 @@ class Coordinator:
             )
             self._dispatch(worker, pending, targets)
             return False
-        results[index] = ScanResult(
-            probes_sent=int(message["probes_sent"]),
-            responses=int(message["responses"]),
-            blocked=int(message["blocked"]),
-            batches=int(message["batches"]),
-            protocol=message.get("protocol"),
-        )
+        results[index] = result
         seconds = message.get("seconds")
         obs.get_tracer().point(
             "shard_result",
             index=index,
             pid=worker.pid,
-            probes_sent=int(message["probes_sent"]),
+            probes_sent=result.probes_sent,
             seconds=seconds,
         )
         if isinstance(seconds, (int, float)):
@@ -1104,24 +1124,12 @@ class Coordinator:
         targets = self._targets = list(targets)
         if not targets:
             return
-        geometry = targets[0]
-        for t in targets[1:]:
-            if (
-                t.seed != geometry.seed
-                or t.shards != geometry.shards
-                or not np.array_equal(t.starts, geometry.starts)
-                or not np.array_equal(t.ends, geometry.ends)
-                or t.samples != geometry.samples
-                or (t.hitlist is None) != (geometry.hitlist is None)
-                or (
-                    t.hitlist is not None
-                    and not np.array_equal(t.hitlist, geometry.hitlist)
-                )
-            ):
-                raise ValueError(
-                    "distributed executor requires shards of one walk "
-                    "(shared starts/ends/seed/shards geometry)"
-                )
+        walk = targets[0]
+        if any(t._offsets is not walk._offsets for t in targets):
+            raise ValueError(
+                "distributed executor requires shards of one walk "
+                "(targets from one shard_targets call)"
+            )
         values, batch_size, block_state, protocol = self.worker_args
         self._init_message = {
             "type": "init",
@@ -1134,21 +1142,19 @@ class Coordinator:
             "block_ends": (
                 encode_array(block_state[1]) if block_state else None
             ),
-            "starts": encode_array(geometry.starts),
-            "ends": encode_array(geometry.ends),
-            "seed": int(geometry.seed),
-            "shards": int(geometry.shards),
+            "starts": encode_array(walk.starts),
+            "ends": encode_array(walk.ends),
+            "seed": int(walk.seed),
+            "shards": int(walk.shards),
             # v6-only seeding; absent/None for v4 so old workers that
             # ignore unknown keys keep interoperating.
             "hitlist": (
-                encode_array(geometry.hitlist)
-                if geometry.hitlist is not None
+                encode_array(walk.hitlist)
+                if walk.hitlist is not None
                 else None
             ),
             "samples": (
-                int(geometry.samples)
-                if geometry.samples is not None
-                else None
+                int(walk.samples) if walk.samples is not None else None
             ),
         }
         self._max_failures = max(8, 2 * len(targets))
@@ -1294,6 +1300,41 @@ def _execute_fault_and_maybe_die(stream: FrameStream, kind: str,
         os._exit(_EXIT_TRUNCATE)
 
 
+def _build_session(message: dict):
+    """(engine, truth, protocol, walk) from an ``init`` frame.
+
+    The walk is built once here; each ``shard`` frame drains one
+    sub-walk of it.  Raises ``KeyError``/``TypeError``/``ValueError``
+    on a malformed frame.
+    """
+    # Imported lazily: this module is imported by repro.scan.executors
+    # while repro.scan.sharded is still initialising, so a top-level
+    # import would be circular.
+    from repro.scan.sharded import IntervalTargets
+
+    block_state = None
+    if message["block_starts"] is not None:
+        block_state = (
+            decode_array(message["block_starts"]),
+            decode_array(message["block_ends"]),
+        )
+    engine, truth, protocol = build_worker(
+        decode_array(message["responsive"]),
+        int(message["batch_size"]),
+        block_state,
+        message["protocol"],
+    )
+    hitlist = message.get("hitlist")
+    walk = IntervalTargets(
+        (decode_array(message["starts"]), decode_array(message["ends"])),
+        seed=message["seed"],
+        shards=message["shards"],
+        hitlist=decode_array(hitlist) if hitlist is not None else None,
+        samples=message.get("samples"),
+    )
+    return engine, truth, protocol, walk
+
+
 def _session(
     stream: FrameStream,
     *,
@@ -1312,15 +1353,9 @@ def _session(
     worker raises so its traceback lands in the coordinator's stderr
     tail).
     """
-    # Imported lazily: this module is imported by repro.scan.executors
-    # while repro.scan.sharded is still initialising, so a top-level
-    # import would be circular.
-    from repro.scan.sharded import IntervalTargets
-
     nonce_w = os.urandom(16).hex()
     stream.send({"type": "hello", "pid": os.getpid(), "nonce": nonce_w})
-    engine = truth = protocol = None
-    geometry = None
+    engine = truth = protocol = walk = None
     authed = False
     # Session counters shipped home for observability: cumulative in
     # every result frame, and once more in the final stats frame that
@@ -1371,6 +1406,7 @@ def _session(
             )
             if not (
                 isinstance(theirs, str)
+                and theirs.isascii()
                 and hmac.compare_digest(theirs, expected)
             ):
                 # Mutual auth: never drain shards for an impostor
@@ -1388,30 +1424,14 @@ def _session(
                 # This worker requires auth; init without a challenge
                 # means an unauthenticated coordinator.
                 return "denied"
-            block_state = None
-            if message["block_starts"] is not None:
-                block_state = (
-                    decode_array(message["block_starts"]),
-                    decode_array(message["block_ends"]),
-                )
-            engine, truth, protocol = build_worker(
-                decode_array(message["responsive"]),
-                message["batch_size"],
-                block_state,
-                message["protocol"],
-            )
-            geometry = (
-                decode_array(message["starts"]),
-                decode_array(message["ends"]),
-                message["seed"],
-                message["shards"],
-                (
-                    decode_array(message["hitlist"])
-                    if message.get("hitlist") is not None
-                    else None
-                ),
-                message.get("samples"),
-            )
+            try:
+                engine, truth, protocol, walk = _build_session(message)
+            except (KeyError, TypeError, ValueError):
+                # A well-framed init missing a field or carrying a bad
+                # array: a stray peer, not our coordinator.
+                if strict:
+                    raise
+                return "protocol"
             # Handshake done: a listen worker's handshake timeout no
             # longer applies (the next shard may be a long time coming).
             stream.sock.settimeout(None)
@@ -1420,7 +1440,13 @@ def _session(
                 if strict:
                     raise RuntimeError("shard received before init")
                 return "protocol"
-            shard = int(message["shard"])
+            try:
+                index = message["index"]
+                targets = walk._for_shard(int(message["shard"]))
+            except (KeyError, TypeError, ValueError):
+                if strict:
+                    raise
+                return "protocol"
             fault = message.get("fault") or {}
             kind = fault.get("kind")
             if kind == "corrupt":
@@ -1435,15 +1461,6 @@ def _session(
                 _execute_fault_and_maybe_die(
                     stream, kind, float(fault.get("delay") or 0.0)
                 )
-            starts, ends, seed, shards, hitlist, samples = geometry
-            targets = IntervalTargets(
-                (starts, ends),
-                seed=seed,
-                shard=shard,
-                shards=shards,
-                hitlist=hitlist,
-                samples=samples,
-            )
             began = time.monotonic()
             result = engine.run(targets, truth, protocol=protocol)
             seconds = time.monotonic() - began
@@ -1454,8 +1471,8 @@ def _session(
             reply = json.dumps(
                 {
                     "type": "result",
-                    "index": message["index"],
-                    "shard": shard,
+                    "index": index,
+                    "shard": targets.shard,
                     "probes_sent": result.probes_sent,
                     "responses": result.responses,
                     "blocked": result.blocked,

@@ -4,10 +4,12 @@ The scan is embarrassingly parallel: the cyclic-group permutation
 (:mod:`repro.scan.permutation`) splits into ``K`` interleaved strided
 sub-walks that jointly visit every target exactly once, so ``K``
 :class:`~repro.scan.engine.ScanEngine` workers can drain one shard each
-with zero coordination — the zmap sharding construction.  Each shard is
-a stateless, picklable description (interval arrays + seed + shard
-index), which is what lets the process executor ship shards to worker
-processes untouched.
+with zero coordination — the zmap sharding construction.  The shards of
+one wave share one walk: :func:`shard_targets` builds the interval
+arrays (and, on v6, the hitlist and per-interval draws) once, and each
+shard is that walk plus its own shard index.  A shard pickles as those
+built arrays, so the process executor ships shards to worker processes
+without rebuilding anything.
 
 ``run_sharded`` is the entry point: it shards any target spec —
 a :class:`~repro.core.tass.Selection`, a
@@ -26,6 +28,7 @@ Knobs: the ``shards``/``executor`` arguments (default: one shard,
 
 from __future__ import annotations
 
+import copy
 import math as _math
 import random as _random
 from dataclasses import dataclass, field
@@ -94,9 +97,10 @@ class IntervalTargets:
     The covered space is flattened into ``[0, total)`` coordinates, one
     :class:`CyclicPermutation` walks it, and this object drains the
     ``shard``-th of ``shards`` strided sub-walks, mapping each batch
-    back to real addresses with one ``searchsorted``.  The whole state
-    is a handful of plain values, so shards pickle cheaply and
-    regenerate their probe order inside worker processes.
+    back to real addresses with one ``searchsorted``.  Shards of one
+    walk share its arrays by reference (:func:`shard_targets` builds
+    the walk once and derives each shard with :meth:`_for_shard`);
+    :meth:`batches` only reads them.
 
     **v6 mode** (S16 interval bounds): exhaustive enumeration of 2^96
     addresses is off the table, so the flat space is the *probe budget*
@@ -176,8 +180,7 @@ class IntervalTargets:
         offsets += len(hitlist)
         self._offsets = offsets
         # Per-interval affine draw parameters, derived deterministically
-        # from (seed, interval index) so every shard worker rebuilds the
-        # identical mapping from the pickled state alone.
+        # from (seed, interval index): any two builds of one walk agree.
         params = []
         for i, size in enumerate(size_ints):
             rng = _random.Random(f"v6-sample:{self.seed}:{i}")
@@ -190,6 +193,14 @@ class IntervalTargets:
                 a = (a + 2) % size or 1
             params.append((start_ints[i], size, b, a))
         self._v6 = params
+
+    def _for_shard(self, shard: int) -> "IntervalTargets":
+        """The ``shard``-th sub-walk of this walk, sharing its arrays."""
+        if not 0 <= shard < self.shards:
+            raise ValueError("need 0 <= shard < shards")
+        clone = copy.copy(self)
+        clone.shard = int(shard)
+        return clone
 
     def address_count(self) -> int:
         """Flat-space size: covered addresses (v4) or probe budget (v6)."""
@@ -258,51 +269,20 @@ class IntervalTargets:
             batch = parts[0] if len(parts) == 1 else np.concatenate(parts)
             yield np.sort(batch)
 
-    def __getstate__(self):
-        return (
-            self.starts,
-            self.ends,
-            self.seed,
-            self.shard,
-            self.shards,
-            self.hitlist,
-            self.samples,
-        )
-
-    def __setstate__(self, state):
-        starts, ends, seed, shard, shards, hitlist, samples = state
-        self.__init__(
-            (starts, ends),
-            seed=seed,
-            shard=shard,
-            shards=shards,
-            hitlist=hitlist,
-            samples=samples,
-        )
-
 
 def shard_targets(spec, shards: int = 1, seed: int = 0, **seeding):
     """Split a target spec into ``shards`` disjoint target streams.
 
-    ``seeding`` forwards the v6-only ``hitlist``/``samples`` keywords
-    to every :class:`IntervalTargets` shard.
+    The walk is built once; every shard shares its arrays.  ``seeding``
+    forwards the v6-only ``hitlist``/``samples`` keywords to that build.
     """
     if shards < 1:
         raise ValueError("shards must be >= 1")
-    starts, ends = _intervals_of(spec)
-    return [
-        IntervalTargets(
-            (starts, ends), seed=seed, shard=i, shards=shards, **seeding
-        )
-        for i in range(shards)
-    ]
+    walk = IntervalTargets(spec, seed=seed, shards=shards, **seeding)
+    return [walk] + [walk._for_shard(i) for i in range(1, shards)]
 
 
-def merge_results(
-    results,
-    batch_size: int | None = None,
-    config: EngineConfig | None = None,
-):
+def merge_results(results, batch_size: int):
     """Merge per-shard :class:`ScanResult`\\ s into one, deterministically.
 
     Counters are summed in shard order.  ``batches`` is normalised to
@@ -311,19 +291,11 @@ def merge_results(
     boundaries fragment batches — the normalisation is what makes the
     merged result shard-count invariant.
 
-    The batch size flows from the active config: pass ``batch_size``
-    directly or a ``config`` object; with neither, a fresh
-    :class:`EngineConfig` supplies its default at call time (never a
-    class attribute frozen at import, so custom batch sizes survive
-    the merge).
-
     Shard results carrying *different* protocols are a correctness
     violation — one merged result cannot account for two protocols —
     and raise a :class:`ValueError` naming the conflict instead of
     silently adopting whichever protocol came first.
     """
-    if batch_size is None:
-        batch_size = (config or EngineConfig()).batch_size
     results = list(results)
     protocols = {r.protocol for r in results if r.protocol is not None}
     if len(protocols) > 1:
@@ -349,10 +321,6 @@ class ShardedScanResult:
     shard_results: list = field(default_factory=list)
     shards: int = 1
     executor: str = "serial"
-
-    @property
-    def hitrate(self) -> float:
-        return self.result.hitrate
 
 
 def run_sharded(

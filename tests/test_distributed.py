@@ -28,6 +28,7 @@ from repro.scan.distributed import (
     FrameStream,
     _HEADER,
     _Worker,
+    _session,
     decode_array,
     encode_array,
 )
@@ -239,6 +240,41 @@ class TestFrameStream:
             b.close()
 
 
+@pytest.mark.parametrize(
+    "counters",
+    [
+        {},  # every counter missing
+        {"probes_sent": "lots", "responses": 0, "blocked": 0, "batches": 1},
+        {"probes_sent": None, "responses": 0, "blocked": 0, "batches": 1},
+        {"probes_sent": 5, "responses": [1], "blocked": 0, "batches": 1},
+    ],
+)
+def test_malformed_result_drops_worker(counters):
+    # A well-framed result for the assigned shard whose counters do not
+    # parse costs that worker (its shard re-queued), never the run.
+    spec, responsive = _world()
+    coordinator = _bare_coordinator(responsive)
+    a, b = socket.socketpair()
+    try:
+        worker = _Worker(FrameStream(a), pid=-99)
+        worker.assigned = 0
+        coordinator._live.append(worker)
+        coordinator._selector.register(a, selectors.EVENT_READ, worker)
+        pending = deque([1])
+        results = {}
+        FrameStream(b).send(dict(counters, type="result", index=0))
+        landed = coordinator._on_readable(worker, pending, [], results)
+        assert landed is False
+        assert results == {}
+        assert worker not in coordinator._live
+        assert list(pending) == [0, 1]
+        assert coordinator.failures == 1
+        assert "malformed result" in coordinator._last_failure
+    finally:
+        coordinator._selector.close()
+        b.close()
+
+
 # ---------------------------------------------------------------------------
 # Stray connections and the failure budget
 # ---------------------------------------------------------------------------
@@ -273,18 +309,58 @@ def test_stray_connect_then_close_is_not_charged():
 
 def test_garbled_hello_still_charges_budget():
     spec, responsive = _world()
-    coordinator = _bare_coordinator(responsive)
+    bad_pid = json.dumps({"type": "hello", "pid": "x"}).encode()
+    for body in (
+        b"ha!!",  # framed, but not JSON
+        bad_pid,  # a hello whose pid is not an integer
+    ):
+        coordinator = _bare_coordinator(responsive)
+        a, b = socket.socketpair()
+        try:
+            b.sendall(_HEADER.pack(len(body)) + body)
+            b.close()
+            joined = coordinator._handshake(
+                FrameStream(a), None, deque(), []
+            )
+            assert joined is False
+            assert coordinator.failures == 1
+            assert coordinator._governor.failures == 1
+            assert coordinator.telemetry["stray_disconnects"] == 0
+        finally:
+            coordinator._selector.close()
+
+
+def test_non_ascii_auth_proof_is_a_reject_not_a_crash():
+    # hmac.compare_digest raises TypeError on non-ASCII str; a peer
+    # sending one is rejected (uncharged) on the coordinator side and
+    # denied on the worker side, never a bare traceback.
+    spec, responsive = _world()
+    coordinator = Coordinator(
+        (responsive, 1 << 11, None, None), secret="k"
+    )
+    coordinator._selector = selectors.DefaultSelector()
+    coordinator._init_message = {"type": "init"}
     a, b = socket.socketpair()
     try:
-        b.sendall(_HEADER.pack(4) + b"ha!!")  # framed, but not JSON
-        b.close()
+        peer = FrameStream(b)
+        peer.send({"type": "hello", "pid": -5, "nonce": "n"})
+        peer.send({"type": "auth", "proof": "\u00e9"})
         joined = coordinator._handshake(FrameStream(a), None, deque(), [])
         assert joined is False
-        assert coordinator.failures == 1
-        assert coordinator._governor.failures == 1
-        assert coordinator.telemetry["stray_disconnects"] == 0
+        assert coordinator.failures == 0
+        assert coordinator.telemetry["auth_rejects"] == 1
     finally:
         coordinator._selector.close()
+        b.close()
+    a, b = socket.socketpair()
+    try:
+        FrameStream(b).send(
+            {"type": "challenge", "nonce": "n", "proof": "\u00e9"}
+        )
+        assert _session(FrameStream(a), secret="k") == "denied"
+    finally:
+        a.close()
+        b.close()
 
 
 def test_stray_peers_mid_run_do_not_perturb_results():

@@ -13,6 +13,8 @@ from __future__ import annotations
 
 import json
 import pickle
+import socket
+import threading
 
 import numpy as np
 import pytest
@@ -409,6 +411,20 @@ def _drain(targets):
     return sorted(out)
 
 
+@pytest.fixture
+def v6_builds(monkeypatch):
+    """Shard counts of each v6 walk build (``_init_v6`` call)."""
+    builds = []
+    init_v6 = IntervalTargets._init_v6
+
+    def counting(self, *args):
+        builds.append(self.shards)
+        return init_v6(self, *args)
+
+    monkeypatch.setattr(IntervalTargets, "_init_v6", counting)
+    return builds
+
+
 class TestV6IntervalTargets:
     def test_hitlist_filtered_to_coverage_and_samples_unique(self):
         base, starts, ends, hitlist = _v6_case()
@@ -437,6 +453,20 @@ class TestV6IntervalTargets:
         one = _drain(shard_targets((starts, ends), shards=1, **kwargs))
         four = _drain(shard_targets((starts, ends), shards=4, **kwargs))
         assert one == four
+
+    def test_shards_share_one_walk(self, v6_builds):
+        _, starts, ends, hitlist = _v6_case()
+        for shards in (1, 4, 8):
+            targets = shard_targets(
+                (starts, ends), shards=shards, seed=5,
+                hitlist=hitlist, samples=6,
+            )
+            assert [t.shard for t in targets] == list(range(shards))
+            for t in targets:
+                assert t.hitlist is targets[0].hitlist
+                assert t._offsets is targets[0]._offsets
+                assert t._v6 is targets[0]._v6
+        assert v6_builds == [1, 4, 8]  # one build per call, any shards
 
     def test_pickle_round_trip(self):
         _, starts, ends, hitlist = _v6_case()
@@ -479,6 +509,67 @@ class TestV6ExecutorParity:
         assert len(outcomes) == 1
         probes, responses = outcomes.pop()
         assert probes > 0 and responses == 2
+
+    def test_worker_session_builds_walk_once(self, v6_builds):
+        # A worker builds the init walk once and drains every shard
+        # frame through it; its results equal the serial per-shard ones.
+        from repro.scan.distributed import (
+            FrameStream,
+            _session,
+            encode_array,
+        )
+
+        base, starts, ends, hitlist = _v6_case()
+        responsive = V6.encode(
+            sorted({base + 3, base + 9, base + (1 << 80) + 2})
+        )
+        serial = run_sharded(
+            (starts, ends), responsive, shards=3, seed=5,
+            hitlist=hitlist, samples=6,
+        ).shard_results
+        v6_builds.clear()
+        ours, theirs = socket.socketpair()
+        outcome = []
+        thread = threading.Thread(
+            target=lambda: outcome.append(_session(FrameStream(theirs))),
+            daemon=True,
+        )
+        thread.start()
+        stream = FrameStream(ours)
+        try:
+            assert stream.recv()["type"] == "hello"
+            stream.send({
+                "type": "init",
+                "protocol": None,
+                "batch_size": 1 << 16,
+                "responsive": encode_array(responsive),
+                "block_starts": None,
+                "block_ends": None,
+                "starts": encode_array(starts),
+                "ends": encode_array(ends),
+                "seed": 5,
+                "shards": 3,
+                "hitlist": encode_array(hitlist),
+                "samples": 6,
+            })
+            replies = []
+            for shard in range(3):
+                stream.send({"type": "shard", "shard": shard, "index": shard})
+                replies.append(stream.recv())
+            stream.send({"type": "shutdown"})
+            assert stream.recv()["type"] == "stats"
+            thread.join(timeout=10)
+        finally:
+            stream.close()
+            theirs.close()
+        assert outcome == ["shutdown"]
+        assert v6_builds == [3]
+        assert [(r["index"], r["shard"]) for r in replies] == [
+            (0, 0), (1, 1), (2, 2)
+        ]
+        assert [
+            (r["probes_sent"], r["responses"], r["blocked"]) for r in replies
+        ] == [(r.probes_sent, r.responses, r.blocked) for r in serial]
 
 
 # ---------------------------------------------------------------------------

@@ -20,7 +20,12 @@ import pytest
 
 from conftest import build_mini_dataset
 from repro.orchestrator import CampaignRunner, CampaignSpec, ReseedPolicy
-from repro.scan.distributed import Coordinator, listen_main
+from repro.scan.distributed import (
+    Coordinator,
+    FrameStream,
+    encode_array,
+    listen_main,
+)
 from repro.scan.engine import EngineConfig
 from repro.scan.sharded import run_sharded, shard_targets
 
@@ -187,6 +192,70 @@ def test_listen_worker_serves_sequential_coordinator_sessions():
         assert [_result_bytes(r) for r in results] == [
             _result_bytes(r) for r in serial
         ]
+    thread.join(timeout=10)
+    assert not thread.is_alive()
+
+
+def _init_frame(values, walk, **overrides):
+    frame = {
+        "type": "init",
+        "protocol": None,
+        "batch_size": _CONFIG.batch_size,
+        "responsive": encode_array(values),
+        "block_starts": None,
+        "block_ends": None,
+        "starts": encode_array(walk.starts),
+        "ends": encode_array(walk.ends),
+        "seed": walk.seed,
+        "shards": walk.shards,
+        "hitlist": None,
+        "samples": None,
+    }
+    frame.update(overrides)
+    return frame
+
+
+@pytest.mark.parametrize(
+    "case", ["empty-init", "bad-dtype", "shard-without-fields"]
+)
+def test_listen_worker_survives_malformed_session(case):
+    # A stray peer's well-framed but malformed init or shard frame ends
+    # that session; the worker goes back to accept and serves the next
+    # (real) coordinator byte-identically.
+    spec, responsive = _world()
+    serial = _serial_shards(spec, responsive, 3)
+    thread, addr = _listen_worker(max_sessions=2)
+    targets = shard_targets(spec, shards=3, seed=0)
+    frames = {
+        "empty-init": [{"type": "init"}],
+        "bad-dtype": [
+            _init_frame(
+                responsive, targets[0],
+                responsive={"dtype": "zz", "data": ""},
+            )
+        ],
+        "shard-without-fields": [
+            _init_frame(responsive, targets[0]), {"type": "shard"}
+        ],
+    }[case]
+    stray = FrameStream(socket.create_connection(addr))
+    try:
+        assert stray.recv()["type"] == "hello"
+        for frame in frames:
+            stray.send(frame)
+        assert stray.recv() is None  # the worker ended the session
+    finally:
+        stray.close()
+    assert thread.is_alive()  # ... and went back to accept
+    worker_args = (responsive, _CONFIG.batch_size, None, None)
+    with Coordinator(
+        worker_args, workers=1, address_book=[addr], secret=None
+    ) as coordinator:
+        results = list(coordinator.run(targets))
+    assert coordinator.failures == 0
+    assert [_result_bytes(r) for r in results] == [
+        _result_bytes(r) for r in serial
+    ]
     thread.join(timeout=10)
     assert not thread.is_alive()
 

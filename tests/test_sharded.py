@@ -166,8 +166,14 @@ def test_target_spec_normalisation():
         assert total == IntervalTargets(spec).address_count()
     with pytest.raises(ValueError, match="sorted disjoint"):
         IntervalTargets((np.array([0, 10]), np.array([20, 30])))
-    with pytest.raises(ValueError, match="0 <= shard < shards"):
-        IntervalTargets(100, shard=2, shards=2)
+    walk = IntervalTargets(100, shards=2)
+    for bad in (
+        lambda: IntervalTargets(100, shard=2, shards=2),
+        lambda: walk._for_shard(-1),
+        lambda: walk._for_shard(2),
+    ):
+        with pytest.raises(ValueError, match="0 <= shard < shards"):
+            bad()
 
 
 @pytest.mark.parametrize("shards", [0, -3])
