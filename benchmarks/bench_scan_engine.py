@@ -64,13 +64,12 @@ def test_engine_interval_throughput(benchmark, dataset):
     series = dataset.series_for("ftp")
     strategy = TassStrategy(dataset.topology.table, phi=0.5)
     plan = strategy.plan(series.seed_snapshot)
-    engine = ScanEngine(
-        EngineConfig(batch_size=1 << 16), blocklist=default_blocklist()
-    )
+    engine = ScanEngine(EngineConfig(batch_size=1 << 16))
 
     def run():
         targets = IntervalTargets(plan, seed=7)
-        return engine.run(targets, series[1].addresses, protocol="ftp")
+        bitmaps = targets.bitmaps(series[1].addresses, default_blocklist())
+        return engine.run(targets, bitmaps, protocol="ftp")
 
     result = benchmark.pedantic(run, rounds=1, iterations=1)
     assert result.probes_sent == plan.probe_count()
@@ -78,7 +77,7 @@ def test_engine_interval_throughput(benchmark, dataset):
 
 
 def test_membership_check_throughput(benchmark, dataset):
-    """The per-batch responsive-set membership test in isolation."""
+    """A ``searchsorted`` responsive-set membership test in isolation."""
     truth = dataset.series_for("http").seed_snapshot.addresses
     rng = np.random.default_rng(0)
     probes = rng.integers(0, 1 << 32, size=1 << 20).astype(np.int64)

@@ -1,0 +1,86 @@
+#!/usr/bin/env bash
+# Byte-identity smoke: run the same campaigns from a base checkout and
+# from this one, keeping every checkpoint generation, and require
+# status.json, campaign.json, checkpoints.json and each
+# checkpoint.<gen>.npz to match byte for byte.  A change that claims
+# "outputs unchanged" runs this against its merge-base.
+#
+# Usage: scripts/identity_smoke.sh BASE_DIR [V4_PRESET] [V6_PRESET]
+#   BASE_DIR   a checkout of the base commit (e.g. a git worktree of
+#              `git merge-base origin/main HEAD`)
+#   V4_PRESET  dataset preset of the v4 arms (default: tiny)
+#   V6_PRESET  dataset preset of the v6 arm (default: v6-tiny)
+#
+# Arms, each run at both commits:
+#   v4, serial, 8 shards, --use-blocklist --explore-frac 0.01
+#   v6, serial, 8 shards, 64 samples per prefix
+#   v4, distributed (2 workers), 8 shards, --use-blocklist
+#   v4, process, 8 shards, --use-blocklist
+set -euo pipefail
+cd "$(dirname "$0")/.."
+
+BASE_DIR=$(cd "${1:?usage: $0 BASE_DIR [V4_PRESET] [V6_PRESET]}" && pwd)
+HEAD_DIR=$PWD
+V4_PRESET=${2:-tiny}
+V6_PRESET=${3:-v6-tiny}
+
+WORK=$(mktemp -d)
+trap 'rm -rf "$WORK"' EXIT
+
+# Keep every generation so each one is compared, not only the last few.
+export REPRO_CKPT_KEEP=1000
+export REPRO_DIST_WORKERS=2
+unset REPRO_OBS REPRO_FAULT_PLAN REPRO_FS_FAULT_PLAN \
+    REPRO_DIST_ADDRESS_BOOK REPRO_DIST_SECRET
+
+COMMON=(--protocol http --phi 0.9 --waves 4 --reseed-mode interval
+        --reseed-interval 2 --shards 8)
+
+run_arm() {  # run_arm TREE OUT PLAN-ARGS...
+    local tree=$1 out=$2
+    shift 2
+    (
+        cd "$tree"
+        export PYTHONPATH=src
+        python -m repro.orchestrator plan --dir "$out" "${COMMON[@]}" "$@" \
+            > /dev/null
+        python -m repro.orchestrator run --dir "$out" > /dev/null
+    )
+}
+
+compare_arm() {  # compare_arm NAME PLAN-ARGS...
+    local name=$1
+    shift
+    echo "== $name"
+    run_arm "$BASE_DIR" "$WORK/base-$name" "$@"
+    run_arm "$HEAD_DIR" "$WORK/head-$name" "$@"
+    local files=(status.json campaign.json checkpoints.json)
+    local gens=0 npz
+    for npz in "$WORK/base-$name"/checkpoint.*.npz; do
+        files+=("$(basename "$npz")")
+        gens=$((gens + 1))
+    done
+    [ "$gens" -gt 0 ] || { echo "no checkpoint generations" >&2; exit 1; }
+    for file in "${files[@]}"; do
+        cmp "$WORK/base-$name/$file" "$WORK/head-$name/$file"
+    done
+    # Every generation the head wrote must exist at the base too.
+    local head_gens
+    head_gens=$(compgen -G "$WORK/head-$name/checkpoint.*.npz" | wc -l)
+    [ "$head_gens" -eq "$gens" ] || {
+        echo "generation count differs: base $gens, head $head_gens" >&2
+        exit 1
+    }
+    echo "   identical: ${#files[@]} files ($gens checkpoint generations)"
+}
+
+compare_arm v4-serial --preset "$V4_PRESET" --executor serial \
+    --use-blocklist --explore-frac 0.01
+compare_arm v6-serial --preset "$V6_PRESET" --executor serial \
+    --samples-per-prefix 64
+compare_arm v4-distributed --preset "$V4_PRESET" --executor distributed \
+    --use-blocklist
+compare_arm v4-process --preset "$V4_PRESET" --executor process \
+    --use-blocklist
+
+echo "identity smoke passed"

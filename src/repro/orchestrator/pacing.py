@@ -102,7 +102,11 @@ class PacedTargets:
 
     Duck-types the ``batches(batch_size)`` contract of
     :class:`~repro.scan.sharded.IntervalTargets`, which is all the scan
-    engine needs — batch contents pass through untouched.
+    engine needs — batch contents pass through untouched.  A batch is
+    walk coordinates, and the bucket is charged one token per
+    coordinate.  On v4 that is one per probe considered, blocked ones
+    included.  On v6 it also charges the rare sample coordinates the
+    engine drops because their address is already on the hitlist.
     """
 
     def __init__(self, targets, bucket: TokenBucket):

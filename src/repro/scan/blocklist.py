@@ -1,19 +1,14 @@
 """Scan blocklists: reserved/special-use space a good citizen never probes.
 
-The blocklist is a sorted set of disjoint intervals; filtering a probe
-batch is a single vectorized ``searchsorted`` pass.
+The blocklist is a sorted set of disjoint intervals; a scan maps it into
+each wave's flat coordinates once (``IntervalTargets.bitmaps``).
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.bgp.table import (
-    Prefix,
-    coalesce_intervals,
-    interval_membership,
-    ip_to_int,
-)
+from repro.bgp.table import Prefix, coalesce_intervals, interval_membership
 
 __all__ = ["Blocklist", "default_blocklist", "RESERVED_CIDRS"]
 
@@ -45,7 +40,7 @@ class Blocklist:
         ends = np.asarray(ends, dtype=np.int64)
         order = np.argsort(starts, kind="stable")
         # Real-world blocklists routinely contain nested/overlapping
-        # CIDRs; coalesce them so the searchsorted mask stays exact.
+        # CIDRs; coalesce them so every interval lookup stays exact.
         self.starts, self.ends = coalesce_intervals(
             starts[order], ends[order]
         )
@@ -67,20 +62,7 @@ class Blocklist:
         """Vectorized: True where an address falls in a blocked range."""
         return interval_membership(self.starts, self.ends, addresses)
 
-    def allowed_mask(self, addresses: np.ndarray) -> np.ndarray:
-        return ~self.blocked_mask(addresses)
-
-    def filter(self, addresses: np.ndarray) -> np.ndarray:
-        return addresses[self.allowed_mask(addresses)]
-
-    def is_blocked(self, address: int) -> bool:
-        return bool(self.blocked_mask(np.asarray([address]))[0])
-
 
 def default_blocklist() -> Blocklist:
     """The standard special-use blocklist (see ``RESERVED_CIDRS``)."""
     return Blocklist.from_cidrs(RESERVED_CIDRS)
-
-
-def contains(dotted: str, blocklist: Blocklist) -> bool:
-    return blocklist.is_blocked(ip_to_int(dotted))

@@ -38,7 +38,7 @@ Protocol (all frames are ``>I``-length-prefixed UTF-8 JSON):
   batch size, protocol, and the wave's walk
   (``starts``/``ends``/``seed``/``shards``, plus the v6-only
   ``hitlist``/``samples`` seeding) — sent once per worker, which
-  builds the walk once per ``init``.
+  builds the walk and its bitmaps once per ``init``.
 - ``shard``    coordinator → worker: ``{"type": "shard", "shard": i,
   "index": q}`` — drain the ``i``-th sub-walk of the init walk (``q``
   is the coordinator's queue index, echoed in the result).  May carry
@@ -1301,11 +1301,11 @@ def _execute_fault_and_maybe_die(stream: FrameStream, kind: str,
 
 
 def _build_session(message: dict):
-    """(engine, truth, protocol, walk) from an ``init`` frame.
+    """(engine, bitmaps, protocol, walk) from an ``init`` frame.
 
-    The walk is built once here; each ``shard`` frame drains one
-    sub-walk of it.  Raises ``KeyError``/``TypeError``/``ValueError``
-    on a malformed frame.
+    The walk and its bitmaps are built once here; each ``shard`` frame
+    drains one sub-walk of it.  Raises ``KeyError``/``TypeError``/
+    ``ValueError`` on a malformed frame.
     """
     # Imported lazily: this module is imported by repro.scan.executors
     # while repro.scan.sharded is still initialising, so a top-level
@@ -1318,12 +1318,6 @@ def _build_session(message: dict):
             decode_array(message["block_starts"]),
             decode_array(message["block_ends"]),
         )
-    engine, truth, protocol = build_worker(
-        decode_array(message["responsive"]),
-        int(message["batch_size"]),
-        block_state,
-        message["protocol"],
-    )
     hitlist = message.get("hitlist")
     walk = IntervalTargets(
         (decode_array(message["starts"]), decode_array(message["ends"])),
@@ -1332,7 +1326,14 @@ def _build_session(message: dict):
         hitlist=decode_array(hitlist) if hitlist is not None else None,
         samples=message.get("samples"),
     )
-    return engine, truth, protocol, walk
+    engine, bitmaps, protocol = build_worker(
+        walk,
+        decode_array(message["responsive"]),
+        int(message["batch_size"]),
+        block_state,
+        message["protocol"],
+    )
+    return engine, bitmaps, protocol, walk
 
 
 def _session(
@@ -1355,7 +1356,7 @@ def _session(
     """
     nonce_w = os.urandom(16).hex()
     stream.send({"type": "hello", "pid": os.getpid(), "nonce": nonce_w})
-    engine = truth = protocol = walk = None
+    engine = bitmaps = protocol = walk = None
     authed = False
     # Session counters shipped home for observability: cumulative in
     # every result frame, and once more in the final stats frame that
@@ -1425,7 +1426,7 @@ def _session(
                 # means an unauthenticated coordinator.
                 return "denied"
             try:
-                engine, truth, protocol, walk = _build_session(message)
+                engine, bitmaps, protocol, walk = _build_session(message)
             except (KeyError, TypeError, ValueError):
                 # A well-framed init missing a field or carrying a bad
                 # array: a stray peer, not our coordinator.
@@ -1462,7 +1463,7 @@ def _session(
                     stream, kind, float(fault.get("delay") or 0.0)
                 )
             began = time.monotonic()
-            result = engine.run(targets, truth, protocol=protocol)
+            result = engine.run(targets, bitmaps, protocol=protocol)
             seconds = time.monotonic() - began
             stats["shards"] += 1
             stats["probes_sent"] += result.probes_sent

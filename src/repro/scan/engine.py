@@ -1,25 +1,22 @@
-"""The batched scan engine: probe generation, filtering, classification.
+"""The batched scan engine: probe scoring in flat coordinates.
 
-This is the zmap-class simulator core: it drains a target stream in
-fixed-size batches and classifies every probe in one pass per batch —
-the blocklist mask (when a blocklist is set), then one ``searchsorted``
-of the batch into the responsive set, with blocked probes masked out
-of the hits rather than filtered into a copy.  Probe order within a
-batch never changes a counter, so batches may arrive in any order;
-the sharded interval walk yields them sorted, which keeps the lookups
-cache-friendly.
+This is the zmap-class simulator core.  It drains a target stream of
+walk coordinates (:class:`~repro.scan.sharded.IntervalTargets`) in
+fixed-size batches and scores each batch with one bit gather per
+:class:`ScanBitmaps` map, built once per wave; it never sees an
+address.  Probe order never changes a counter.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from repro import obs
-from repro.bgp.table import interval_membership
 
-__all__ = ["EngineConfig", "ScanResult", "ScanEngine"]
+__all__ = ["EngineConfig", "ScanResult", "ScanBitmaps", "ScanEngine"]
 
 
 @dataclass(frozen=True)
@@ -44,63 +41,62 @@ class ScanResult:
         return self.responses / self.probes_sent if self.probes_sent else 0.0
 
 
+class ScanBitmaps(NamedTuple):
+    """A wave's probe outcomes, one bit per flat coordinate.
+
+    Each map packs ``[0, total)`` into ``ceil(total / 8)`` bytes, bit
+    ``c & 7`` of byte ``c >> 3`` (``np.packbits`` little-endian order):
+    ``hits`` responds, ``blocked`` is in the blocklist (``None`` when it
+    misses the wave), ``dropped`` (v6 only) is a sample whose address
+    the hitlist already probes.  Neither of the last two sends a probe.
+    """
+
+    hits: np.ndarray
+    blocked: np.ndarray | None = None
+    dropped: np.ndarray | None = None
+
+
 class ScanEngine:
-    """Batched probe engine with blocklist filtering."""
+    """Batched probe engine scoring coordinates against wave bitmaps."""
 
-    def __init__(self, config: EngineConfig | None = None, blocklist=None):
+    def __init__(self, config: EngineConfig | None = None):
         self.config = config or EngineConfig()
-        self.blocklist = blocklist
 
-    def run(self, targets, responsive, protocol: str | None = None) -> ScanResult:
-        """Scan a target stream against a responsive-address set.
+    def run(
+        self, targets, bitmaps: ScanBitmaps, protocol: str | None = None
+    ) -> ScanResult:
+        """Scan a target stream against a wave's probe outcomes.
 
-        ``targets`` must provide ``batches(batch_size)`` yielding address
-        arrays (``int64`` for v4, ``S16`` for v6); ``responsive`` is the
-        :class:`~repro.census.addrset.AddressSet` defining which probes
-        elicit a response.
+        ``targets`` must provide ``batches(batch_size)`` yielding
+        ``int64`` coordinate arrays of the walk ``bitmaps`` was built
+        from.  A batch whose every coordinate is dropped sends nothing
+        and does not count toward ``batches``.
         """
-        truth = responsive.values
-        last = len(truth) - 1
+        hits, blocked, dropped = bitmaps
         result = ScanResult(protocol=protocol)
-        # An empty blocklist is falsy: it blocks nothing, so skip its mask.
-        blocklist = self.blocklist or None
         # Resolved once per run: outside a metrics scope this is the
         # no-op registry, whose instruments drop every update.
         registry = obs.get_registry()
-        probes_before = 0
-        for batch in targets.batches(self.config.batch_size):
-            registry.counter("engine.batches").inc()
-            sent = result.probes_sent - probes_before
-            if sent:
-                registry.counter("engine.probes_sent").inc(sent)
-            probes_before = result.probes_sent
-            size = int(batch.size)
+        for coords in targets.batches(self.config.batch_size):
+            size = int(coords.size)
+            byte = coords >> 3
+            mask = np.left_shift(np.uint8(1), (coords & 7).astype(np.uint8))
+            if dropped is not None:
+                size -= int(np.count_nonzero(dropped[byte] & mask))
+                if size == 0:
+                    continue
             result.batches += 1
-            if size == 0:
-                continue
-            if blocklist is not None:
-                blocked = interval_membership(
-                    blocklist.starts, blocklist.ends, batch
-                )
-                n_blocked = int(blocked.sum())
+            registry.counter("engine.batches").inc()
+            if blocked is not None:
+                n_blocked = int(np.count_nonzero(blocked[byte] & mask))
                 result.blocked += n_blocked
                 size -= n_blocked
-            result.probes_sent += size
-            if last < 0:
-                continue
-            # One membership pass per probe, duplicates included: each
-            # probe of a responsive address scores its own response.
-            idx = np.searchsorted(truth, batch)
-            np.minimum(idx, last, out=idx)
-            hit = truth[idx] == batch
-            if blocklist is not None:
-                # A blocked probe is never sent, so it can never respond.
-                hit &= ~blocked
-            result.responses += int(hit.sum())
-        # Flush the last batch's probes and fold the run's totals.
-        sent = result.probes_sent - probes_before
-        if sent:
-            registry.counter("engine.probes_sent").inc(sent)
+            if size:
+                result.probes_sent += size
+                registry.counter("engine.probes_sent").inc(size)
+            # One bit per probe, duplicates included: each probe of a
+            # responsive address scores its own response.
+            result.responses += int(np.count_nonzero(hits[byte] & mask))
         registry.counter("engine.responses").inc(result.responses)
         registry.counter("engine.blocked").inc(result.blocked)
         return result

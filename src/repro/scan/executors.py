@@ -1,8 +1,7 @@
 """Pluggable shard-executor registry.
 
-``run_sharded`` used to hard-code a ``serial``/``process`` branch; this
-module makes the execution strategy a *registry* of interchangeable
-executors instead.  An executor is a generator function
+The execution strategy is a *registry* of interchangeable executors.
+An executor is a generator function
 
     fn(targets, worker_args, wrap_targets=None) -> iterator[ScanResult]
 
@@ -38,8 +37,10 @@ Registering a new executor is one decorated generator function::
 
 ``worker_args`` is the picklable 4-tuple
 ``(responsive_values, batch_size, block_state, protocol)`` accepted by
-:func:`build_worker`, which turns it into a ready
-``(engine, truth, protocol)`` triple inside any process.
+:func:`build_worker`, which turns it and the shards' shared walk into a
+ready ``(engine, bitmaps, protocol)`` triple once per wave: in the
+calling process for ``serial`` and ``process`` (whose pool inherits
+it), once per ``init`` in a distributed worker.
 """
 
 from __future__ import annotations
@@ -120,34 +121,32 @@ def executor_supports_wrap(name: str) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def build_worker(responsive_values, batch_size, block_state, protocol):
-    """(engine, truth, protocol) ready to drain shards."""
+def build_worker(walk, responsive_values, batch_size, block_state, protocol):
+    """(engine, bitmaps, protocol) ready to drain the shards of ``walk``."""
     blocklist = (
         Blocklist(block_state[0], block_state[1])
         if block_state is not None
         else None
     )
-    engine = ScanEngine(EngineConfig(batch_size=batch_size), blocklist)
     truth = AddressSet(responsive_values, assume_sorted_unique=True)
-    return engine, truth, protocol
+    engine = ScanEngine(EngineConfig(batch_size=batch_size))
+    return engine, walk.bitmaps(truth, blocklist), protocol
 
 
 #: Per-process worker state, installed once by the pool initializer so
-#: the responsive set crosses into each worker once, not once per shard.
+#: the wave's bitmaps cross into each worker once, not once per shard.
 _WORKER = None
 
 
-def _init_worker(responsive_values, batch_size, block_state, protocol):
+def _init_worker(worker):
     global _WORKER
-    _WORKER = build_worker(
-        responsive_values, batch_size, block_state, protocol
-    )
+    _WORKER = worker
 
 
 def _run_shard_pooled(targets):
     """Drain one shard in a pool worker (module-level for pickling)."""
-    engine, truth, protocol = _WORKER
-    return engine.run(targets, truth, protocol=protocol)
+    engine, bitmaps, protocol = _WORKER
+    return engine.run(targets, bitmaps, protocol=protocol)
 
 
 def _pool_context():
@@ -166,10 +165,10 @@ def _pool_context():
 @register_executor("serial", supports_wrap=True)
 def serial_executor(targets, worker_args, wrap_targets=None):
     """Drain shards in-process, in order."""
-    engine, truth, protocol = build_worker(*worker_args)
+    engine, bitmaps, protocol = build_worker(targets[0], *worker_args)
     for shard in targets:
         stream = shard if wrap_targets is None else wrap_targets(shard)
-        yield engine.run(stream, truth, protocol=protocol)
+        yield engine.run(stream, bitmaps, protocol=protocol)
 
 
 @register_executor("process")
@@ -180,7 +179,7 @@ def process_executor(targets, worker_args, wrap_targets=None):
         max_workers=workers,
         mp_context=_pool_context(),
         initializer=_init_worker,
-        initargs=worker_args,
+        initargs=(build_worker(targets[0], *worker_args),),
     ) as pool:
         # pool.map preserves shard order, so merges stay deterministic
         # and downstream on_shard hooks fire at true shard boundaries.

@@ -9,7 +9,8 @@ one wave share one walk: :func:`shard_targets` builds the interval
 arrays (and, on v6, the hitlist and per-interval draws) once, and each
 shard is that walk plus its own shard index.  A shard pickles as those
 built arrays, so the process executor ships shards to worker processes
-without rebuilding anything.
+without rebuilding anything.  Shards yield walk coordinates, scored
+against bitmaps built once per wave (:meth:`IntervalTargets.bitmaps`).
 
 ``run_sharded`` is the entry point: it shards any target spec —
 a :class:`~repro.core.tass.Selection`, a
@@ -36,7 +37,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.census.addrset import AddressSet
-from repro.scan.engine import EngineConfig, ScanResult
+from repro.scan.engine import EngineConfig, ScanBitmaps, ScanResult
 from repro.scan.executors import executor_supports_wrap, get_executor
 from repro.scan.permutation import CyclicPermutation
 
@@ -91,13 +92,28 @@ def _intervals_of(spec):
     return starts, ends
 
 
+def _pack(lo, hi, total: int) -> np.ndarray:
+    """A packed bitmap over ``[0, total)`` with disjoint ``[lo, hi)`` set."""
+    bits = np.zeros(-(-total // 8), dtype=np.uint8)
+    lo, hi = lo[hi > lo], hi[hi > lo]
+    first, last = lo >> 3, (hi - 1) >> 3
+    head = ((0xFF << (lo & 7)) & 0xFF).astype(np.uint8)
+    tail = (0xFF >> (7 - ((hi - 1) & 7))).astype(np.uint8)
+    one = first == last
+    np.bitwise_or.at(bits, first, np.where(one, head & tail, head))
+    np.bitwise_or.at(bits, last[~one], tail[~one])
+    for a, b in zip(first[~one] + 1, last[~one]):
+        bits[a:b] = 0xFF
+    return bits
+
+
 class IntervalTargets:
     """One shard of a permuted walk over disjoint ``[start, end)`` ranges.
 
     The covered space is flattened into ``[0, total)`` coordinates, one
     :class:`CyclicPermutation` walks it, and this object drains the
-    ``shard``-th of ``shards`` strided sub-walks, mapping each batch
-    back to real addresses with one ``searchsorted``.  Shards of one
+    ``shard``-th of ``shards`` strided sub-walks as coordinate batches,
+    which the engine scores against :meth:`bitmaps`.  Shards of one
     walk share its arrays by reference (:func:`shard_targets` builds
     the walk once and derives each shard with :meth:`_for_shard`);
     :meth:`batches` only reads them.
@@ -160,9 +176,10 @@ class IntervalTargets:
         from repro.bgp.table import interval_membership
         from repro.core.addrspace import V6
 
-        if hitlist is None:
-            hitlist = V6.empty()
-        hitlist = np.unique(V6.asarray(hitlist))
+        hitlist = V6.empty() if hitlist is None else V6.asarray(hitlist)
+        # Campaigns pass a snapshot's already sorted, unique values.
+        if not (hitlist[1:] > hitlist[:-1]).all():
+            hitlist = np.unique(hitlist)
         if len(self.starts):
             hitlist = hitlist[
                 interval_membership(self.starts, self.ends, hitlist)
@@ -207,67 +224,71 @@ class IntervalTargets:
         return int(self._offsets[-1])
 
     def batches(self, batch_size: int = 1 << 16):
-        """Yield permuted address batches for this shard.
+        """Yield this shard's permuted ``int64`` coordinate batches.
 
-        Each batch is sorted before the flat-coordinate -> address
-        mapping: probe order within a batch is irrelevant to every
-        consumer (the engine only counts), and sorted needles keep both
-        the mapping ``searchsorted`` and the engine's membership
-        ``searchsorted`` cache-friendly.  Which addresses each batch
-        carries — and thus every merged result — is unchanged.
+        Coordinates come straight from the walk: unsorted, unmapped.
         """
         total = self.address_count()
         if total == 0:
             return
-        walk = CyclicPermutation(total, seed=self.seed).shard(
+        yield from CyclicPermutation(total, seed=self.seed).shard(
             self.shard, self.shards
-        )
-        if self._v6 is not None:
-            yield from self._batches_v6(walk, batch_size)
-            return
-        starts, offsets = self.starts, self._offsets
-        for values in walk.batches(batch_size):
-            values.sort()
-            idx = np.searchsorted(offsets, values, side="right") - 1
-            yield starts[idx] + (values - offsets[idx])
+        ).batches(batch_size)
 
-    def _batches_v6(self, walk, batch_size: int):
+    def bitmaps(self, responsive: AddressSet, blocklist=None) -> ScanBitmaps:
+        """The wave's probe outcomes over ``[0, total)``, built once.
+
+        v4 maps hosts and blocked ranges into coordinates; v6 maps its
+        small probe budget forward (:meth:`_v6_addresses`), unblocked.
+        """
+        total = self.address_count()
+        if total == 0:
+            return ScanBitmaps(np.zeros(0, dtype=np.uint8))
+        if self._v6 is not None:
+            if blocklist is not None:
+                raise ValueError("blocklists are v4-only")
+            addresses = self._v6_addresses()
+            n_hits = len(self.hitlist)
+            # An affine sample can land on a hitlist address; the hitlist
+            # coordinate already probes it, so the sample is dropped
+            # (deterministic per coordinate -> shard-invariant).
+            hitlist = AddressSet(self.hitlist, assume_sorted_unique=True)
+            dropped = np.zeros(total, dtype=bool)
+            dropped[n_hits:] = hitlist.membership(addresses[n_hits:])
+            hits = responsive.membership(addresses) & ~dropped
+            return ScanBitmaps(
+                np.packbits(hits, bitorder="little"),
+                dropped=np.packbits(dropped, bitorder="little"),
+            )
+        values = responsive.values
+        hits = _pack(self._flat(values), self._flat(values + 1), total)
+        if blocklist is not None:
+            bounds = self._flat(blocklist.starts), self._flat(blocklist.ends)
+            blocked = _pack(*bounds, total)
+            if blocked.any():
+                # A blocked probe is never sent, so it can never respond.
+                hits &= ~blocked
+                return ScanBitmaps(hits, blocked)
+        return ScanBitmaps(hits)
+
+    def _flat(self, x: np.ndarray) -> np.ndarray:
+        """Covered addresses below ``x``: its coordinate, if it is covered."""
+        i = (np.searchsorted(self.starts, x, side="right") - 1).clip(0)
+        start = self.starts[i]
+        return self._offsets[i] + np.clip(x - start, 0, self.ends[i] - start)
+
+    def _v6_addresses(self) -> np.ndarray:
+        """The S16 address of every v6 coordinate, in coordinate order."""
         from repro.core.addrspace import V6
 
-        hitlist = self.hitlist
-        n_hits = len(hitlist)
         offsets = self._offsets
-        params = self._v6
-        for values in walk.batches(batch_size):
-            values.sort()
-            split = int(np.searchsorted(values, n_hits, side="left"))
-            parts = []
-            if split:
-                parts.append(hitlist[values[:split]])
-            coords = values[split:]
-            if coords.size:
-                idx = np.searchsorted(offsets, coords, side="right") - 1
-                sampled = []
-                for c, i in zip(coords.tolist(), idx.tolist()):
-                    start, size, b, a = params[i]
-                    j = c - int(offsets[i])
-                    sampled.append(start + (b + a * j) % size)
-                encoded = V6.encode(sampled)
-                if n_hits:
-                    # An affine sample can land on a hitlist address; the
-                    # hitlist slice already probes it, so drop the copy
-                    # (deterministic per coordinate -> shard-invariant).
-                    pos = np.searchsorted(hitlist, encoded)
-                    dup = (pos < n_hits) & (
-                        hitlist[pos.clip(max=n_hits - 1)] == encoded
-                    )
-                    encoded = encoded[~dup]
-                if encoded.size:
-                    parts.append(encoded)
-            if not parts:
-                continue
-            batch = parts[0] if len(parts) == 1 else np.concatenate(parts)
-            yield np.sort(batch)
+        sampled = []
+        for i, (start, size, b, a) in enumerate(self._v6):
+            sampled.extend(
+                start + (b + a * j) % size
+                for j in range(int(offsets[i + 1] - offsets[i]))
+            )
+        return np.concatenate([self.hitlist, V6.encode(sampled)])
 
 
 def shard_targets(spec, shards: int = 1, seed: int = 0, **seeding):

@@ -1,4 +1,9 @@
-"""ScanEngine batching and blocklist edge cases (no dataset fixture)."""
+"""ScanEngine batching and blocklist edge cases (no dataset fixture).
+
+The engine scores flat walk coordinates against a wave's bitmaps, so
+each test builds the bitmaps from an :class:`IntervalTargets` walk and
+maps coordinates back to addresses itself for the reference oracle.
+"""
 
 import numpy as np
 import pytest
@@ -12,7 +17,7 @@ from repro.core.addrspace import V6
 
 
 class _ListTargets:
-    """Fixed batches, for driving the engine with exact boundaries."""
+    """Fixed coordinate batches, for exact batch boundaries."""
 
     def __init__(self, arrays):
         self._arrays = [np.asarray(a) for a in arrays]
@@ -23,16 +28,23 @@ class _ListTargets:
                 yield array[lo : lo + batch_size]
 
 
+def _addresses_of(starts, ends, coords):
+    """The test's own flat-coordinate -> address map."""
+    offsets = np.concatenate([[0], np.cumsum(np.subtract(ends, starts))])
+    idx = np.searchsorted(offsets, coords, side="right") - 1
+    return np.asarray(starts)[idx] + (coords - offsets[idx])
+
+
 def test_empty_target_stream():
-    result = ScanEngine().run(_ListTargets([]), AddressSet([1, 2, 3]))
+    bitmaps = IntervalTargets(4).bitmaps(AddressSet([1, 2, 3]))
+    result = ScanEngine().run(_ListTargets([]), bitmaps)
     assert result == ScanResult(0, 0, 0, 0, None)
     assert result.hitrate == 0.0
 
 
 def test_empty_responsive_set():
-    result = ScanEngine().run(
-        _ListTargets([np.arange(100)]), AddressSet()
-    )
+    bitmaps = IntervalTargets(100).bitmaps(AddressSet())
+    result = ScanEngine().run(_ListTargets([np.arange(100)]), bitmaps)
     assert result.probes_sent == 100
     assert result.responses == 0
     assert result.hitrate == 0.0
@@ -42,8 +54,9 @@ def test_empty_responsive_set():
 def test_batch_boundary_sizes(n):
     """Streams at, below, and above the batch size count identically."""
     engine = ScanEngine(EngineConfig(batch_size=64))
+    targets = IntervalTargets(n, seed=5)
     result = engine.run(
-        IntervalTargets(n, seed=5), AddressSet(np.arange(0, n, 2))
+        targets, targets.bitmaps(AddressSet(np.arange(0, n, 2)))
     )
     assert result.probes_sent == n
     assert result.responses == len(range(0, n, 2))
@@ -51,32 +64,36 @@ def test_batch_boundary_sizes(n):
 
 
 def test_blocklist_drops_and_accounts():
-    blocklist = Blocklist([10], [20])
-    engine = ScanEngine(EngineConfig(batch_size=8), blocklist)
-    result = engine.run(
-        _ListTargets([np.arange(30)]), AddressSet(np.arange(30))
+    # Coordinates 0..29 are addresses 100..129; 110..119 are blocked.
+    walk = IntervalTargets((np.array([100]), np.array([130])))
+    bitmaps = walk.bitmaps(
+        AddressSet(np.arange(100, 130)), Blocklist([110], [120])
     )
+    engine = ScanEngine(EngineConfig(batch_size=8))
+    result = engine.run(_ListTargets([np.arange(30)]), bitmaps)
     assert result.blocked == 10
     assert result.probes_sent == 20
     assert result.responses == 20
 
 
 def test_empty_blocklist_blocks_nothing():
-    engine = ScanEngine(EngineConfig(batch_size=8), Blocklist([], []))
-    result = engine.run(
-        _ListTargets([np.arange(20)]), AddressSet(np.arange(0, 20, 4))
+    bitmaps = IntervalTargets(20).bitmaps(
+        AddressSet(np.arange(0, 20, 4)), Blocklist([], [])
     )
+    assert bitmaps.blocked is None
+    engine = ScanEngine(EngineConfig(batch_size=8))
+    result = engine.run(_ListTargets([np.arange(20)]), bitmaps)
     assert (result.probes_sent, result.responses, result.blocked) == (
         20, 5, 0
     )
 
 
 def test_fully_blocked_batch():
-    blocklist = Blocklist([0], [100])
-    engine = ScanEngine(EngineConfig(batch_size=16), blocklist)
-    result = engine.run(
-        _ListTargets([np.arange(32)]), AddressSet(np.arange(32))
+    bitmaps = IntervalTargets(32).bitmaps(
+        AddressSet(np.arange(32)), Blocklist([0], [100])
     )
+    engine = ScanEngine(EngineConfig(batch_size=16))
+    result = engine.run(_ListTargets([np.arange(32)]), bitmaps)
     assert result.probes_sent == 0
     assert result.responses == 0
     assert result.blocked == 32
@@ -91,7 +108,11 @@ def test_prefix_targets_visit_prefix_space_exactly_once():
     ]
     targets = IntervalTargets(prefixes, seed=2)
     assert targets.address_count() == 64 + 16
-    values = np.sort(np.concatenate(list(targets.batches(16))))
+    coords = np.sort(np.concatenate(list(targets.batches(16))))
+    assert np.array_equal(coords, np.arange(64 + 16))
+    values = _addresses_of(
+        [p.start for p in prefixes], [p.end for p in prefixes], coords
+    )
     expected = np.concatenate(
         [np.arange(p.start, p.end) for p in prefixes]
     )
@@ -99,24 +120,31 @@ def test_prefix_targets_visit_prefix_space_exactly_once():
 
 
 def test_fused_engine_matches_filter_then_membership_reference():
-    """Differential: the fused one-pass batch == naive filter+membership.
+    """Differential: bitmap scoring == naive filter+membership.
 
-    The engine masks blocked probes out of its hits instead of
-    filtering the batch, and takes batches in whatever order they
-    arrive; it must reproduce the reference semantics (drop blocked
-    probes, then count responsive members) exactly, across randomized
+    The engine scores coordinates against bitmaps built once from the
+    truth set and blocklist, and takes batches in whatever order they
+    arrive; it must reproduce the reference semantics (map each
+    coordinate to its address, drop blocked probes, then count
+    responsive members) exactly, across randomized gapped intervals,
     unsorted targets, duplicate probes, truth sets, blocklists, batch
     sizes and both address families.
     """
     rng = np.random.default_rng(12)
     for trial in range(60):
-        space = int(rng.integers(100, 5000))
-        n = int(rng.integers(1, space))
+        sizes = rng.integers(1, 2000, size=int(rng.integers(1, 5)))
+        gaps = rng.integers(0, 300, size=len(sizes))
+        starts = np.cumsum(gaps + np.concatenate([[0], sizes[:-1]]))
+        ends = starts + sizes
+        space = int(ends[-1]) + 100
+        total = int(sizes.sum())
+        n = int(rng.integers(1, total + 1))
         # Odd trials draw with replacement: duplicate probes of one
         # responsive address must each count as a response.
-        targets = rng.choice(
-            space, size=n, replace=bool(trial % 2)
+        coords = rng.choice(
+            total, size=n, replace=bool(trial % 2)
         ).astype(np.int64)
+        targets = _addresses_of(starts, ends, coords)
         truth = AddressSet(
             rng.choice(
                 space, size=int(rng.integers(0, space)), replace=False
@@ -129,25 +157,32 @@ def test_fused_engine_matches_filter_then_membership_reference():
             Blocklist(block_starts, block_ends) if n_blocks else None
         )
         batch_size = int(rng.integers(1, 300))
-        engine = ScanEngine(EngineConfig(batch_size=batch_size), blocklist)
-        got = engine.run(_ListTargets([targets]), truth)
+        bitmaps = IntervalTargets((starts, ends)).bitmaps(truth, blocklist)
+        engine = ScanEngine(EngineConfig(batch_size=batch_size))
+        got = engine.run(_ListTargets([coords]), bitmaps)
 
         allowed = (
             targets
             if blocklist is None
-            else targets[blocklist.allowed_mask(targets)]
+            else targets[~blocklist.blocked_mask(targets)]
         )
         assert got.probes_sent == len(allowed), trial
         assert got.blocked == len(targets) - len(allowed), trial
         assert got.responses == int(truth.membership(allowed).sum()), trial
 
-    # S16 arm: the v6 wire form, no blocklist (v6 campaigns take none).
+    # S16 arm: a v6 walk whose hitlist is the whole probe space, so
+    # coordinate c is address base + (c << 40); no blocklist (v6
+    # campaigns take none).
     base = 0x20010DB8 << 96
     for trial in range(20):
         space = int(rng.integers(100, 5000))
         n = int(rng.integers(1, space))
         offsets = rng.choice(space, size=n, replace=bool(trial % 2))
-        targets = V6.encode([base + (int(o) << 40) for o in offsets])
+        hitlist = V6.encode([base + (o << 40) for o in range(space)])
+        walk = IntervalTargets(
+            (V6.encode([base]), V6.encode([base + (space << 40)])),
+            hitlist=hitlist,
+        )
         truth_offsets = rng.choice(
             space, size=int(rng.integers(0, space)), replace=False
         )
@@ -156,7 +191,7 @@ def test_fused_engine_matches_filter_then_membership_reference():
         )
         batch_size = int(rng.integers(1, 300))
         got = ScanEngine(EngineConfig(batch_size=batch_size)).run(
-            _ListTargets([targets]), truth
+            _ListTargets([offsets]), walk.bitmaps(truth)
         )
         assert got.probes_sent == n, trial
         assert got.blocked == 0, trial

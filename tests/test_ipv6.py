@@ -38,6 +38,8 @@ from repro.census.loader import (
 from repro.core.addrspace import V4, V6, family_of, get_space, space_of
 from repro.core.density import count_trie
 from repro.core.tass import TassStrategy, select_by_density
+from repro.scan.blocklist import Blocklist
+from repro.scan.engine import EngineConfig
 from repro.scan.permutation import CyclicPermutation
 from repro.scan.sharded import IntervalTargets, run_sharded, shard_targets
 
@@ -403,11 +405,22 @@ def _v6_case():
     return base, starts, ends, hitlist
 
 
+def _bits(bitmap, coords):
+    """Bits ``coords`` of a packed little-endian bitmap, as a mask."""
+    return ((bitmap[coords >> 3] >> (coords & 7)) & 1).astype(bool)
+
+
 def _drain(targets):
+    """Every address the shards probe: their coordinates, dropped
+    samples removed, mapped through the walk's coordinate order."""
+    walk = targets[0]
+    addresses = walk._v6_addresses()
+    dropped = walk.bitmaps(AddressSet(V6.empty())).dropped
     out = []
     for shard in targets:
         for batch in shard.batches(batch_size=7):
-            out.extend(batch.tolist())
+            batch = batch[~_bits(dropped, batch)]
+            out.extend(addresses[batch].tolist())
     return sorted(out)
 
 
@@ -467,6 +480,53 @@ class TestV6IntervalTargets:
                 assert t._offsets is targets[0]._offsets
                 assert t._v6 is targets[0]._v6
         assert v6_builds == [1, 4, 8]  # one build per call, any shards
+
+    def test_dropped_samples_send_nothing(self):
+        """A sample that draws a hitlist address is dropped, not probed.
+
+        16 samples over a 16-address interval draw every address; the
+        8-entry hitlist already probes half of them, so 8 of the 24
+        coordinates are dropped.  At batch size 2 some batches hold only
+        dropped coordinates: they send nothing and do not count toward
+        ``batches``.  The per-shard counts below were worked out on the
+        address-stream engine that bitmap scoring replaced (it removed
+        dropped samples from each batch and skipped a batch left empty),
+        and are pinned so the checkpointed counters never move.
+        """
+        base = 0x20010DB8 << 96
+        starts, ends = V6.encode([base]), V6.encode([base + 16])
+        hitlist = V6.encode(
+            [base + i for i in (0, 2, 3, 5, 8, 9, 10, 13)]
+        )
+        truth = {base + i for i in (2, 4, 5, 11, 13, 15)}
+        interval = set(range(base, base + 16))
+        kwargs = dict(seed=0, hitlist=hitlist, samples=16)
+        walk = IntervalTargets((starts, ends), **kwargs)
+        dropped = walk.bitmaps(AddressSet(V6.empty())).dropped
+        assert np.unpackbits(dropped, bitorder="little").sum() == 8
+        # 14 walk batches, 3 of them all dropped.
+        assert len(list(walk.batches(2))) == 14
+        pinned = {
+            1: [(16, 6, 11)],
+            3: [(4, 3, 3), (6, 1, 5), (6, 2, 4)],
+        }
+        for shards, per_shard in pinned.items():
+            targets = shard_targets((starts, ends), shards=shards, **kwargs)
+            drained = [V6.decode_scalar(a) for a in _drain(targets)]
+            assert drained == sorted(interval)  # each address once
+            sharded = run_sharded(
+                (starts, ends),
+                V6.encode(sorted(truth)),
+                shards=shards,
+                config=EngineConfig(batch_size=2),
+                **kwargs,
+            )
+            assert sharded.result.probes_sent == len(interval)
+            assert sharded.result.responses == len(truth & interval)
+            assert [
+                (r.probes_sent, r.responses, r.batches)
+                for r in sharded.shard_results
+            ] == per_shard
 
     def test_pickle_round_trip(self):
         _, starts, ends, hitlist = _v6_case()
@@ -713,6 +773,11 @@ class TestV6Campaign:
             _v6_spec(explore_frac=0.1).resolved()
         with pytest.raises(ValueError, match="use_blocklist is v4-only"):
             _v6_spec(use_blocklist=True).resolved()
+        # The scan layer refuses one too: a blocklist is v4 intervals.
+        _, starts, ends, hitlist = _v6_case()
+        walk = IntervalTargets((starts, ends), hitlist=hitlist, samples=4)
+        with pytest.raises(ValueError, match="blocklists are v4-only"):
+            walk.bitmaps(AddressSet(V6.empty()), Blocklist([0], [1]))
 
     def test_family_resolution_order(self, monkeypatch):
         from repro.orchestrator.campaign import CampaignSpec

@@ -1,17 +1,23 @@
-"""Hypothesis property tests: AddressSet algebra and permutation shards.
+"""Hypothesis property tests: AddressSet algebra, permutation shards, scans.
 
 The AddressSet properties check every set operation against the
 built-in ``set`` oracle on random address arrays; the permutation
 properties check full-cycle bijectivity and the shard disjoint-union
-invariant over random cyclic-group parameters.
+invariant over random cyclic-group parameters; the scan property checks
+a blocklisted v4 ``run_sharded`` against its closed-form totals.
 """
+
+import dataclasses
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.census.addrset import AddressSet
+from repro.scan.blocklist import Blocklist
+from repro.scan.engine import EngineConfig
 from repro.scan.permutation import CyclicPermutation
+from repro.scan.sharded import run_sharded
 
 addresses = st.lists(
     st.integers(min_value=0, max_value=(1 << 32) - 1), max_size=200
@@ -100,3 +106,56 @@ def test_shards_preserve_full_walk_order(n, seed, shards):
             continue
         walk = [position[int(v)] for v in np.concatenate(batches)]
         assert walk == sorted(walk)
+
+
+@st.composite
+def blocked_scans(draw):
+    """Disjoint target intervals, a truth set and a blocklist over them."""
+    sizes = draw(st.lists(st.integers(1, 300), min_size=1, max_size=4))
+    gaps = draw(st.lists(st.integers(0, 100), min_size=len(sizes),
+                         max_size=len(sizes)))
+    starts, end = [], 0
+    for size, gap in zip(sizes, gaps):
+        starts.append(end + gap)
+        end = starts[-1] + size
+    ends = [s + size for s, size in zip(starts, sizes)]
+    space = st.integers(0, end + 20)
+    truth = draw(st.lists(space, max_size=300))
+    blocks = draw(st.lists(st.tuples(space, st.integers(1, 120)),
+                           max_size=4))
+    return starts, ends, truth, blocks
+
+
+@given(
+    blocked_scans(),
+    st.integers(min_value=0, max_value=1 << 30),
+    st.integers(min_value=1, max_value=97),
+)
+@settings(max_examples=25, deadline=None)
+def test_blocklisted_scan_matches_closed_form(case, seed, batch_size):
+    starts, ends, truth, blocks = case
+    covered = {a for s, e in zip(starts, ends) for a in range(s, e)}
+    blocked = {a for s, n in blocks for a in range(s, s + n)}
+    expected = (
+        len(covered) - len(covered & blocked),
+        len(set(truth) & covered - blocked),
+        len(covered & blocked),
+    )
+    merged = set()
+    for shards in (1, 3, 8):
+        for executor in ("serial", "process"):
+            result = run_sharded(
+                (np.array(starts), np.array(ends)),
+                AddressSet(truth),
+                shards=shards,
+                executor=executor,
+                config=EngineConfig(batch_size=batch_size),
+                blocklist=Blocklist([s for s, _ in blocks],
+                                    [s + n for s, n in blocks]),
+                seed=seed,
+            ).result
+            assert (
+                result.probes_sent, result.responses, result.blocked
+            ) == expected, (shards, executor)
+            merged.add(dataclasses.astuple(result))
+    assert len(merged) == 1
