@@ -5,7 +5,9 @@
 # uninterrupted distributed run — and its computed numbers (waves +
 # totals) identical to a serial run of the same campaign.  Exercises
 # the real process boundary (worker subprocesses, sockets, signals,
-# durable checkpoints) that the in-process test suite can't.
+# durable checkpoints) that the in-process test suite can't.  The
+# uninterrupted arm also counts its worker spawns: one fleet serves
+# every wave of a run.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 export PYTHONPATH=src${PYTHONPATH:+:$PYTHONPATH}
@@ -66,9 +68,22 @@ python -m repro.orchestrator status --dir "$WORK/interrupted" --json \
 echo "== uninterrupted distributed reference arm"
 python -m repro.orchestrator plan --dir "$WORK/reference" "${SPEC[@]}" \
     > /dev/null
+REPRO_OBS=events REPRO_DIST_WORKERS=2 \
 python -m repro.orchestrator run --dir "$WORK/reference"
 python -m repro.orchestrator status --dir "$WORK/reference" --json \
     > "$WORK/reference.json"
+
+echo "== one fleet per run: the reference arm spawns at most its fleet"
+# Every wave after the first reuses the open worker sessions, so an
+# unfaulted run spawns no more workers than REPRO_DIST_WORKERS.
+python - "$WORK/reference/events.jsonl" 2 <<'PY'
+import json, sys
+events = [json.loads(line) for line in open(sys.argv[1])]
+spawns = sum(1 for event in events if event["type"] == "worker_spawn")
+fleet = int(sys.argv[2])
+assert spawns <= fleet, f"{spawns} worker spawns for a fleet of {fleet}"
+print(f"   {spawns} worker spawn(s) across the run (fleet of {fleet})")
+PY
 
 echo "== diff final status JSON (kill-and-resume byte-identity)"
 diff "$WORK/resumed.json" "$WORK/reference.json"

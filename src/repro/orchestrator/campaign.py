@@ -21,6 +21,7 @@ wave accounting, and status JSON to an uninterrupted run.
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import math
 import time
@@ -41,7 +42,11 @@ from repro.orchestrator.waves import (
 )
 from repro.scan.blocklist import default_blocklist
 from repro.scan.engine import EngineConfig, ScanResult
-from repro.scan.executors import ExecutorFailure, executor_supports_wrap
+from repro.scan.executors import (
+    ExecutorFailure,
+    executor_supports_wrap,
+    open_executor,
+)
 from repro.scan.faults import backoff_delay
 from repro.scan.sharded import run_sharded
 
@@ -341,6 +346,10 @@ class CampaignRunner:
         self._rng = np.random.default_rng([self.spec.scan_seed, 0x5EED])
         self._on_checkpoint = None
         self._pace = True
+        # The executor held open for one run(): one distributed fleet
+        # serves every wave, and a wave retry swaps in a fresh one.
+        self._fleet = contextlib.ExitStack()
+        self._drain = None
         # Wall-clock telemetry only (progress.json), never state: the
         # deterministic retry position lives in _State.wave_attempts.
         self._retries_used = 0
@@ -553,16 +562,25 @@ class CampaignRunner:
         the test suite uses it to kill the campaign at exact shard
         boundaries.  ``pace=False`` ignores ``probes_per_sec`` for this
         invocation only (results are pacing-invariant by construction).
+        The executor is opened once here and closed on the way out, so
+        a distributed campaign starts one fleet per run, not per wave.
         """
         self._on_checkpoint = on_checkpoint
         self._pace = pace
         tracer, registry = self._observability()
         try:
-            with obs.observe(tracer=tracer, registry=registry):
+            with obs.observe(tracer=tracer, registry=registry), self._fleet:
+                self._open_fleet()
                 return self._drive()
         finally:
             if tracer is not None:
                 tracer.close()
+
+    def _open_fleet(self) -> None:
+        """Open the executor that drains this run's (or retry's) waves."""
+        self._drain = self._fleet.enter_context(
+            open_executor(self.spec.executor)
+        )
 
     def _observability(self):
         """Build this run's (tracer, registry) per ``REPRO_OBS``.
@@ -615,6 +633,9 @@ class CampaignRunner:
             tracer.end("campaign", span, error=type(exc).__name__)
             raise
         tracer.current = None
+        # Shut the fleet down first: its final counters belong in the
+        # last progress and metrics documents.
+        self._fleet.close()
         self._checkpoint()
         status = self.status()
         if self.store is not None:
@@ -724,11 +745,12 @@ class CampaignRunner:
         # only the remainder and the merged results stay byte-identical.
         # The attempt counter itself is checkpointed, so a campaign
         # killed between retries resumes with the same remaining budget.
-        # This same path is what survives a *coordinator* death: each
-        # retry (and each `resume` of a killed run) builds a fresh
-        # distributed Coordinator, which re-dials the address book —
-        # the pre-started remote fleet reconnects and the wave
-        # continues from the checkpoint stream.
+        # This same path is what survives a *coordinator* death: the
+        # run's fleet lives across its waves, but each retry (and each
+        # `resume` of a killed run) closes it and opens a fresh
+        # distributed Coordinator, which spawns anew and re-dials the
+        # address book — the pre-started remote fleet reconnects and
+        # the wave continues from the checkpoint stream.
         seeding = {}
         if spec.family == "v6":
             # The hitlist is the last reseed's planning snapshot — the
@@ -746,7 +768,7 @@ class CampaignRunner:
                         self._wave_targets(),
                         snapshot.addresses,
                         shards=spec.shards,
-                        executor=spec.executor,
+                        executor=self._drain,
                         config=EngineConfig(batch_size=spec.batch_size),
                         blocklist=self.blocklist,
                         protocol=spec.protocol,
@@ -774,6 +796,7 @@ class CampaignRunner:
                     self._progress(pacer, manifest=manifest)
                     if state.wave_attempts > spec.wave_retries:
                         raise
+                    self._fleet.close()
                     _retry_sleep(
                         backoff_delay(
                             state.wave_attempts,
@@ -781,6 +804,7 @@ class CampaignRunner:
                             _RETRY_BACKOFF_CAP,
                         )
                     )
+                    self._open_fleet()
         except BaseException as exc:
             tracer.current = campaign_span
             tracer.end("wave", wave_span, error=type(exc).__name__)

@@ -1,6 +1,6 @@
 """Distributed shard execution: a coordinator driving socket workers.
 
-This is the multi-node seam: the coordinator sends each worker the
+This is the multi-node seam: the coordinator sends each worker a
 wave's :class:`~repro.scan.sharded.IntervalTargets` walk once, then
 shard indices from a work queue, and drives ``N`` workers over a small
 wire protocol — length-prefixed JSON frames over TCP, with ``int64``
@@ -21,6 +21,11 @@ Workers join the fleet two ways, mixed freely:
   stream, and lets a worker that starts late join mid-wave through the
   coordinator's redial pump.
 
+One fleet serves a whole campaign run: the coordinator starts it on
+the first wave, sends each later wave's ``init`` on the sessions
+already open, and shuts it down when the run ends (a wave retry or a
+resume starts a fresh one).
+
 Protocol (all frames are ``>I``-length-prefixed UTF-8 JSON):
 
 - ``hello``     worker → coordinator: ``{"type": "hello", "pid": ...,
@@ -37,15 +42,16 @@ Protocol (all frames are ``>I``-length-prefixed UTF-8 JSON):
 - ``init``     coordinator → worker: responsive set, blocklist, engine
   batch size, protocol, and the wave's walk
   (``starts``/``ends``/``seed``/``shards``, plus the v6-only
-  ``hitlist``/``samples`` seeding) — sent once per worker, which
-  builds the walk and its bitmaps once per ``init``.
+  ``hitlist``/``samples`` seeding) — sent to each worker once per
+  wave on its open session; the worker builds the walk and its
+  bitmaps once per ``init``.
 - ``shard``    coordinator → worker: ``{"type": "shard", "shard": i,
   "index": q}`` — drain the ``i``-th sub-walk of the init walk (``q``
   is the coordinator's queue index, echoed in the result).  May carry
   a ``fault`` object when a chaos plan armed one for this attempt.
 - ``result``   worker → coordinator: the shard's ``ScanResult`` counters.
-- ``shutdown`` coordinator → worker: drain done — a spawned worker
-  exits cleanly, a listen worker returns to ``accept``.
+- ``shutdown`` coordinator → worker: the campaign run is over — a
+  spawned worker exits cleanly, a listen worker returns to ``accept``.
 
 Determinism and failure semantics: every shard's ``ScanResult`` is a
 pure function of the shard description, so *which* worker drains a
@@ -98,10 +104,12 @@ from __future__ import annotations
 
 import argparse
 import base64
+import contextlib
 import hashlib
 import hmac
 import json
 import os
+import re
 import selectors
 import socket
 import struct
@@ -120,6 +128,7 @@ from repro.env import (
     dist_address_book,
     dist_secret,
     dist_shard_deadline,
+    dist_workers,
     fault_plan as _env_fault_plan,
 )
 from repro.scan.engine import ScanResult
@@ -134,6 +143,7 @@ __all__ = [
     "FrameStream",
     "Coordinator",
     "distributed_executor",
+    "open_fleet",
     "worker_main",
     "listen_main",
     "main",
@@ -142,6 +152,10 @@ __all__ = [
 _HEADER = struct.Struct(">I")
 #: Frame-size sanity cap: a corrupt length prefix must not allocate GBs.
 MAX_FRAME = 1 << 30
+
+#: The dtypes an array carrier may name: fixed-size numbers and
+#: fixed-width bytes (v6 addresses travel as ``|S16``).
+_WIRE_DTYPE = re.compile(r"[<>=|]?(?:[biuf][1248]|S[1-9][0-9]{0,2})")
 
 #: At most one speculative copy of a shard races the original attempt.
 _MAX_SPECULATION = 2
@@ -201,16 +215,31 @@ def encode_array(arr) -> dict:
     }
 
 
-def decode_array(obj) -> np.ndarray:
+def decode_array(obj, field: str = "array") -> np.ndarray:
     """Decode an :func:`encode_array` carrier to a native-order array.
 
     Byteswaps when the wire order differs from this host's — the
     returned array is always native-endian, so downstream
-    ``searchsorted`` hot paths never chew on swapped views.
+    ``searchsorted`` hot paths never chew on swapped views.  A carrier
+    that is not a dict of two strings, a wire dtype and base64 data of
+    whole items, raises :class:`ValueError` naming ``field``.
     """
-    arr = np.frombuffer(
-        base64.b64decode(obj["data"]), dtype=np.dtype(obj["dtype"])
-    )
+    if not isinstance(obj, dict):
+        raise ValueError(
+            f"{field}: array carrier is a {type(obj).__name__}, not a dict"
+        )
+    for key in ("dtype", "data"):
+        if not isinstance(obj.get(key), str):
+            raise ValueError(f"{field}: carrier {key!r} is not a string")
+    if not _WIRE_DTYPE.fullmatch(obj["dtype"]):
+        raise ValueError(f"{field}: unsupported dtype {obj['dtype']!r}")
+    try:
+        arr = np.frombuffer(
+            base64.b64decode(obj["data"], validate=True),
+            dtype=np.dtype(obj["dtype"]),
+        )
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"{field}: undecodable array ({exc})") from None
     return arr.astype(arr.dtype.newbyteorder("="), copy=False)
 
 
@@ -264,8 +293,9 @@ class FrameStream:
 
         Raises :class:`ValueError` (which includes
         :class:`json.JSONDecodeError` and :class:`UnicodeDecodeError`)
-        on an oversized length prefix or a non-JSON body — the caller
-        decides whether that kills the connection or the process.
+        on an oversized length prefix, a non-JSON body, or one nested
+        too deeply to decode — the caller decides whether that kills
+        the connection or the process.
         """
         header = self._read_exact(_HEADER.size)
         if header is None:
@@ -276,7 +306,10 @@ class FrameStream:
         body = self._read_exact(length)
         if body is None:
             return None
-        return json.loads(body)
+        try:
+            return json.loads(body)
+        except RecursionError:
+            raise ValueError("frame nests too deeply to decode") from None
 
     def _read_exact(self, n: int) -> bytes | None:
         chunks = []
@@ -318,11 +351,61 @@ class _Worker:
         self.fault_kind = None  # fault armed on the in-flight dispatch
 
 
-class Coordinator:
-    """Drive N socket workers over a shard work queue, in-order results.
+#: One wave's telemetry, zeroed at the start of every :meth:`Coordinator.run`.
+_WAVE_TELEMETRY = {
+    "failures": 0,
+    "respawns": 0,
+    "faults_armed": 0,
+    "speculative_requeues": 0,
+    "duplicates_discarded": 0,
+    "deadline_kills": 0,
+    "degraded": False,
+    "fleet_initial": 0,
+    "survivors": None,
+    "auth_rejects": 0,
+    "stray_disconnects": 0,
+    "remote_fleet": 0,
+    "remote_connected": 0,
+}
 
-    ``worker_args`` is the ``(responsive_values, batch_size,
-    block_state, protocol)`` tuple shared by every executor.
+
+def _init_frame(walk, worker_args) -> dict:
+    """The ``init`` frame of one wave: its walk and engine inputs."""
+    values, batch_size, block_state, protocol = worker_args
+    return {
+        "type": "init",
+        "protocol": protocol,
+        "batch_size": int(batch_size),
+        "responsive": encode_array(values),
+        "block_starts": (
+            encode_array(block_state[0]) if block_state else None
+        ),
+        "block_ends": (
+            encode_array(block_state[1]) if block_state else None
+        ),
+        "starts": encode_array(walk.starts),
+        "ends": encode_array(walk.ends),
+        "seed": int(walk.seed),
+        "shards": int(walk.shards),
+        # v6-only seeding; absent/None for v4 so old workers that
+        # ignore unknown keys keep interoperating.
+        "hitlist": (
+            encode_array(walk.hitlist) if walk.hitlist is not None else None
+        ),
+        "samples": (
+            int(walk.samples) if walk.samples is not None else None
+        ),
+    }
+
+
+class Coordinator:
+    """Drive one socket-worker fleet over per-wave shard queues.
+
+    One coordinator serves any number of :meth:`run` calls, one per
+    wave, on one fleet.  The first ``run`` binds the listener and
+    spawns or dials the fleet; each later ``run`` sends its wave's
+    ``init`` to every live worker on the session already open.
+    :meth:`close` (or leaving the ``with`` block) shuts the fleet down.
     ``workers=None`` sizes the fleet at one worker per shard, capped at
     the CPU count plus the address book.
 
@@ -352,14 +435,18 @@ class Coordinator:
     degrades the fleet to its survivors, at the
     :class:`~repro.scan.faults.RespawnGovernor` defaults.
 
-    After (or during) a run, :attr:`telemetry` reports failures,
-    respawns, speculative re-dispatches, discarded duplicates, and
-    whether the fleet degraded.
+    Each ``run`` is one wave: it refills the fleet to its size and
+    starts from zero shard attempts (so a fault plan replays per wave),
+    a fresh failure budget and respawn governor, and fresh
+    :attr:`telemetry` — failures, respawns, speculative re-dispatches,
+    discarded duplicates, whether the fleet degraded — which it
+    publishes when the wave ends.  A worker still holding a shard at
+    the end of a wave (the loser of a speculative race) is dropped, so
+    its stale result can never land in the next wave.
     """
 
     def __init__(
         self,
-        worker_args,
         workers: int | None = None,
         timeout: float = 120.0,
         fault_plan=None,
@@ -367,7 +454,6 @@ class Coordinator:
         address_book=_ENV,
         secret=_ENV,
     ):
-        self.worker_args = worker_args
         self.workers = workers
         if address_book is _ENV:
             self.address_book = dist_address_book()
@@ -390,28 +476,16 @@ class Coordinator:
         self.timeout = timeout
         self._governor = RespawnGovernor()
         self.failures = 0
-        self.telemetry = {
-            "failures": 0,
-            "respawns": 0,
-            "faults_armed": 0,
-            "speculative_requeues": 0,
-            "duplicates_discarded": 0,
-            "deadline_kills": 0,
-            "degraded": False,
-            "fleet_initial": 0,
-            "survivors": None,
-            "auth_rejects": 0,
-            "stray_disconnects": 0,
-            "remote_fleet": 0,
-            "remote_connected": 0,
-        }
+        self.telemetry = dict(_WAVE_TELEMETRY)
         self._listener = None
         self._selector = None
         self._procs: dict[int, subprocess.Popen] = {}
         self._connected: set[int] = set()
         self._live: list[_Worker] = []
+        # The in-flight wave, released when it ends.
         self._init_message = None
         self._targets = ()
+        self._pending: deque = deque()
         self._results: dict[int, ScanResult] = {}
         self._attempts: dict[int, int] = {}
         self._max_failures = 8
@@ -436,7 +510,7 @@ class Coordinator:
         self.close()
 
     def close(self) -> None:
-        """Tear everything down; safe to call twice."""
+        """Shut the fleet down; safe to call twice."""
         collect_stats = bool(obs.get_registry())
         for worker in self._live:
             try:
@@ -626,9 +700,9 @@ class Coordinator:
                 + self._stderr_report()
             )
 
-    def _needs_requeue(self, index: int, pending: deque) -> bool:
+    def _needs_requeue(self, index: int) -> bool:
         """Is nobody else (result, queue, live worker) covering ``index``?"""
-        if index in self._results or index in pending:
+        if index in self._results or index in self._pending:
             return False
         return not any(w.assigned == index for w in self._live)
 
@@ -654,9 +728,8 @@ class Coordinator:
             ):
                 registry.gauge(f"worker.{pid}.{key}").set(value)
 
-    def _drop_worker(self, worker: _Worker, pending: deque,
-                     reason: str) -> None:
-        """A worker died or misbehaved: re-queue its shard, count it."""
+    def _detach(self, worker: _Worker) -> None:
+        """Take ``worker`` out of the fleet: end its session, reap it."""
         if worker in self._live:
             self._live.remove(worker)
         try:
@@ -665,15 +738,6 @@ class Coordinator:
             pass
         self._flush_worker_bytes(worker)
         worker.stream.close()
-        tracer = obs.get_tracer()
-        tracer.point("worker_drop", pid=worker.pid, reason=reason)
-        if worker.fault_kind is not None and worker.assigned is not None:
-            # Worker processes cannot write the coordinator's event
-            # log; a drop whose in-flight dispatch had a fault armed is
-            # the observable moment that fault fired.
-            tracer.point(
-                "fault_fired", pid=worker.pid, kind=worker.fault_kind
-            )
         if worker.origin is not None:
             # A remote fleet member: its listen loop may well survive
             # this session (a coordinator-side drop, a transient stall)
@@ -682,10 +746,8 @@ class Coordinator:
             # the proc table is only consulted for accepted workers.
             self._remote_live.discard(worker.origin)
             self._schedule_redial(worker.origin)
-        proc = (
-            self._procs.pop(worker.pid, None)
-            if worker.origin is None else None
-        )
+            return
+        proc = self._procs.pop(worker.pid, None)
         if proc is not None:
             # Usually the process is already dead (that's why the drop
             # happened); a protocol-violating or hung survivor is
@@ -698,12 +760,25 @@ class Coordinator:
                 proc.kill()
                 proc.wait()
         self._stderr_tail(worker.pid)
+
+    def _drop_worker(self, worker: _Worker, reason: str) -> None:
+        """A worker died or misbehaved: re-queue its shard, count it."""
+        tracer = obs.get_tracer()
+        tracer.point("worker_drop", pid=worker.pid, reason=reason)
+        if worker.fault_kind is not None and worker.assigned is not None:
+            # Worker processes cannot write the coordinator's event
+            # log; a drop whose in-flight dispatch had a fault armed is
+            # the observable moment that fault fired.
+            tracer.point(
+                "fault_fired", pid=worker.pid, kind=worker.fault_kind
+            )
+        self._detach(worker)
         requeued = worker.assigned
         worker.assigned = None
-        if requeued is not None and self._needs_requeue(requeued, pending):
+        if requeued is not None and self._needs_requeue(requeued):
             # Front of the queue: the lost shard is the next dispatch,
             # keeping the in-order release window as small as possible.
-            pending.appendleft(requeued)
+            self._pending.appendleft(requeued)
         self._fail(
             f"worker pid {worker.pid} {reason}"
             + (f" while draining queue slot {requeued}" if requeued
@@ -711,14 +786,18 @@ class Coordinator:
         )
         # An already-idle survivor picks the re-queued shard up at once;
         # a replacement is only spawned for work nobody can absorb.
-        for idle in list(self._live):
-            if not pending:
-                break
-            self._dispatch(idle, pending, self._targets)
-        if pending:
+        self._dispatch_idle()
+        if self._pending:
             self._request_spawn()
 
-    def _dispatch(self, worker: _Worker, pending: deque, targets) -> None:
+    def _dispatch_idle(self) -> None:
+        for idle in list(self._live):
+            if not self._pending:
+                break
+            self._dispatch(idle)
+
+    def _dispatch(self, worker: _Worker) -> None:
+        pending = self._pending
         if worker.assigned is not None or not pending:
             return
         # Skip queue entries whose result already landed (a speculative
@@ -728,7 +807,7 @@ class Coordinator:
         if not pending:
             return
         index = pending.popleft()
-        shard_no = int(targets[index].shard)
+        shard_no = int(self._targets[index].shard)
         attempt = self._attempts.get(index, 0)
         message = {"type": "shard", "shard": shard_no, "index": index}
         tracer = obs.get_tracer()
@@ -758,9 +837,9 @@ class Coordinator:
         except OSError:
             self._attempts[index] = attempt  # never actually dispatched
             pending.appendleft(index)
-            self._drop_worker(worker, pending, "died at dispatch")
+            self._drop_worker(worker, "died at dispatch")
 
-    def _accept(self, pending: deque, targets) -> None:
+    def _accept(self) -> None:
         sock, _ = self._listener.accept()
         sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
         # Every read/write on a worker socket is bounded: a peer that
@@ -768,10 +847,9 @@ class Coordinator:
         # to drain the init payload) times out and is handled as a
         # failure instead of wedging the event loop past the watchdog.
         sock.settimeout(self.timeout)
-        self._handshake(FrameStream(sock), None, pending, targets)
+        self._handshake(FrameStream(sock), None)
 
-    def _handshake(self, stream: FrameStream, origin,
-                   pending: deque, targets) -> bool:
+    def _handshake(self, stream: FrameStream, origin) -> bool:
         """hello(/challenge/auth)/init with a fresh connection.
 
         ``origin`` is ``None`` for accepted connections (spawned
@@ -798,7 +876,7 @@ class Coordinator:
             stream.close()
             self._governor.record_failure()
             self._fail(f"{label} connected without a valid hello ({exc})")
-            if pending:
+            if self._pending:
                 self._request_spawn()
             return False
         except OSError:
@@ -819,13 +897,13 @@ class Coordinator:
             stream.close()
             self._governor.record_failure()
             self._fail(f"{label} connected without a valid hello")
-            if pending:
+            if self._pending:
                 self._request_spawn()
             return False
         if self.secret is not None and not self._authenticate(
             stream, hello
         ):
-            self._reject_unauthenticated(stream, pid, origin, pending)
+            self._reject_unauthenticated(stream, pid, origin)
             return False
         worker = _Worker(stream, pid, origin)
         if origin is None:
@@ -840,7 +918,7 @@ class Coordinator:
             self._fail(f"{label} pid {pid} died at init")
             if origin is not None:
                 self._schedule_redial(origin)
-            elif pending:
+            elif self._pending:
                 self._request_spawn()
             return False
         self._governor.record_success()
@@ -854,7 +932,7 @@ class Coordinator:
             self._remote_live.add(origin)
             self.telemetry["remote_connected"] += 1
         self._selector.register(stream.sock, selectors.EVENT_READ, worker)
-        self._dispatch(worker, pending, targets)
+        self._dispatch(worker)
         return True
 
     def _authenticate(self, stream: FrameStream, hello: dict) -> bool:
@@ -886,7 +964,7 @@ class Coordinator:
         )
 
     def _reject_unauthenticated(self, stream: FrameStream, pid: int,
-                                origin, pending: deque) -> None:
+                                origin) -> None:
         """Drop a peer that failed (or walked out of) the auth exchange.
 
         Never charges the failure budget or the respawn governor: an
@@ -894,9 +972,9 @@ class Coordinator:
         letting it burn the budget would hand any hostile network a
         lever to abort healthy campaigns.  A spawned child that failed
         auth (the ``auth_fail`` fault, or a secret mismatch) is reaped
-        and replaced; a dialed address-book entry is *not* redialed —
-        a wrong secret will not fix itself, and redialing it forever
-        would just spin the auth_rejects counter.
+        and replaced; a dialed address-book entry is *not* redialed
+        within the wave — a wrong secret will not fix itself, and
+        redialing it forever would just spin the auth_rejects counter.
         """
         stream.close()
         self.telemetry["auth_rejects"] += 1
@@ -919,7 +997,7 @@ class Coordinator:
                 proc.kill()
                 proc.wait()
             self._stderr_tail(pid)
-            if pending:
+            if self._pending:
                 self._request_spawn()
 
     # -- dialing the address book --------------------------------------
@@ -927,7 +1005,7 @@ class Coordinator:
     def _schedule_redial(self, addr) -> None:
         self._remote_due[addr] = time.monotonic() + _REDIAL_INTERVAL
 
-    def _dial(self, addr, pending: deque, targets) -> bool:
+    def _dial(self, addr) -> bool:
         """One outbound connect to a pre-started --listen worker."""
         try:
             sock = socket.create_connection(addr, timeout=_DIAL_TIMEOUT)
@@ -938,9 +1016,9 @@ class Coordinator:
             return False
         sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
         sock.settimeout(self.timeout)
-        return self._handshake(FrameStream(sock), addr, pending, targets)
+        return self._handshake(FrameStream(sock), addr)
 
-    def _pump_dials(self, pending: deque, targets) -> bool:
+    def _pump_dials(self) -> bool:
         """Dial due address-book entries — the mid-wave join path.
 
         Returns True when any dial produced a live fleet member (the
@@ -953,37 +1031,26 @@ class Coordinator:
             del self._remote_due[addr]
             if addr in self._remote_live:
                 continue
-            joined = self._dial(addr, pending, targets) or joined
+            joined = self._dial(addr) or joined
         return joined
 
-    def _on_readable(self, worker: _Worker, pending: deque, targets,
-                     results: dict) -> bool:
+    def _on_readable(self, worker: _Worker) -> bool:
         """Handle one frame from a worker; True when a result landed."""
         try:
             message = worker.stream.recv()
         except (OSError, ValueError) as exc:
             # ValueError covers the whole malformed-frame family: an
-            # oversized length prefix, a non-JSON body
-            # (json.JSONDecodeError), and undecodable bytes
-            # (UnicodeDecodeError).  One bad frame costs one worker,
-            # never the run.
-            self._drop_worker(
-                worker, pending, f"sent an unreadable frame ({exc})"
-            )
+            # oversized length prefix, a non-JSON or too deeply nested
+            # body, and undecodable bytes (UnicodeDecodeError).  One
+            # bad frame costs one worker, never the run.
+            self._drop_worker(worker, f"sent an unreadable frame ({exc})")
             return False
         if message is None:
-            if worker.assigned is None and not pending:
+            if worker.assigned is None and not self._pending:
                 # Clean EOF from an idle worker during wind-down.
-                if worker in self._live:
-                    self._live.remove(worker)
-                try:
-                    self._selector.unregister(worker.stream.sock)
-                except (KeyError, ValueError):
-                    pass
-                self._flush_worker_bytes(worker)
-                worker.stream.close()
+                self._detach(worker)
                 return False
-            self._drop_worker(worker, pending, "hung up")
+            self._drop_worker(worker, "hung up")
             return False
         if isinstance(message, dict) and message.get("type") == "stats":
             # A worker's final session counters (normally sent in
@@ -995,9 +1062,7 @@ class Coordinator:
                 message.get("type") if isinstance(message, dict)
                 else type(message).__name__
             )
-            self._drop_worker(
-                worker, pending, f"sent unexpected {kind!r}"
-            )
+            self._drop_worker(worker, f"sent unexpected {kind!r}")
             return False
         index = worker.assigned
         if index is None or index != message.get("index"):
@@ -1005,7 +1070,7 @@ class Coordinator:
             # duplicate result frame must not erase the in-flight shard
             # — _drop_worker re-queues whatever is still assigned.
             self._drop_worker(
-                worker, pending, "sent a result for an unassigned shard"
+                worker, "sent a result for an unassigned shard"
             )
             return False
         try:
@@ -1017,11 +1082,11 @@ class Coordinator:
                 protocol=message.get("protocol"),
             )
         except (KeyError, TypeError, ValueError, OverflowError):
-            self._drop_worker(worker, pending, "sent a malformed result")
+            self._drop_worker(worker, "sent a malformed result")
             return False
         worker.assigned = None
         worker.fault_kind = None
-        if index in results:
+        if index in self._results:
             # A speculative race this worker lost: the shard already
             # completed elsewhere.  Both results are byte-identical by
             # construction, so the duplicate is simply discarded and
@@ -1030,9 +1095,9 @@ class Coordinator:
             obs.get_tracer().point(
                 "duplicate_discarded", index=index, pid=worker.pid
             )
-            self._dispatch(worker, pending, targets)
+            self._dispatch(worker)
             return False
-        results[index] = result
+        self._results[index] = result
         seconds = message.get("seconds")
         obs.get_tracer().point(
             "shard_result",
@@ -1046,10 +1111,10 @@ class Coordinator:
                 seconds
             )
         self._absorb_stats(worker.pid, message.get("stats"))
-        self._dispatch(worker, pending, targets)
+        self._dispatch(worker)
         return True
 
-    def _reap_unconnected(self, pending: deque) -> None:
+    def _reap_unconnected(self) -> None:
         """Workers that died before saying hello never hit the selector."""
         for pid, proc in list(self._procs.items()):
             if pid not in self._connected and proc.poll() is not None:
@@ -1060,10 +1125,10 @@ class Coordinator:
                     f"worker pid {pid} exited with {proc.returncode} "
                     "before connecting"
                 )
-                if pending:
+                if self._pending:
                     self._request_spawn()
 
-    def _check_deadlines(self, pending: deque, targets) -> None:
+    def _check_deadlines(self) -> None:
         """Rescue shards held past their deadline by hung/slow workers."""
         deadline = self.shard_deadline
         if deadline is None:
@@ -1087,12 +1152,12 @@ class Coordinator:
                     "deadline_kill", pid=worker.pid, index=index
                 )
                 self._drop_worker(
-                    worker, pending,
+                    worker,
                     f"held a shard {now - worker.assigned_at:.1f}s "
                     f"(deadline {deadline:.1f}s)",
                 )
                 continue
-            if index in self._results or index in pending:
+            if index in self._results or index in self._pending:
                 continue
             live_copies = sum(
                 1 for w in self._live if w.assigned == index
@@ -1103,25 +1168,117 @@ class Coordinator:
             # worker.  First completed result wins; the loser's frame
             # is discarded in _on_readable.  In-order release and every
             # merged byte are unchanged — shard results are pure.
-            pending.appendleft(index)
+            self._pending.appendleft(index)
             self.telemetry["speculative_requeues"] += 1
             obs.get_tracer().point(
                 "speculative_redispatch", index=index
             )
-            for idle in list(self._live):
-                if not pending:
-                    break
-                self._dispatch(idle, pending, targets)
-            if pending and not any(
+            self._dispatch_idle()
+            if self._pending and not any(
                 w.assigned is None for w in self._live
             ):
                 self._request_spawn()
 
     # -- the drive loop ------------------------------------------------
 
-    def run(self, targets):
-        """Drain ``targets``; yield one ScanResult per shard, in order."""
-        targets = self._targets = list(targets)
+    def _begin_wave(self, targets, worker_args) -> None:
+        """Per-wave state: the wave's init, queue, attempts and budget."""
+        self._init_message = _init_frame(targets[0], worker_args)
+        self._targets = targets
+        self._pending = deque(range(len(targets)))
+        self._results = {}
+        self._attempts = {}
+        self._max_failures = max(8, 2 * len(targets))
+        self.failures = 0
+        self._last_failure = ""
+        self._governor = RespawnGovernor()
+        self._degraded = False
+        self._spawn_backlog = 0
+        self._next_spawn_at = 0.0
+        self._stderr_tails.clear()
+        self.telemetry = dict(_WAVE_TELEMETRY)
+
+    def _fill_fleet(self) -> None:
+        """Bring the fleet to this wave's size and hand it the init.
+
+        The first wave binds the listener; later waves send ``init`` to
+        the live fleet on its open sessions, spawn children for any it
+        lost, and dial every book entry not in it.
+        """
+        if self._listener is None:
+            self._listener = socket.socket()
+            self._listener.bind(("127.0.0.1", 0))
+            self._listener.listen(64)
+            self._selector = selectors.DefaultSelector()
+            self._selector.register(
+                self._listener, selectors.EVENT_READ, None
+            )
+        book = self.address_book
+        n_workers = self.workers or min(
+            len(self._targets), (os.cpu_count() or 1) + len(book)
+        )
+        fleet = max(1, min(n_workers, len(self._targets)))
+        self.telemetry["fleet_initial"] = fleet
+        self.telemetry["remote_fleet"] = len(book)
+        # Every book entry is dialed (and redialed) — a late-starting
+        # remote joins mid-wave; local children fill out the rest of
+        # the fleet.
+        for _ in range(fleet - len(book) - len(self._procs)):
+            self._spawn(first_generation=True)
+        # Every carried-over worker gets this wave's init before any of
+        # them gets a shard: a shard drained on the last wave's walk
+        # would be wrong.
+        lost = []
+        for worker in self._live:
+            try:
+                worker.stream.send(self._init_message)
+            except OSError:
+                lost.append(worker)
+                continue
+            if worker.origin is not None:
+                self.telemetry["remote_connected"] += 1
+        for worker in lost:
+            self._drop_worker(worker, "died at init")
+        self._dispatch_idle()
+        for addr in book:
+            if addr not in self._remote_live:
+                self._remote_due[addr] = 0.0
+        self._pump_dials()
+
+    def _end_wave(self) -> None:
+        """Release the wave and publish its telemetry.
+
+        A worker still holding a shard — a speculative race's loser, or
+        any worker when the wave was abandoned — is dropped uncharged:
+        its result belongs to this wave and must never land in the next.
+        """
+        for worker in [w for w in self._live if w.assigned is not None]:
+            obs.get_tracer().point(
+                "worker_drop", pid=worker.pid,
+                reason="held a shard at wave end",
+            )
+            self._detach(worker)
+        if self.telemetry["degraded"]:
+            self.telemetry["survivors"] = len(self._live)
+        self._init_message = None
+        self._targets = ()
+        self._pending = deque()
+        self._results = {}
+        # Always-on (independent of REPRO_OBS): the orchestrator
+        # persists fleet accounting into progress.json, cumulative
+        # across waves and resumes.
+        obs.publish_executor_telemetry(self.telemetry)
+
+    def run(self, targets, worker_args):
+        """Drain one wave's ``targets``; yield one ScanResult per shard,
+        in order.
+
+        ``worker_args`` is the ``(responsive_values, batch_size,
+        block_state, protocol)`` tuple shared by every executor.  Drain
+        or close one wave's generator before starting the next: closing
+        it ends the wave.
+        """
+        targets = list(targets)
         if not targets:
             return
         walk = targets[0]
@@ -1130,79 +1287,28 @@ class Coordinator:
                 "distributed executor requires shards of one walk "
                 "(targets from one shard_targets call)"
             )
-        values, batch_size, block_state, protocol = self.worker_args
-        self._init_message = {
-            "type": "init",
-            "protocol": protocol,
-            "batch_size": int(batch_size),
-            "responsive": encode_array(values),
-            "block_starts": (
-                encode_array(block_state[0]) if block_state else None
-            ),
-            "block_ends": (
-                encode_array(block_state[1]) if block_state else None
-            ),
-            "starts": encode_array(walk.starts),
-            "ends": encode_array(walk.ends),
-            "seed": int(walk.seed),
-            "shards": int(walk.shards),
-            # v6-only seeding; absent/None for v4 so old workers that
-            # ignore unknown keys keep interoperating.
-            "hitlist": (
-                encode_array(walk.hitlist)
-                if walk.hitlist is not None
-                else None
-            ),
-            "samples": (
-                int(walk.samples) if walk.samples is not None else None
-            ),
-        }
-        self._max_failures = max(8, 2 * len(targets))
-        pending = deque(range(len(targets)))
-        results = self._results = {}
+        self._begin_wave(targets, worker_args)
+        results = self._results
         next_emit = 0
-
-        self._listener = socket.socket()
-        self._listener.bind(("127.0.0.1", 0))
-        self._listener.listen(64)
-        self._selector = selectors.DefaultSelector()
-        self._selector.register(
-            self._listener, selectors.EVENT_READ, None
-        )
-        book = self.address_book
-        n_workers = self.workers or min(
-            len(targets), (os.cpu_count() or 1) + len(book)
-        )
-        fleet = max(1, min(n_workers, len(targets)))
-        self.telemetry["fleet_initial"] = fleet
-        self.telemetry["remote_fleet"] = len(book)
-        # Every book entry is dialed (and redialed) — a late-starting
-        # remote joins mid-wave; local children fill out the rest of
-        # the fleet.
-        self._remote_due = {addr: 0.0 for addr in book}
-        self._remote_live = set()
-        for _ in range(max(0, fleet - len(book))):
-            self._spawn(first_generation=True)
-        self._pump_dials(pending, targets)
-
-        last_progress = time.monotonic()
         try:
+            self._fill_fleet()
+            last_progress = time.monotonic()
             while next_emit < len(targets):
                 for key, _ in self._selector.select(timeout=0.2):
                     if key.data is None:
-                        self._accept(pending, targets)
+                        self._accept()
                         last_progress = time.monotonic()
-                    elif self._on_readable(
-                        key.data, pending, targets, results
-                    ):
+                    elif self._on_readable(key.data):
                         last_progress = time.monotonic()
-                self._reap_unconnected(pending)
-                self._check_deadlines(pending, targets)
+                self._reap_unconnected()
+                self._check_deadlines()
                 self._pump_spawns()
-                if self._pump_dials(pending, targets):
+                if self._pump_dials():
                     last_progress = time.monotonic()
                 while next_emit in results:
-                    yield results.pop(next_emit)
+                    # Kept until the wave ends: a late duplicate of an
+                    # emitted shard must still read as a duplicate.
+                    yield results[next_emit]
                     next_emit += 1
                     last_progress = time.monotonic()
                 if (
@@ -1236,27 +1342,35 @@ class Coordinator:
                         f"(shard {next_emit}/{len(targets)})"
                     )
         finally:
-            if self.telemetry["degraded"]:
-                self.telemetry["survivors"] = len(self._live)
-            self.close()
-            # Always-on (independent of REPRO_OBS): the orchestrator
-            # persists fleet accounting into progress.json, cumulative
-            # across waves and resumes.
-            obs.publish_executor_telemetry(self.telemetry)
+            self._end_wave()
 
 
-@register_executor("distributed")
+@contextlib.contextmanager
+def open_fleet():
+    """A distributed drain whose one fleet serves every call in the block.
+
+    The fleet is sized by ``$REPRO_DIST_WORKERS`` and shut down when the
+    block exits, normally or raised.
+    """
+    with Coordinator(workers=dist_workers()) as coordinator:
+
+        def drain(targets, worker_args, wrap_targets=None):
+            if wrap_targets is not None:
+                raise ValueError(
+                    "wrap_targets requires the serial executor: wrapper "
+                    "state cannot be shared across worker processes"
+                )
+            return coordinator.run(targets, worker_args)
+
+        yield drain
+
+
+@register_executor("distributed", opener=open_fleet)
 def distributed_executor(targets, worker_args, wrap_targets=None):
-    """Coordinator + N local socket workers (the multi-node protocol)."""
-    from repro.env import dist_workers
-
-    if wrap_targets is not None:
-        raise ValueError(
-            "wrap_targets requires the serial executor: wrapper state "
-            "cannot be shared across worker processes"
-        )
-    with Coordinator(worker_args, workers=dist_workers()) as coordinator:
-        yield from coordinator.run(targets)
+    """Coordinator + N socket workers (the multi-node protocol), for one
+    drain: the fleet is opened here and shut down when the drain ends."""
+    with open_fleet() as drain:
+        yield from drain(targets, worker_args, wrap_targets)
 
 
 # ---------------------------------------------------------------------------
@@ -1315,20 +1429,26 @@ def _build_session(message: dict):
     block_state = None
     if message["block_starts"] is not None:
         block_state = (
-            decode_array(message["block_starts"]),
-            decode_array(message["block_ends"]),
+            decode_array(message["block_starts"], "block_starts"),
+            decode_array(message["block_ends"], "block_ends"),
         )
     hitlist = message.get("hitlist")
     walk = IntervalTargets(
-        (decode_array(message["starts"]), decode_array(message["ends"])),
+        (
+            decode_array(message["starts"], "starts"),
+            decode_array(message["ends"], "ends"),
+        ),
         seed=message["seed"],
         shards=message["shards"],
-        hitlist=decode_array(hitlist) if hitlist is not None else None,
+        hitlist=(
+            decode_array(hitlist, "hitlist") if hitlist is not None
+            else None
+        ),
         samples=message.get("samples"),
     )
     engine, bitmaps, protocol = build_worker(
         walk,
-        decode_array(message["responsive"]),
+        decode_array(message["responsive"], "responsive"),
         int(message["batch_size"]),
         block_state,
         message["protocol"],

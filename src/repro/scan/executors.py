@@ -26,6 +26,13 @@ Built-in executors:
   the ``REPRO_DIST_ADDRESS_BOOK``, optionally behind a mutual
   HMAC-SHA256 handshake (``REPRO_DIST_SECRET``).
 
+An executor that holds workers (the ``distributed`` fleet) also
+registers an ``opener``: :func:`open_executor` then yields a drain
+that keeps those workers up across calls until its ``with`` block
+exits, so a campaign starts its fleet once per run, not once per wave.
+:func:`~repro.scan.sharded.run_sharded` accepts that drain in place of
+a name.
+
 Registering a new executor is one decorated generator function::
 
     from repro.scan.executors import register_executor
@@ -45,6 +52,7 @@ it), once per ``init`` in a distributed worker.
 
 from __future__ import annotations
 
+import contextlib
 import multiprocessing
 import os
 from concurrent.futures import ProcessPoolExecutor
@@ -58,6 +66,7 @@ __all__ = [
     "register_executor",
     "available_executors",
     "get_executor",
+    "open_executor",
     "executor_supports_wrap",
     "build_worker",
 ]
@@ -77,18 +86,22 @@ class ExecutorFailure(RuntimeError):
     """
 
 
-def register_executor(name: str, *, supports_wrap: bool = False):
+def register_executor(name: str, *, supports_wrap: bool = False,
+                      opener=None):
     """Decorator registering ``fn(targets, worker_args, wrap_targets)``.
 
     ``supports_wrap`` declares whether the executor can apply a
     ``wrap_targets`` stream wrapper — only in-process executors can,
     since a wrapper's state (e.g. a token bucket) cannot be shared
-    across worker processes.
+    across worker processes.  ``opener()``, when given, returns a
+    context manager yielding a drain with ``fn``'s signature whose
+    workers stay up until the block exits (see :func:`open_executor`).
     """
 
     def decorate(fn):
         fn.executor_name = name
         fn.supports_wrap = bool(supports_wrap)
+        fn.opener = opener
         _REGISTRY[name] = fn
         return fn
 
@@ -100,8 +113,13 @@ def available_executors() -> list[str]:
     return sorted(_REGISTRY)
 
 
-def get_executor(name: str):
-    """Resolve a registered executor by name."""
+def get_executor(name):
+    """Resolve a registered executor by name.
+
+    A drain yielded by :func:`open_executor` resolves to itself.
+    """
+    if not isinstance(name, str):
+        return name
     try:
         return _REGISTRY[name]
     except KeyError:
@@ -114,6 +132,25 @@ def get_executor(name: str):
 def executor_supports_wrap(name: str) -> bool:
     """Whether ``name`` can apply in-process ``wrap_targets`` wrappers."""
     return bool(getattr(get_executor(name), "supports_wrap", False))
+
+
+@contextlib.contextmanager
+def open_executor(name: str):
+    """Hold executor ``name`` open; yields its drain until the block exits.
+
+    The drain carries the executor's ``executor_name`` and
+    ``supports_wrap``.  An executor without an ``opener`` has nothing
+    to hold: its drain is the registered function itself.
+    """
+    fn = get_executor(name)
+    opener = getattr(fn, "opener", None)
+    if opener is None:
+        yield fn
+        return
+    with opener() as drain:
+        drain.executor_name = fn.executor_name
+        drain.supports_wrap = fn.supports_wrap
+        yield drain
 
 
 # ---------------------------------------------------------------------------

@@ -32,11 +32,13 @@ Plan syntax (entries separated by ``,`` or ``;``)::
                              without charging the failure budget
 
 ``shard`` is the walk's shard number (stable across resume) for worker
-faults, or the spawn *ordinal* (0-based, counting every process the
-coordinator ever launches) for ``spawn_crash``/``auth_fail``.
-``attempts=N`` fires
-the fault on the first N attempts of that shard (default 1);
-``attempts=*`` fires on every attempt.  ``@*`` matches any shard.
+faults, or the spawn *ordinal* for ``spawn_crash``/``auth_fail``.
+Ordinals are 0-based and count every process one fleet launches over
+its life, which is a whole campaign run; they restart at 0 only when a
+wave retry or a resume starts a fresh fleet.  ``attempts=N`` fires the
+fault on the first N attempts of that shard (default 1); ``attempts=*``
+fires on every attempt.  Attempts are counted per wave, so a worker
+fault replays in every wave.  ``@*`` matches any shard.
 
 This module also holds the pure arithmetic the coordinator's recovery
 machinery is built on — :func:`backoff_delay` and

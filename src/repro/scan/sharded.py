@@ -29,6 +29,7 @@ Knobs: the ``shards``/``executor`` arguments (default: one shard,
 
 from __future__ import annotations
 
+import contextlib
 import copy
 import math as _math
 import random as _random
@@ -348,7 +349,7 @@ def run_sharded(
     spec,
     responsive,
     shards: int | None = None,
-    executor: str | None = None,
+    executor=None,
     config: EngineConfig | None = None,
     blocklist: Blocklist | None = None,
     protocol: str | None = None,
@@ -368,7 +369,9 @@ def run_sharded(
     shard, capped at the CPU count), or ``"distributed"`` (a
     coordinator shipping shards to socket workers with
     requeue-on-failure).  All produce identical results; the merged
-    result is also invariant in ``shards`` itself.
+    result is also invariant in ``shards`` itself.  ``executor`` may
+    also be a drain from :func:`~repro.scan.executors.open_executor`,
+    whose workers outlive this call (a campaign's one fleet).
 
     Checkpoint hooks (the orchestrator's shard-boundary machinery):
 
@@ -389,6 +392,7 @@ def run_sharded(
     """
     shards = 1 if shards is None else shards
     executor = executor or "serial"
+    name = getattr(executor, "executor_name", executor)
     config = config or EngineConfig()
     # shard_targets rejects a non-positive shard count.
     targets = shard_targets(
@@ -409,8 +413,8 @@ def run_sharded(
     worker_args = (values, config.batch_size, block_state, protocol)
     # A single shard never pays for workers; report the mode actually used.
     if shards == 1:
-        executor = "serial"
-    if wrap_targets is not None and not executor_supports_wrap(executor):
+        executor = name = "serial"
+    if wrap_targets is not None and not executor_supports_wrap(name):
         raise ValueError(
             "wrap_targets requires the serial executor: wrapper state "
             "cannot be shared across worker processes"
@@ -422,15 +426,19 @@ def run_sharded(
         drain = get_executor(executor)
         # Executors yield one result per shard, in shard order — the
         # contract that keeps merges deterministic and lets on_shard
-        # fire at true shard boundaries.
-        for result in drain(targets, worker_args, wrap_targets=wrap_targets):
-            shard_results.append(result)
-            if on_shard is not None:
-                on_shard(len(shard_results) - 1, result)
+        # fire at true shard boundaries.  Closing the drain when
+        # on_shard raises ends its wave now, not at garbage collection.
+        with contextlib.closing(
+            drain(targets, worker_args, wrap_targets=wrap_targets)
+        ) as results:
+            for result in results:
+                shard_results.append(result)
+                if on_shard is not None:
+                    on_shard(len(shard_results) - 1, result)
     merged = merge_results(shard_results, batch_size=config.batch_size)
     return ShardedScanResult(
         result=merged,
         shard_results=shard_results,
         shards=shards,
-        executor=executor,
+        executor=name,
     )

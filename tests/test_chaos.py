@@ -66,12 +66,13 @@ def _run_under_plan(plan, shards=4, workers=2, **kwargs):
     kwargs.setdefault("shard_deadline", _DEADLINE)
     kwargs.setdefault("timeout", 60.0)
     with Coordinator(
-        worker_args,
         workers=workers,
         fault_plan=plan,
         **kwargs,
     ) as coordinator:
-        results = [_result_bytes(r) for r in coordinator.run(targets)]
+        results = [
+            _result_bytes(r) for r in coordinator.run(targets, worker_args)
+        ]
     return results, coordinator
 
 
@@ -187,14 +188,13 @@ def test_no_survivors_aborts_with_stderr_tails():
     targets = shard_targets(spec, shards=2, seed=0)
     worker_args = (responsive, _CONFIG.batch_size, None, None)
     with Coordinator(
-        worker_args,
         workers=1,
         fault_plan="crash@0:attempts=*,crash@1:attempts=*,"
         "spawn_crash@1:attempts=*",
         timeout=30.0,
     ) as coordinator:
         with pytest.raises(ExecutorFailure, match="worker failures") as info:
-            list(coordinator.run(targets))
+            list(coordinator.run(targets, worker_args))
     message = str(info.value)
     # The satellite contract: the abort carries bounded per-worker
     # stderr tails, and the injected deaths announced themselves there.

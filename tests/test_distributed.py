@@ -171,6 +171,12 @@ class _ChunkSocket:
         pass
 
 
+def _nested_frame() -> bytes:
+    """A frame whose body nests past the JSON decoder's recursion limit."""
+    body = b"[" * 200_000
+    return _HEADER.pack(len(body)) + body
+
+
 class TestFrameStream:
     def test_read_exact_reassembles_across_chunk_boundaries(self):
         message = {"type": "result", "index": 3, "blob": "x" * 257}
@@ -207,15 +213,17 @@ class TestFrameStream:
         with pytest.raises(ValueError, match="MAX_FRAME"):
             stream.recv()
 
+    def test_nested_frame_is_a_value_error(self):
+        stream = FrameStream(_ChunkSocket(_nested_frame(), chunk=1 << 16))
+        with pytest.raises(ValueError, match="nests too deeply"):
+            stream.recv()
+
     def test_desynced_stream_drops_worker_not_retries(self):
         # After an oversized prefix the stream is desynced: the valid
         # result frame queued behind it must never be read — the
         # coordinator drops the worker and re-queues its shard instead
         # of retrying the same stream.
-        spec, responsive = _world()
-        coordinator = Coordinator(
-            (responsive, 1 << 11, None, None), secret=None
-        )
+        coordinator = Coordinator(secret=None)
         coordinator._selector = selectors.DefaultSelector()
         a, b = socket.socketpair()
         try:
@@ -223,17 +231,18 @@ class TestFrameStream:
             worker.assigned = 0
             coordinator._live.append(worker)
             coordinator._selector.register(a, selectors.EVENT_READ, worker)
-            pending = deque([1])
+            coordinator._pending = deque([1])
             payload = json.dumps({"type": "result", "index": 0}).encode()
             b.sendall(
                 _HEADER.pack(MAX_FRAME + 1)
                 + _HEADER.pack(len(payload))
                 + payload
             )
-            landed = coordinator._on_readable(worker, pending, [], {})
+            landed = coordinator._on_readable(worker)
             assert landed is False
             assert worker not in coordinator._live
-            assert list(pending) == [0, 1]  # lost shard re-queued first
+            # The lost shard is re-queued first.
+            assert list(coordinator._pending) == [0, 1]
             assert coordinator.failures == 1
         finally:
             coordinator._selector.close()
@@ -252,22 +261,20 @@ class TestFrameStream:
 def test_malformed_result_drops_worker(counters):
     # A well-framed result for the assigned shard whose counters do not
     # parse costs that worker (its shard re-queued), never the run.
-    spec, responsive = _world()
-    coordinator = _bare_coordinator(responsive)
+    coordinator = _bare_coordinator()
     a, b = socket.socketpair()
     try:
         worker = _Worker(FrameStream(a), pid=-99)
         worker.assigned = 0
         coordinator._live.append(worker)
         coordinator._selector.register(a, selectors.EVENT_READ, worker)
-        pending = deque([1])
-        results = {}
+        coordinator._pending = deque([1])
         FrameStream(b).send(dict(counters, type="result", index=0))
-        landed = coordinator._on_readable(worker, pending, [], results)
+        landed = coordinator._on_readable(worker)
         assert landed is False
-        assert results == {}
+        assert coordinator._results == {}
         assert worker not in coordinator._live
-        assert list(pending) == [0, 1]
+        assert list(coordinator._pending) == [0, 1]
         assert coordinator.failures == 1
         assert "malformed result" in coordinator._last_failure
     finally:
@@ -280,10 +287,8 @@ def test_malformed_result_drops_worker(counters):
 # ---------------------------------------------------------------------------
 
 
-def _bare_coordinator(responsive):
-    coordinator = Coordinator(
-        (responsive, 1 << 11, None, None), secret=None
-    )
+def _bare_coordinator():
+    coordinator = Coordinator(secret=None)
     coordinator._selector = selectors.DefaultSelector()
     coordinator._init_message = {"type": "init"}
     return coordinator
@@ -293,12 +298,11 @@ def test_stray_connect_then_close_is_not_charged():
     # Regression: a clean pre-hello EOF (port scanner, health checker)
     # used to charge RespawnGovernor.record_failure() and the failure
     # budget — a noisy network could abort a healthy run.
-    spec, responsive = _world()
-    coordinator = _bare_coordinator(responsive)
+    coordinator = _bare_coordinator()
     a, b = socket.socketpair()
     b.close()  # the stray peer vanishes before saying hello
     try:
-        joined = coordinator._handshake(FrameStream(a), None, deque(), [])
+        joined = coordinator._handshake(FrameStream(a), None)
         assert joined is False
         assert coordinator.failures == 0
         assert coordinator._governor.failures == 0
@@ -308,20 +312,17 @@ def test_stray_connect_then_close_is_not_charged():
 
 
 def test_garbled_hello_still_charges_budget():
-    spec, responsive = _world()
     bad_pid = json.dumps({"type": "hello", "pid": "x"}).encode()
     for body in (
         b"ha!!",  # framed, but not JSON
         bad_pid,  # a hello whose pid is not an integer
     ):
-        coordinator = _bare_coordinator(responsive)
+        coordinator = _bare_coordinator()
         a, b = socket.socketpair()
         try:
             b.sendall(_HEADER.pack(len(body)) + body)
             b.close()
-            joined = coordinator._handshake(
-                FrameStream(a), None, deque(), []
-            )
+            joined = coordinator._handshake(FrameStream(a), None)
             assert joined is False
             assert coordinator.failures == 1
             assert coordinator._governor.failures == 1
@@ -330,14 +331,75 @@ def test_garbled_hello_still_charges_budget():
             coordinator._selector.close()
 
 
+def test_nested_frame_costs_the_worker_not_the_run():
+    # A deeply nested result frame is one more malformed frame: the
+    # worker is dropped and charged and its shard re-queued, instead of
+    # a RecursionError escaping the event loop and aborting the run.
+    coordinator = _bare_coordinator()
+    try:
+        stream = FrameStream(_ChunkSocket(_nested_frame(), chunk=1 << 16))
+        worker = _Worker(stream, pid=-99)
+        worker.assigned = 0
+        coordinator._live.append(worker)
+        assert coordinator._on_readable(worker) is False
+        assert worker not in coordinator._live
+        assert list(coordinator._pending) == [0]
+        assert coordinator.failures == 1
+        assert "too deeply" in coordinator._last_failure
+    finally:
+        coordinator._selector.close()
+
+
+def test_nested_hello_turns_the_peer_away():
+    # The same frame as a stray peer's hello is turned away like any
+    # garbled hello; the coordinator's event loop carries on.
+    coordinator = _bare_coordinator()
+    try:
+        stream = FrameStream(_ChunkSocket(_nested_frame(), chunk=1 << 16))
+        assert coordinator._handshake(stream, None) is False
+        assert coordinator._live == []
+        assert coordinator.failures == 1
+    finally:
+        coordinator._selector.close()
+
+
+def test_next_wave_inits_every_worker_before_any_shard(monkeypatch):
+    # A carried-over worker that died between waves fails its init
+    # send.  Dropping it must not hand a survivor one of this wave's
+    # shards before the survivor has this wave's init (it would drain
+    # the shard on the last wave's walk).
+    monkeypatch.setattr(Coordinator, "_spawn", lambda *a, **k: None)
+    spec, _ = _world()
+    targets = shard_targets(spec, shards=2, seed=0)
+    coordinator = _bare_coordinator()
+    coordinator._listener = socket.socket()  # an open fleet's listener
+    dead_end, dead_peer = socket.socketpair()
+    dead_peer.close()
+    live_end, live_peer = socket.socketpair()
+    try:
+        coordinator._live = [
+            _Worker(FrameStream(dead_end), pid=-1),
+            _Worker(FrameStream(live_end), pid=-2),
+        ]
+        worker_args = (np.arange(10), 1 << 11, None, None)
+        coordinator._begin_wave(targets, worker_args)
+        coordinator._fill_fleet()
+        peer = FrameStream(live_peer)
+        assert [peer.recv()["type"], peer.recv()["type"]] == [
+            "init", "shard"
+        ]
+        assert coordinator.failures == 1
+    finally:
+        coordinator._listener.close()
+        coordinator._selector.close()
+        live_peer.close()
+
+
 def test_non_ascii_auth_proof_is_a_reject_not_a_crash():
     # hmac.compare_digest raises TypeError on non-ASCII str; a peer
     # sending one is rejected (uncharged) on the coordinator side and
     # denied on the worker side, never a bare traceback.
-    spec, responsive = _world()
-    coordinator = Coordinator(
-        (responsive, 1 << 11, None, None), secret="k"
-    )
+    coordinator = Coordinator(secret="k")
     coordinator._selector = selectors.DefaultSelector()
     coordinator._init_message = {"type": "init"}
     a, b = socket.socketpair()
@@ -345,7 +407,7 @@ def test_non_ascii_auth_proof_is_a_reject_not_a_crash():
         peer = FrameStream(b)
         peer.send({"type": "hello", "pid": -5, "nonce": "n"})
         peer.send({"type": "auth", "proof": "\u00e9"})
-        joined = coordinator._handshake(FrameStream(a), None, deque(), [])
+        joined = coordinator._handshake(FrameStream(a), None)
         assert joined is False
         assert coordinator.failures == 0
         assert coordinator.telemetry["auth_rejects"] == 1
@@ -371,12 +433,11 @@ def test_stray_peers_mid_run_do_not_perturb_results():
     targets = shard_targets(spec, shards=3, seed=0)
     worker_args = (responsive, _CONFIG.batch_size, None, None)
     with Coordinator(
-        worker_args,
         workers=2,
         # Every shard stalls, so the listener is still up for the strays.
         fault_plan="stall@*:attempts=*:delay=0.2",
     ) as coordinator:
-        gen = coordinator.run(targets)
+        gen = coordinator.run(targets, worker_args)
         results = [next(gen)]  # the listener is live past this point
         port = coordinator._listener.getsockname()[1]
         for _ in range(3):  # connect-and-hang-up, like a port scanner
@@ -463,9 +524,10 @@ def test_coordinator_rejects_mismatched_geometry():
     spec, responsive = _world()
     targets = shard_targets(spec, shards=2, seed=0)
     other = shard_targets(spec, shards=2, seed=9)
-    with Coordinator((responsive, 1 << 11, None, None)) as coordinator:
+    worker_args = (responsive, 1 << 11, None, None)
+    with Coordinator() as coordinator:
         with pytest.raises(ValueError, match="one walk"):
-            list(coordinator.run([targets[0], other[1]]))
+            list(coordinator.run([targets[0], other[1]], worker_args))
 
 
 # ---------------------------------------------------------------------------
@@ -480,10 +542,8 @@ def test_worker_failure_requeues_without_perturbing_results():
     )
     targets = shard_targets(spec, shards=4, seed=0)
     worker_args = (responsive, _CONFIG.batch_size, None, None)
-    with Coordinator(
-        worker_args, workers=2, fault_plan="crash@2"
-    ) as coordinator:
-        results = list(coordinator.run(targets))
+    with Coordinator(workers=2, fault_plan="crash@2") as coordinator:
+        results = list(coordinator.run(targets, worker_args))
         assert coordinator.failures >= 1
     assert [_result_bytes(r) for r in results] == [
         _result_bytes(r) for r in serial.shard_results
@@ -507,12 +567,11 @@ def test_unrecoverable_failures_raise():
     targets = shard_targets(spec, shards=2, seed=0)
     worker_args = (responsive, _CONFIG.batch_size, None, None)
     with Coordinator(
-        worker_args,
         workers=1,
         fault_plan="crash@0:attempts=*,crash@1:attempts=*",
     ) as coordinator:
         with pytest.raises(RuntimeError, match="worker failures"):
-            list(coordinator.run(targets))
+            list(coordinator.run(targets, worker_args))
 
 
 def test_bad_shard_delay_raises_before_any_worker_starts(monkeypatch):
@@ -556,19 +615,46 @@ def _status_bytes(status: dict) -> bytes:
     return json.dumps(status, sort_keys=True).encode()
 
 
-def test_distributed_campaign_matches_serial_campaign():
-    serial_spec = dataclasses.replace(DIST_SPEC, executor="serial")
-    dist = CampaignRunner(DIST_SPEC, dataset=build_mini_dataset()).run()
+def _worker_spawns(directory) -> list:
+    """The ``worker_spawn`` events of a campaign run at REPRO_OBS=events."""
+    lines = (directory / "events.jsonl").read_text().splitlines()
+    return [
+        record["data"]
+        for record in map(json.loads, lines)
+        if record["type"] == "worker_spawn"
+    ]
+
+
+def test_distributed_campaign_matches_serial_campaign(
+    tmp_path, monkeypatch
+):
+    monkeypatch.setenv("REPRO_OBS", "events")
+    monkeypatch.setenv("REPRO_DIST_WORKERS", "2")
+    spec = dataclasses.replace(DIST_SPEC, waves=4)
+    directory = tmp_path / "dist"
+    runner = CampaignRunner(
+        spec, dataset=build_mini_dataset(), directory=directory
+    )
+    runner.store.write_spec(runner.spec.to_dict())
+    dist = runner.run()
     serial = CampaignRunner(
-        serial_spec, dataset=build_mini_dataset()
+        dataclasses.replace(spec, executor="serial"),
+        dataset=build_mini_dataset(),
     ).run()
     # The spec (and position executor echo) legitimately differ; every
     # computed number must not.
     assert dist["waves"] == serial["waves"]
     assert dist["totals"] == serial["totals"]
+    # One fleet serves all four waves: the run spawns its size, once.
+    progress = json.loads((directory / "progress.json").read_text())
+    fleet = progress["executor_telemetry"]["fleet_initial"]
+    assert len(_worker_spawns(directory)) == fleet == 2
 
 
-def test_distributed_kill_and_resume_is_byte_identical(tmp_path):
+def test_distributed_kill_and_resume_is_byte_identical(
+    tmp_path, monkeypatch
+):
+    monkeypatch.setenv("REPRO_OBS", "events")
     reference = CampaignRunner(
         DIST_SPEC, dataset=build_mini_dataset()
     ).run()
@@ -591,6 +677,9 @@ def test_distributed_kill_and_resume_is_byte_identical(tmp_path):
         directory, dataset=build_mini_dataset()
     )
     assert _status_bytes(resumed.run()) == _status_bytes(reference)
+    # Two runs, two fleets: every fleet numbers its spawns from 0.
+    spawns = _worker_spawns(directory)
+    assert sum(1 for spawn in spawns if spawn["ordinal"] == 0) == 2
 
 
 def test_distributed_kill_and_resume_with_worker_failure(

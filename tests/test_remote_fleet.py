@@ -21,6 +21,7 @@ import pytest
 from conftest import build_mini_dataset
 from repro.orchestrator import CampaignRunner, CampaignSpec, ReseedPolicy
 from repro.scan.distributed import (
+    _HEADER,
     Coordinator,
     FrameStream,
     encode_array,
@@ -79,9 +80,9 @@ def test_remote_only_fleet_matches_serial():
     targets = shard_targets(spec, shards=4, seed=0)
     worker_args = (responsive, _CONFIG.batch_size, None, None)
     with Coordinator(
-        worker_args, workers=2, address_book=[addr1, addr2], secret=None
+        workers=2, address_book=[addr1, addr2], secret=None
     ) as coordinator:
-        results = list(coordinator.run(targets))
+        results = list(coordinator.run(targets, worker_args))
     # The whole fleet was dialed, nothing was spawned.
     assert coordinator.telemetry["remote_connected"] == 2
     assert coordinator.telemetry["remote_fleet"] == 2
@@ -102,9 +103,9 @@ def test_mixed_spawned_and_remote_fleet_matches_serial():
     targets = shard_targets(spec, shards=4, seed=0)
     worker_args = (responsive, _CONFIG.batch_size, None, None)
     with Coordinator(
-        worker_args, workers=2, address_book=[addr], secret=None
+        workers=2, address_book=[addr], secret=None
     ) as coordinator:
-        results = list(coordinator.run(targets))
+        results = list(coordinator.run(targets, worker_args))
     # One dialed remote plus one spawned child, one fleet.
     assert coordinator.telemetry["remote_connected"] == 1
     assert coordinator._spawn_ordinal == 1
@@ -126,9 +127,9 @@ def test_dead_book_entry_never_charges_budget():
     targets = shard_targets(spec, shards=3, seed=0)
     worker_args = (responsive, _CONFIG.batch_size, None, None)
     with Coordinator(
-        worker_args, workers=2, address_book=[dead], secret=None
+        workers=2, address_book=[dead], secret=None
     ) as coordinator:
-        results = list(coordinator.run(targets))
+        results = list(coordinator.run(targets, worker_args))
     assert coordinator.failures == 0
     assert coordinator._governor.failures == 0
     assert coordinator.telemetry["remote_connected"] == 0
@@ -151,9 +152,9 @@ def test_late_worker_joins_mid_wave():
     worker_args = (responsive, _CONFIG.batch_size, None, None)
     thread, addr = _listen_worker()
     with Coordinator(
-        worker_args, workers=1, address_book=None, secret=None
+        workers=1, address_book=None, secret=None
     ) as coordinator:
-        gen = coordinator.run(targets)
+        gen = coordinator.run(targets, worker_args)
         results = [next(gen)]  # dispatch is well underway
         # The fleet learns of the pre-started remote only now — the
         # redial pump dials it on the next loop turn, mid-wave.
@@ -184,9 +185,9 @@ def test_listen_worker_serves_sequential_coordinator_sessions():
     runs = []
     for _ in range(2):
         with Coordinator(
-            worker_args, workers=1, address_book=[addr], secret=None
+            workers=1, address_book=[addr], secret=None
         ) as coordinator:
-            runs.append(list(coordinator.run(targets)))
+            runs.append(list(coordinator.run(targets, worker_args)))
         assert coordinator.telemetry["remote_connected"] == 1
     for results in runs:
         assert [_result_bytes(r) for r in results] == [
@@ -213,6 +214,36 @@ def _init_frame(values, walk, **overrides):
     }
     frame.update(overrides)
     return frame
+
+
+def test_listen_worker_survives_nested_frame():
+    # A stray peer's frame nested past the JSON decoder's recursion
+    # limit ends that session, not the worker: the next coordinator is
+    # served byte-identically.
+    spec, responsive = _world()
+    serial = _serial_shards(spec, responsive, 2)
+    thread, addr = _listen_worker(max_sessions=2)
+    stray = FrameStream(socket.create_connection(addr))
+    try:
+        assert stray.recv()["type"] == "hello"
+        body = b"[" * 200_000
+        stray.send_raw(_HEADER.pack(len(body)) + body)
+        assert stray.recv() is None  # the worker ended the session
+    finally:
+        stray.close()
+    assert thread.is_alive()
+    targets = shard_targets(spec, shards=2, seed=0)
+    worker_args = (responsive, _CONFIG.batch_size, None, None)
+    with Coordinator(
+        workers=1, address_book=[addr], secret=None
+    ) as coordinator:
+        results = list(coordinator.run(targets, worker_args))
+    assert coordinator.failures == 0
+    assert [_result_bytes(r) for r in results] == [
+        _result_bytes(r) for r in serial
+    ]
+    thread.join(timeout=10)
+    assert not thread.is_alive()
 
 
 @pytest.mark.parametrize(
@@ -249,9 +280,9 @@ def test_listen_worker_survives_malformed_session(case):
     assert thread.is_alive()  # ... and went back to accept
     worker_args = (responsive, _CONFIG.batch_size, None, None)
     with Coordinator(
-        worker_args, workers=1, address_book=[addr], secret=None
+        workers=1, address_book=[addr], secret=None
     ) as coordinator:
-        results = list(coordinator.run(targets))
+        results = list(coordinator.run(targets, worker_args))
     assert coordinator.failures == 0
     assert [_result_bytes(r) for r in results] == [
         _result_bytes(r) for r in serial
@@ -272,9 +303,9 @@ def test_authenticated_fleet_matches_serial():
     targets = shard_targets(spec, shards=4, seed=0)
     worker_args = (responsive, _CONFIG.batch_size, None, None)
     with Coordinator(
-        worker_args, workers=2, address_book=[addr], secret="s3cret"
+        workers=2, address_book=[addr], secret="s3cret"
     ) as coordinator:
-        results = list(coordinator.run(targets))
+        results = list(coordinator.run(targets, worker_args))
     # Both the dialed remote and the spawned child (which inherits the
     # secret through its environment) authenticated.
     assert coordinator.telemetry["auth_rejects"] == 0
@@ -296,9 +327,9 @@ def test_wrong_secret_remote_rejected_without_charge():
     targets = shard_targets(spec, shards=3, seed=0)
     worker_args = (responsive, _CONFIG.batch_size, None, None)
     with Coordinator(
-        worker_args, workers=2, address_book=[addr], secret="right"
+        workers=2, address_book=[addr], secret="right"
     ) as coordinator:
-        results = list(coordinator.run(targets))
+        results = list(coordinator.run(targets, worker_args))
     assert coordinator.telemetry["auth_rejects"] == 1
     assert coordinator.telemetry["remote_connected"] == 0
     assert coordinator.failures == 0
@@ -318,13 +349,12 @@ def test_auth_fail_fault_exercises_reject_path():
     targets = shard_targets(spec, shards=3, seed=0)
     worker_args = (responsive, _CONFIG.batch_size, None, None)
     with Coordinator(
-        worker_args,
         workers=1,
         secret="hunter2",
         fault_plan="auth_fail@0",
         address_book=None,
     ) as coordinator:
-        results = list(coordinator.run(targets))
+        results = list(coordinator.run(targets, worker_args))
     assert coordinator.telemetry["auth_rejects"] == 1
     assert coordinator.failures == 0
     assert coordinator._governor.failures == 0
@@ -341,8 +371,8 @@ def test_unauthenticated_spawned_fleet_still_works():
     serial = _serial_shards(spec, responsive, 2)
     targets = shard_targets(spec, shards=2, seed=0)
     worker_args = (responsive, _CONFIG.batch_size, None, None)
-    with Coordinator(worker_args, workers=2, secret=None) as coordinator:
-        results = list(coordinator.run(targets))
+    with Coordinator(workers=2, secret=None) as coordinator:
+        results = list(coordinator.run(targets, worker_args))
     assert coordinator.telemetry["auth_rejects"] == 0
     assert [_result_bytes(r) for r in results] == [
         _result_bytes(r) for r in serial
