@@ -15,6 +15,8 @@
 #   v4, serial, 8 shards, --use-blocklist --explore-frac 0.01
 #   v6, serial, 8 shards, 64 samples per prefix
 #   v4, distributed (2 workers), 8 shards, --use-blocklist
+#       --explore-frac 0.01 (the coordinator explores between runs of a
+#       fleet that stays alive across waves)
 #   v4, process, 8 shards, --use-blocklist
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -79,7 +81,7 @@ compare_arm v4-serial --preset "$V4_PRESET" --executor serial \
 compare_arm v6-serial --preset "$V6_PRESET" --executor serial \
     --samples-per-prefix 64
 compare_arm v4-distributed --preset "$V4_PRESET" --executor distributed \
-    --use-blocklist
+    --use-blocklist --explore-frac 0.01
 compare_arm v4-process --preset "$V4_PRESET" --executor process \
     --use-blocklist
 

@@ -6,9 +6,9 @@ into the unselected announced space and absorbs any prefix where
 exploration finds responsive hosts.  It can only gain hitrate (the
 selection only grows) at the cost of the exploration probes.
 
-The per-wave cores (complement sampling, selection accounting,
-exploration + absorption) live in :mod:`repro.orchestrator.waves`, so
-the same logic both renders this analysis and drives live campaigns.
+The per-wave cores (selection accounting, bitmap-scored exploration,
+absorption) live in :mod:`repro.orchestrator.waves`, so the same logic
+both renders this analysis and drives live campaigns.
 """
 
 from __future__ import annotations
@@ -76,10 +76,11 @@ def run_adaptive(dataset) -> AdaptiveResult:
             explore_n = max(
                 1, int(EXPLORE_FRAC * (announced - a_size))
             )
-            _, hits, fresh = explore_unselected(
+            # Charge the probes drawn: a full selection leaves none.
+            explored, hits, fresh = explore_unselected(
                 rng, partition, adaptive_sel, values, explore_n
             )
-            adaptive_probes += a_size + explore_n
+            adaptive_probes += a_size + explored
             adaptive_final = (a_found + len(hits)) / len(values)
             adaptive_sel[fresh] = True
             absorbed += len(fresh)

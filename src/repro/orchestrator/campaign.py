@@ -826,11 +826,10 @@ class CampaignRunner:
                 if unselected > 0
                 else 0
             )
-            probes, hits, fresh = explore_unselected(
+            explore_probes, hits, fresh = explore_unselected(
                 self._rng, self.partition, state.mask, values, explore_n
             )
             state.mask[fresh] = True
-            explore_probes = int(probes.size)
             explore_hits = int(hits.size)
             absorbed = int(fresh.size)
 

@@ -19,13 +19,13 @@ import numpy as np
 # Module-level on purpose: this feeds per-wave hot loops, which must
 # not pay an import-machinery lookup per wave.
 from repro.bgp.backends import COUNT_CACHE
+from repro.scan.sharded import _pack
 
 __all__ = [
     "RESEED_MODES",
     "ReseedPolicy",
     "WavePlan",
     "compile_waves",
-    "sample_complement",
     "selection_stats",
     "explore_unselected",
     "hold_or_reseed",
@@ -135,31 +135,6 @@ def compile_waves(waves: int, months: int, policy: ReseedPolicy):
 # ---------------------------------------------------------------------------
 
 
-def sample_complement(rng, partition, selected, n):
-    """Uniform sample of ``n`` addresses from the unselected space.
-
-    ``selected`` is a boolean mask over the partition; the draw is
-    uniform over all addresses of the unselected intervals.  Returns
-    ``(addresses, unselected_indices)``.
-    """
-    unselected = np.flatnonzero(~selected)
-    sizes = partition.sizes[unselected]
-    total = int(sizes.sum())
-    if total == 0 or n == 0:
-        return np.empty(0, dtype=np.int64), unselected
-    bounds = np.cumsum(sizes)
-    draws = rng.integers(0, total, size=n)
-    # Sorting the draws makes the searchsorted below branch-predictable
-    # (several times faster on large budgets) and the flat-space ->
-    # address map is monotone, so the probes come out sorted too —
-    # which is what lets explore_unselected test membership cheaply.
-    # The draw multiset (and thus every downstream count) is unchanged.
-    draws.sort()
-    slot = np.searchsorted(bounds, draws, side="right")
-    offset = draws - (bounds[slot] - sizes[slot])
-    return partition.starts[unselected[slot]] + offset, unselected
-
-
 def selection_stats(partition, selected, values):
     """(responsive addresses found, probe cost) of a masked selection.
 
@@ -175,27 +150,35 @@ def selection_stats(partition, selected, values):
 def explore_unselected(rng, partition, selected, values, n):
     """Spend an ``n``-probe exploration budget on the unselected space.
 
-    Draws ``n`` uniform probes outside the selection, checks them
-    against the sorted responsive array ``values``, and reports which
-    unselected partition indices the hits would absorb.  Returns
-    ``(probes, unique_hits, fresh_indices)`` — the caller decides
+    Draws ``n`` uniform probes over the unselected space's flat
+    coordinates ``[0, total)`` (unselected prefixes end to end, in
+    address order) and scores each against a packed bitmap of the
+    sorted responsive ``values`` that fall there.  Returns
+    ``(probe_count, unique_hits, fresh_indices)`` — the caller decides
     whether to absorb (``selected[fresh_indices] = True``).
     """
-    probes, _ = sample_complement(rng, partition, selected, n)
+    unselected = np.flatnonzero(~selected)
+    sizes = partition.sizes[unselected]
+    total = int(sizes.sum())
     empty = np.empty(0, dtype=np.int64)
-    if probes.size == 0 or len(values) == 0:
-        return probes, empty, empty
-    # probes come out of sample_complement sorted, so the cheap
-    # direction is to look each (sorted, unique) responsive address up
-    # in the probe array: sorted needles into a sorted haystack.  The
-    # survivors are exactly the unique responsive probe hits.
-    idx = np.searchsorted(probes, values).clip(max=len(probes) - 1)
-    hits = values[probes[idx] == values]
-    if hits.size == 0:
-        return probes, hits, empty
-    parts = np.unique(partition.index_of(hits))
-    parts = parts[parts >= 0]
-    return probes, hits, parts[~selected[parts]]
+    if total == 0 or n == 0:
+        return 0, empty, empty
+    draws = rng.integers(0, total, size=n)
+    # A responsive address's coordinate: its unselected prefix's
+    # cumulative-size offset plus its offset within that prefix.
+    part = partition.index_of(values)
+    keep = (part >= 0) & ~selected[part]
+    hosts, part = values[keep], part[keep]
+    offsets = np.cumsum(sizes) - sizes
+    coords = offsets[np.searchsorted(unselected, part)] + (
+        hosts - partition.starts[part]
+    )
+    bits = _pack(coords, coords + 1, total)
+    mask = np.left_shift(np.uint8(1), (draws & 7).astype(np.uint8))
+    drawn = np.unique(draws[(bits[draws >> 3] & mask) != 0])
+    # The coordinate map is monotone, so coords is sorted like hosts.
+    at = np.searchsorted(coords, drawn)
+    return n, hosts[at], np.unique(part[at])
 
 
 def hold_or_reseed(strategy, selection, snapshot, reseed, announced):

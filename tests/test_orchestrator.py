@@ -19,7 +19,6 @@ from repro.orchestrator.checkpoint import CHECKPOINT_VERSION
 from repro.orchestrator.waves import (
     explore_unselected,
     hold_or_reseed,
-    sample_complement,
     selection_stats,
 )
 
@@ -377,16 +376,6 @@ class TestCheckpointStore:
 
 
 class TestWaveCores:
-    def test_sample_complement_stays_outside_selection(self, mini_dataset):
-        partition = mini_dataset.topology.table.partition("less-specific")
-        selected = np.array([True, False, False, True])
-        rng = np.random.default_rng(0)
-        probes, unselected = sample_complement(rng, partition, selected, 500)
-        assert unselected.tolist() == [1, 2]
-        assert len(probes) == 500
-        inside = partition.index_of(probes)
-        assert set(inside.tolist()) <= {1, 2}
-
     def test_selection_stats_counts_exactly(self, mini_dataset):
         partition = mini_dataset.topology.table.partition("less-specific")
         values = mini_dataset.series_for("http").seed_snapshot.addresses.values
@@ -403,10 +392,23 @@ class TestWaveCores:
         probes, hits, fresh = explore_unselected(
             rng, partition, selected, values, 20000
         )
-        assert len(probes) == 20000
+        assert probes == 20000
+        assert set(partition.index_of(hits).tolist()) <= {1, 2}
         assert np.all(~selected[fresh])
         # Every reported hit really is a responsive address.
         assert np.isin(hits, values).all()
+
+    def test_adaptive_charges_no_probes_to_a_full_selection(
+        self, mini_dataset, monkeypatch
+    ):
+        from repro.analysis import adaptive
+
+        # phi=1 selects every prefix: no month has anything to explore.
+        monkeypatch.setattr(adaptive, "PHI", 1.0)
+        (comparison,) = adaptive.run_adaptive(mini_dataset).comparisons
+        assert comparison.absorbed_prefixes == 0
+        assert comparison.adaptive_probes == comparison.static_probes
+        assert comparison.probe_overhead == 0.0
 
     def test_hold_or_reseed_accounting(self, mini_dataset):
         from repro.core.tass import TassStrategy

@@ -10,10 +10,12 @@ a blocklisted v4 ``run_sharded`` against its closed-form totals.
 import dataclasses
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from conftest import build_mini_dataset
 from repro.census.addrset import AddressSet
+from repro.orchestrator.waves import explore_unselected
 from repro.scan.blocklist import Blocklist
 from repro.scan.engine import EngineConfig
 from repro.scan.permutation import CyclicPermutation
@@ -159,3 +161,79 @@ def test_blocklisted_scan_matches_closed_form(case, seed, batch_size):
             ) == expected, (shards, executor)
             merged.add(dataclasses.astuple(result))
     assert len(merged) == 1
+
+
+MINI = build_mini_dataset()
+MINI_PARTITION = MINI.topology.table.partition("less-specific")
+_MINI_VALUES = MINI.series_for("http")[0].addresses.values
+
+
+def _explore_reference(rng, partition, selected, values, n):
+    """Exploration the long way: sort the draws, map each to an address."""
+    unselected = np.flatnonzero(~selected)
+    sizes = partition.sizes[unselected]
+    total = int(sizes.sum())
+    empty = np.empty(0, dtype=np.int64)
+    if total == 0 or n == 0:
+        return 0, empty, empty
+    bounds = np.cumsum(sizes)
+    draws = np.sort(rng.integers(0, total, size=n))
+    slot = np.searchsorted(bounds, draws, side="right")
+    offset = draws - (bounds[slot] - sizes[slot])
+    probes = partition.starts[unselected[slot]] + offset
+    if len(values) == 0:
+        return n, empty, empty
+    idx = np.searchsorted(probes, values).clip(max=n - 1)
+    hits = values[probes[idx] == values]
+    parts = np.unique(partition.index_of(hits))
+    parts = parts[parts >= 0]
+    return n, hits, parts[~selected[parts]]
+
+
+@st.composite
+def explorations(draw):
+    """A selection, responsive values in and out of it, and a budget."""
+    partition = MINI_PARTITION
+    size = len(partition)
+    selected = np.array(
+        draw(st.lists(st.booleans(), min_size=size, max_size=size))
+    )
+    inside = [
+        int(partition.starts[i]) + off % int(partition.sizes[i])
+        for i, off in draw(
+            st.lists(
+                st.tuples(st.integers(0, size - 1), st.integers(0, 1 << 17)),
+                max_size=300,
+            )
+        )
+    ]
+    # Mostly outside the announced space, which spans ~0.003% of v4.
+    outside = draw(st.lists(st.integers(0, (1 << 32) - 1), max_size=30))
+    values = inside + outside
+    if draw(st.booleans()):
+        values += _MINI_VALUES.tolist()
+    values = np.unique(np.asarray(values, dtype=np.int64))
+    # Past the unselected space's size, so draws repeat.
+    announced = int(partition.sizes.sum())
+    n = draw(st.one_of(st.integers(0, 600), st.integers(0, announced + 5000)))
+    return selected, values, n
+
+
+@given(explorations(), st.integers(min_value=0, max_value=(1 << 32) - 1))
+@example((np.zeros(4, dtype=bool), _MINI_VALUES, 120_000), 1)
+@example((np.array([True, True, True, False]), _MINI_VALUES, 2000), 2)
+@example((np.ones(4, dtype=bool), _MINI_VALUES, 10), 3)
+@settings(max_examples=60, deadline=None)
+def test_explore_matches_sorted_draw_reference(case, seed):
+    selected, values, n = case
+    rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    probes, hits, fresh = explore_unselected(
+        rng, MINI_PARTITION, selected, values, n
+    )
+    ref_probes, ref_hits, ref_fresh = _explore_reference(
+        ref_rng, MINI_PARTITION, selected, values, n
+    )
+    assert probes == ref_probes
+    assert hits.tolist() == ref_hits.tolist()
+    assert fresh.tolist() == ref_fresh.tolist()
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
