@@ -389,10 +389,10 @@ class TestWaveCores:
         values = mini_dataset.series_for("http").seed_snapshot.addresses.values
         selected = np.array([True, False, False, True])
         rng = np.random.default_rng(1)
-        probes, hits, fresh = explore_unselected(
+        count, hits, fresh = explore_unselected(
             rng, partition, selected, values, 20000
         )
-        assert probes == 20000
+        assert count == 20000
         assert set(partition.index_of(hits).tolist()) <= {1, 2}
         assert np.all(~selected[fresh])
         # Every reported hit really is a responsive address.

@@ -165,7 +165,7 @@ def test_blocklisted_scan_matches_closed_form(case, seed, batch_size):
 
 MINI = build_mini_dataset()
 MINI_PARTITION = MINI.topology.table.partition("less-specific")
-_MINI_VALUES = MINI.series_for("http")[0].addresses.values
+MINI_VALUES = MINI.series_for("http")[0].addresses.values
 
 
 def _explore_reference(rng, partition, selected, values, n):
@@ -211,7 +211,7 @@ def explorations(draw):
     outside = draw(st.lists(st.integers(0, (1 << 32) - 1), max_size=30))
     values = inside + outside
     if draw(st.booleans()):
-        values += _MINI_VALUES.tolist()
+        values += MINI_VALUES.tolist()
     values = np.unique(np.asarray(values, dtype=np.int64))
     # Past the unselected space's size, so draws repeat.
     announced = int(partition.sizes.sum())
@@ -220,20 +220,20 @@ def explorations(draw):
 
 
 @given(explorations(), st.integers(min_value=0, max_value=(1 << 32) - 1))
-@example((np.zeros(4, dtype=bool), _MINI_VALUES, 120_000), 1)
-@example((np.array([True, True, True, False]), _MINI_VALUES, 2000), 2)
-@example((np.ones(4, dtype=bool), _MINI_VALUES, 10), 3)
+@example((np.zeros(4, dtype=bool), MINI_VALUES, 120_000), 1)
+@example((np.array([True, True, True, False]), MINI_VALUES, 2000), 2)
+@example((np.ones(4, dtype=bool), MINI_VALUES, 10), 3)
 @settings(max_examples=60, deadline=None)
 def test_explore_matches_sorted_draw_reference(case, seed):
     selected, values, n = case
     rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-    probes, hits, fresh = explore_unselected(
+    count, hits, fresh = explore_unselected(
         rng, MINI_PARTITION, selected, values, n
     )
-    ref_probes, ref_hits, ref_fresh = _explore_reference(
+    ref_count, ref_hits, ref_fresh = _explore_reference(
         ref_rng, MINI_PARTITION, selected, values, n
     )
-    assert probes == ref_probes
+    assert count == ref_count
     assert hits.tolist() == ref_hits.tolist()
     assert fresh.tolist() == ref_fresh.tolist()
     assert rng.bit_generator.state == ref_rng.bit_generator.state
