@@ -1,4 +1,4 @@
-"""Sharded scan execution: serial vs K-sharded, in-process vs pool.
+"""Sharded scan execution: one shard vs K shards, drained in-process.
 
 Scans the phi=0.9 TASS selection for HTTP against the seed snapshot
 through the sharded executor at several shard counts, recording the
@@ -61,20 +61,5 @@ def test_sharded_serial_many(benchmark, scan_inputs, reference_result, shards):
         shards=shards,
         executor="serial",
         config=_CONFIG,
-    )
-    _assert_matches(run, reference_result)
-
-
-@pytest.mark.parametrize("shards", [4, 8])
-def test_sharded_process_pool(
-    benchmark, scan_inputs, reference_result, shards
-):
-    selection, responsive = scan_inputs
-    run = benchmark.pedantic(
-        run_sharded,
-        args=(selection, responsive),
-        kwargs=dict(shards=shards, executor="process", config=_CONFIG),
-        rounds=3,
-        iterations=1,
     )
     _assert_matches(run, reference_result)

@@ -9,7 +9,7 @@
 #   BASE_DIR   a checkout of the base commit (e.g. a git worktree of
 #              `git merge-base origin/main HEAD`)
 #   V4_PRESET  dataset preset of the v4 arms (default: tiny)
-#   V6_PRESET  dataset preset of the v6 arm (default: v6-tiny)
+#   V6_PRESET  dataset preset of the v6 arms (default: v6-tiny)
 #
 # Arms, each run at both commits:
 #   v4, serial, 8 shards, --use-blocklist --explore-frac 0.01
@@ -17,7 +17,8 @@
 #   v4, distributed (2 workers), 8 shards, --use-blocklist
 #       --explore-frac 0.01 (the coordinator explores between runs of a
 #       fleet that stays alive across waves)
-#   v4, process, 8 shards, --use-blocklist
+#   v6, distributed (2 workers), 8 shards, 64 samples per prefix (the
+#       v6 shard descriptions cross the wire)
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -82,7 +83,7 @@ compare_arm v6-serial --preset "$V6_PRESET" --executor serial \
     --samples-per-prefix 64
 compare_arm v4-distributed --preset "$V4_PRESET" --executor distributed \
     --use-blocklist --explore-frac 0.01
-compare_arm v4-process --preset "$V4_PRESET" --executor process \
-    --use-blocklist
+compare_arm v6-distributed --preset "$V6_PRESET" --executor distributed \
+    --samples-per-prefix 64
 
 echo "identity smoke passed"

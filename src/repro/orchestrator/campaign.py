@@ -213,8 +213,8 @@ class CampaignSpec:
         are stored in ``campaign.json`` — so a resume replays the
         original campaign exactly.
         """
-        executor = self.executor or "serial"
-        # Also rejects an unregistered executor, paced or not.
+        executor = "serial" if self.executor is None else self.executor
+        # Also rejects an unknown executor, paced or not.
         wraps = executor_supports_wrap(executor)
         if self.probes_per_sec is not None and not wraps:
             raise ValueError(

@@ -73,7 +73,7 @@ def build_parser() -> argparse.ArgumentParser:
     plan.add_argument(
         "--executor",
         default=None,
-        help="registered shard executor: serial, process, or "
+        help="shard executor: serial or "
         "distributed (coordinator + socket workers; fleet size via "
         "REPRO_DIST_WORKERS, pre-started remote workers via "
         "REPRO_DIST_ADDRESS_BOOK=host:port,..., handshake auth via "

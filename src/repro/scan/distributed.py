@@ -132,11 +132,7 @@ from repro.env import (
     fault_plan as _env_fault_plan,
 )
 from repro.scan.engine import ScanResult
-from repro.scan.executors import (
-    ExecutorFailure,
-    build_worker,
-    register_executor,
-)
+from repro.scan.executors import ExecutorFailure, build_worker
 from repro.scan.faults import RespawnGovernor, deadline_action
 
 __all__ = [
@@ -1354,18 +1350,13 @@ def open_fleet():
     """
     with Coordinator(workers=dist_workers()) as coordinator:
 
+        # run_sharded rejects wrap_targets for every executor but serial.
         def drain(targets, worker_args, wrap_targets=None):
-            if wrap_targets is not None:
-                raise ValueError(
-                    "wrap_targets requires the serial executor: wrapper "
-                    "state cannot be shared across worker processes"
-                )
             return coordinator.run(targets, worker_args)
 
         yield drain
 
 
-@register_executor("distributed", opener=open_fleet)
 def distributed_executor(targets, worker_args, wrap_targets=None):
     """Coordinator + N socket workers (the multi-node protocol), for one
     drain: the fleet is opened here and shut down when the drain ends."""

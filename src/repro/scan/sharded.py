@@ -7,17 +7,16 @@ sub-walks that jointly visit every target exactly once, so ``K``
 with zero coordination — the zmap sharding construction.  The shards of
 one wave share one walk: :func:`shard_targets` builds the interval
 arrays (and, on v6, the hitlist and per-interval draws) once, and each
-shard is that walk plus its own shard index.  A shard pickles as those
-built arrays, so the process executor ships shards to worker processes
-without rebuilding anything.  Shards yield walk coordinates, scored
-against bitmaps built once per wave (:meth:`IntervalTargets.bitmaps`).
+shard is that walk plus its own shard index.  Shards yield walk
+coordinates, scored against bitmaps built once per wave
+(:meth:`IntervalTargets.bitmaps`).
 
 ``run_sharded`` is the entry point: it shards any target spec —
 a :class:`~repro.core.tass.Selection`, a
 :class:`~repro.bgp.table.Partition`, a prefix list, raw
 ``(starts, ends)`` arrays, or a plain range size — executes the shards
-through a registered executor (``serial``, ``process``, or
-``distributed``; see :mod:`repro.scan.executors`), and merges the
+through one of the two executors (``serial`` or ``distributed``; see
+:mod:`repro.scan.executors`), and merges the
 per-shard :class:`~repro.scan.engine.ScanResult`\\ s deterministically:
 the merged result is **shard-count and executor invariant** (``K=1``
 serial and ``K=8`` distributed produce byte-identical merged results),
@@ -363,15 +362,14 @@ def run_sharded(
 ) -> ShardedScanResult:
     """Scan a target spec across ``shards`` engine workers and merge.
 
-    ``executor`` names any executor registered in
-    :mod:`repro.scan.executors` — ``"serial"`` (drain shards
-    in-process, in order), ``"process"`` (one pool worker process per
-    shard, capped at the CPU count), or ``"distributed"`` (a
-    coordinator shipping shards to socket workers with
-    requeue-on-failure).  All produce identical results; the merged
-    result is also invariant in ``shards`` itself.  ``executor`` may
-    also be a drain from :func:`~repro.scan.executors.open_executor`,
-    whose workers outlive this call (a campaign's one fleet).
+    ``executor`` names one of :data:`~repro.scan.executors.EXECUTORS`
+    — ``"serial"`` (drain shards in-process, in order) or
+    ``"distributed"`` (a coordinator shipping shards to socket workers
+    with requeue-on-failure).  Both produce identical results; the
+    merged result is also invariant in ``shards`` itself.  ``executor``
+    may also be a drain from
+    :func:`~repro.scan.executors.open_executor`, whose workers outlive
+    this call (a campaign's one fleet).
 
     Checkpoint hooks (the orchestrator's shard-boundary machinery):
 

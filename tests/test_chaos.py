@@ -26,8 +26,8 @@ import repro.scan.distributed as distributed
 from repro.scan.distributed import Coordinator
 from repro.scan.engine import EngineConfig
 from repro.scan.executors import (
+    EXECUTORS,
     ExecutorFailure,
-    register_executor,
     serial_executor,
 )
 from repro.env import ENV_FAULT_PLAN
@@ -307,15 +307,10 @@ def _flaky_serial(cell):
 
 
 @pytest.fixture
-def flaky_executor():
-    from repro.scan.executors import _REGISTRY
-
+def flaky_executor(monkeypatch):
     cell = {"collapses": 0}
-    register_executor("flaky-serial")(_flaky_serial(cell))
-    try:
-        yield cell
-    finally:
-        del _REGISTRY["flaky-serial"]
+    monkeypatch.setitem(EXECUTORS, "flaky-serial", _flaky_serial(cell))
+    return cell
 
 
 FLAKY_SPEC = dataclasses.replace(

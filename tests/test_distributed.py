@@ -34,10 +34,11 @@ from repro.scan.distributed import (
 )
 from repro.scan.engine import EngineConfig
 from repro.scan.executors import (
-    available_executors,
+    EXECUTORS,
     executor_supports_wrap,
     get_executor,
-    register_executor,
+    open_executor,
+    serial_executor,
 )
 from repro.scan.sharded import run_sharded, shard_targets
 
@@ -55,14 +56,13 @@ def _result_bytes(result) -> bytes:
 
 
 # ---------------------------------------------------------------------------
-# Registry
+# Executor table
 # ---------------------------------------------------------------------------
 
 
 class TestExecutorRegistry:
     def test_builtins_registered(self):
-        names = available_executors()
-        assert {"serial", "process", "distributed"} <= set(names)
+        assert sorted(EXECUTORS) == ["distributed", "serial"]
 
     def test_unknown_executor_lists_available(self):
         with pytest.raises(ValueError, match="unknown executor 'gpu'"):
@@ -70,38 +70,29 @@ class TestExecutorRegistry:
 
     def test_wrap_support_metadata(self):
         assert executor_supports_wrap("serial")
-        assert not executor_supports_wrap("process")
         assert not executor_supports_wrap("distributed")
 
-    def test_custom_executor_threads_through_run_sharded(self):
-        from repro.scan.executors import _REGISTRY, serial_executor
-
+    def test_custom_executor_threads_through_run_sharded(self, monkeypatch):
         calls = []
 
-        @register_executor("counting-serial", supports_wrap=True)
         def counting(targets, worker_args, wrap_targets=None):
             calls.append(len(targets))
             yield from serial_executor(
                 targets, worker_args, wrap_targets=wrap_targets
             )
 
-        try:
-            spec, responsive = _world()
-            run = run_sharded(
-                spec, responsive, shards=3, executor="counting-serial",
-                config=_CONFIG,
-            )
-            baseline = run_sharded(
-                spec, responsive, shards=3, executor="serial",
-                config=_CONFIG,
-            )
-            assert calls == [3]
-            assert run.executor == "counting-serial"
-            assert _result_bytes(run.result) == _result_bytes(
-                baseline.result
-            )
-        finally:
-            del _REGISTRY["counting-serial"]
+        monkeypatch.setitem(EXECUTORS, "counting-serial", counting)
+        spec, responsive = _world()
+        run = run_sharded(
+            spec, responsive, shards=3, executor="counting-serial",
+            config=_CONFIG,
+        )
+        baseline = run_sharded(
+            spec, responsive, shards=3, executor="serial", config=_CONFIG,
+        )
+        assert calls == [3]
+        assert run.executor == "counting-serial"
+        assert _result_bytes(run.result) == _result_bytes(baseline.result)
 
 
 # ---------------------------------------------------------------------------
@@ -455,14 +446,14 @@ def test_stray_peers_mid_run_do_not_perturb_results():
 # ---------------------------------------------------------------------------
 
 
-def test_distributed_matches_serial_and_process():
+def test_distributed_matches_serial():
     spec, responsive = _world()
     runs = {
         name: run_sharded(
             spec, responsive, shards=4, executor=name, config=_CONFIG,
             protocol="http",
         )
-        for name in ("serial", "process", "distributed")
+        for name in ("serial", "distributed")
     }
     reference = _result_bytes(runs["serial"].result)
     for name, run in runs.items():
@@ -501,13 +492,18 @@ def test_distributed_respects_worker_count_knob(monkeypatch):
     assert _result_bytes(serial.result) == _result_bytes(dist.result)
 
 
-def test_distributed_rejects_wrap_targets():
+@pytest.mark.parametrize("via", ["name", "drain"])
+def test_distributed_rejects_wrap_targets(via):
+    # run_sharded holds the only wrap_targets check: a campaign's fleet
+    # drain must hit it just as the bare name does.
     spec, responsive = _world()
-    with pytest.raises(ValueError, match="serial executor"):
-        run_sharded(
-            spec, responsive, shards=2, executor="distributed",
-            config=_CONFIG, wrap_targets=lambda t: t,
-        )
+    with open_executor("distributed") as drain:
+        executor = "distributed" if via == "name" else drain
+        with pytest.raises(ValueError, match="serial executor"):
+            run_sharded(
+                spec, responsive, shards=2, executor=executor,
+                config=_CONFIG, wrap_targets=lambda t: t,
+            )
 
 
 def test_distributed_on_shard_fires_in_shard_order():

@@ -83,12 +83,12 @@ class TestScanExecutor:
     """The executor is a spec field; no environment variable sets it."""
 
     def test_defaults_to_serial(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SCAN_EXECUTOR", "process")
+        monkeypatch.setenv("REPRO_SCAN_EXECUTOR", "distributed")
         assert CampaignSpec().resolved().executor == "serial"
 
     def test_valid_values(self):
-        spec = CampaignSpec(executor="process")
-        assert spec.resolved().executor == "process"
+        spec = CampaignSpec(executor="serial")
+        assert spec.resolved().executor == "serial"
 
     def test_distributed_accepted(self):
         spec = CampaignSpec(executor="distributed")

@@ -545,14 +545,14 @@ class TestV6IntervalTargets:
 
 
 class TestV6ExecutorParity:
-    def test_serial_process_distributed_agree(self):
+    def test_serial_distributed_agree(self):
         base, starts, ends, hitlist = _v6_case()
         responsive = V6.encode(
             sorted({base + 3, base + 9, base + (1 << 80) + 2})
         )
         outcomes = set()
         for shards, executor in [
-            (1, "serial"), (4, "serial"), (4, "process"), (4, "distributed"),
+            (1, "serial"), (4, "serial"), (4, "distributed"),
         ]:
             sharded = run_sharded(
                 (starts, ends),

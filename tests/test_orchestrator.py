@@ -72,6 +72,11 @@ class TestCampaignSpec:
             ("shards", 0),
             ("shards", "lots"),
             ("executor", "bogus"),
+            ("executor", 5),
+            ("executor", ["serial"]),
+            # Planned before the process pool was deleted: resuming it
+            # fails with a named error, not a traceback.
+            ("executor", "process"),
             ("family", "ipv5"),
         ],
     )
@@ -84,7 +89,7 @@ class TestCampaignSpec:
             CampaignRunner.from_directory(tmp_path)
 
     def test_pacing_requires_serial_executor(self):
-        spec = CampaignSpec(executor="process", probes_per_sec=1000.0)
+        spec = CampaignSpec(executor="distributed", probes_per_sec=1000.0)
         with pytest.raises(ValueError, match="serial executor"):
             spec.resolved()
 

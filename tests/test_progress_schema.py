@@ -47,9 +47,7 @@ def test_every_key_is_documented():
         )
 
 
-@pytest.mark.parametrize(
-    "executor", ["serial", "process", "distributed"]
-)
+@pytest.mark.parametrize("executor", ["serial", "distributed"])
 def test_schema_is_stable_across_executors(
     tmp_path, monkeypatch, executor
 ):

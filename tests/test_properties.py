@@ -145,21 +145,19 @@ def test_blocklisted_scan_matches_closed_form(case, seed, batch_size):
     )
     merged = set()
     for shards in (1, 3, 8):
-        for executor in ("serial", "process"):
-            result = run_sharded(
-                (np.array(starts), np.array(ends)),
-                AddressSet(truth),
-                shards=shards,
-                executor=executor,
-                config=EngineConfig(batch_size=batch_size),
-                blocklist=Blocklist([s for s, _ in blocks],
-                                    [s + n for s, n in blocks]),
-                seed=seed,
-            ).result
-            assert (
-                result.probes_sent, result.responses, result.blocked
-            ) == expected, (shards, executor)
-            merged.add(dataclasses.astuple(result))
+        result = run_sharded(
+            (np.array(starts), np.array(ends)),
+            AddressSet(truth),
+            shards=shards,
+            config=EngineConfig(batch_size=batch_size),
+            blocklist=Blocklist([s for s, _ in blocks],
+                                [s + n for s, n in blocks]),
+            seed=seed,
+        ).result
+        assert (
+            result.probes_sent, result.responses, result.blocked
+        ) == expected, shards
+        merged.add(dataclasses.astuple(result))
     assert len(merged) == 1
 
 

@@ -87,31 +87,18 @@ def test_selection_outputs_shard_invariant():
         )
 
 
-def test_single_shard_process_request_reports_serial():
+def test_single_shard_distributed_request_reports_serial():
     table, _, responsive = _world()
     selection = TassStrategy(table, phi=0.9).plan(responsive)
     run = run_sharded(
-        selection, responsive, shards=1, executor="process", config=_CONFIG
+        selection, responsive, shards=1, executor="distributed",
+        config=_CONFIG,
     )
     assert run.executor == "serial"
     assert run.shards == 1
     # With neither argument given, the defaults are one serial shard.
     default = run_sharded(selection, responsive, config=_CONFIG)
     assert (default.shards, default.executor) == (1, "serial")
-
-
-def test_process_executor_matches_serial():
-    table, _, responsive = _world()
-    selection = TassStrategy(table, phi=0.9).plan(responsive)
-    serial = run_sharded(
-        selection, responsive, shards=4, executor="serial", config=_CONFIG
-    )
-    process = run_sharded(
-        selection, responsive, shards=4, executor="process", config=_CONFIG
-    )
-    assert _result_bytes(serial.result) == _result_bytes(process.result)
-    for left, right in zip(serial.shard_results, process.shard_results):
-        assert _result_bytes(left) == _result_bytes(right)
 
 
 def test_shards_cover_targets_exactly_once():
