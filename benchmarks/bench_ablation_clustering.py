@@ -43,10 +43,8 @@ def run_clustering_ablation(dataset, protocol="ftp"):
     return rows
 
 
-def test_clustering_ablation(benchmark, dataset, artifact_dir):
-    rows = benchmark.pedantic(
-        run_clustering_ablation, args=(dataset,), rounds=1, iterations=1
-    )
+def test_clustering_ablation(dataset, artifact_dir):
+    rows = run_clustering_ablation(dataset)
     rendered = format_table(
         ["partition", "parts", "space@phi=1", "month-6 hitrate"],
         [

@@ -34,10 +34,8 @@ def run_view_tradeoff(dataset):
     return rows
 
 
-def test_view_tradeoff(benchmark, dataset, artifact_dir):
-    rows = benchmark.pedantic(
-        run_view_tradeoff, args=(dataset,), rounds=1, iterations=1
-    )
+def test_view_tradeoff(dataset, artifact_dir):
+    rows = run_view_tradeoff(dataset)
     rendered = format_table(
         ["protocol", "view", "space@phi=1", "decay/mo", "month-6 hitrate"],
         [

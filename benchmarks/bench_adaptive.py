@@ -1,14 +1,12 @@
-"""Benchmark + regeneration of the static-vs-adaptive TASS comparison."""
+"""Regeneration of the static-vs-adaptive TASS comparison."""
 
 from repro.analysis.adaptive import render_adaptive, run_adaptive
 
 from benchmarks.conftest import save_artifact
 
 
-def test_adaptive(benchmark, dataset, artifact_dir):
-    result = benchmark.pedantic(
-        run_adaptive, args=(dataset,), rounds=1, iterations=1
-    )
+def test_adaptive(dataset, artifact_dir):
+    result = run_adaptive(dataset)
     save_artifact(artifact_dir, "adaptive.txt", render_adaptive(result))
     for comparison in result.comparisons:
         assert comparison.hitrate_gain_month6 > -0.01

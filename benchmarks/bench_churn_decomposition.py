@@ -1,4 +1,4 @@
-"""Benchmark + regeneration of the churn-decomposition analysis (§2)."""
+"""Regeneration of the churn-decomposition analysis (§2)."""
 
 from repro.analysis.churn_decomposition import (
     render_churn_decomposition,
@@ -8,10 +8,8 @@ from repro.analysis.churn_decomposition import (
 from benchmarks.conftest import save_artifact
 
 
-def test_churn_decomposition(benchmark, dataset, artifact_dir):
-    result = benchmark.pedantic(
-        run_churn_decomposition, args=(dataset,), rounds=1, iterations=1
-    )
+def test_churn_decomposition(dataset, artifact_dir):
+    result = run_churn_decomposition(dataset)
     save_artifact(
         artifact_dir,
         "churn_decomposition.txt",

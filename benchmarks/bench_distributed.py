@@ -2,15 +2,11 @@
 
 Scans the phi=0.9 TASS selection for HTTP against the seed snapshot
 through the ``distributed`` executor — real worker subprocesses, the
-full length-prefixed socket protocol, requeue machinery armed — and
-records the end-to-end cost next to the serial drain of the same
-shards.  Every variant must merge to a byte-identical
-:class:`ScanResult` (executor invariance, re-asserted here on the full
-benchmark dataset), including a run with an injected worker failure.
-
-The absolute numbers measure protocol + process-spawn overhead on one
-host; the payoff of this executor is multi-node scale-out, which a
-single-machine benchmark cannot show.
+full length-prefixed socket protocol, requeue machinery armed.  Every
+variant must merge to a byte-identical :class:`ScanResult` (executor
+invariance, re-asserted here on the full benchmark dataset), including
+a run with an injected worker failure.  perfbench's ``v4-distributed``
+workload times this executor inside a whole campaign.
 """
 
 import dataclasses
@@ -45,31 +41,23 @@ def _assert_matches(run, reference):
 
 
 @pytest.mark.parametrize("shards", [4, 8])
-def test_distributed_workers(
-    benchmark, scan_inputs, reference_result, shards
-):
+def test_distributed_workers(scan_inputs, reference_result, shards):
     selection, responsive = scan_inputs
-    run = benchmark.pedantic(
-        run_sharded,
-        args=(selection, responsive),
-        kwargs=dict(shards=shards, executor="distributed", config=_CONFIG),
-        rounds=3,
-        iterations=1,
+    run = run_sharded(
+        selection, responsive, shards=shards, executor="distributed",
+        config=_CONFIG,
     )
     _assert_matches(run, reference_result)
 
 
 def test_distributed_with_worker_failure(
-    benchmark, scan_inputs, reference_result, monkeypatch
+    scan_inputs, reference_result, monkeypatch
 ):
     """One injected worker death + requeue; results must not move."""
     monkeypatch.setenv("REPRO_FAULT_PLAN", "crash@1")
     selection, responsive = scan_inputs
-    run = benchmark.pedantic(
-        run_sharded,
-        args=(selection, responsive),
-        kwargs=dict(shards=4, executor="distributed", config=_CONFIG),
-        rounds=2,
-        iterations=1,
+    run = run_sharded(
+        selection, responsive, shards=4, executor="distributed",
+        config=_CONFIG,
     )
     _assert_matches(run, reference_result)

@@ -1,4 +1,4 @@
-"""Benchmark + regeneration of the §1/§4 efficiency headline.
+"""Regeneration of the §1/§4 efficiency headline.
 
 "TASS scans are 1.25 to 10 times more efficient for a period of at
 least 6 months" — full campaign accounting against periodic full scans.
@@ -9,10 +9,8 @@ from repro.analysis.efficiency import render_efficiency, run_efficiency
 from benchmarks.conftest import save_artifact
 
 
-def test_efficiency(benchmark, dataset, artifact_dir):
-    result = benchmark.pedantic(
-        run_efficiency, args=(dataset,), rounds=1, iterations=1
-    )
+def test_efficiency(dataset, artifact_dir):
+    result = run_efficiency(dataset)
     save_artifact(artifact_dir, "efficiency.txt", render_efficiency(result))
     low, high = result.ratio_range()
     assert low > 1.0, "TASS must always beat periodic full scans"

@@ -1,4 +1,4 @@
-"""Benchmark + regeneration of Figure 3 (hosts per prefix length).
+"""Regeneration of Figure 3 (hosts per prefix length).
 
 Seven monthly measurements × two protocols × both views, matching the
 paper's panels (a)-(d).
@@ -9,10 +9,8 @@ from repro.analysis.figure3 import render_figure3, run_figure3
 from benchmarks.conftest import save_artifact
 
 
-def test_figure3(benchmark, dataset, artifact_dir):
-    result = benchmark.pedantic(
-        run_figure3, args=(dataset,), rounds=1, iterations=1
-    )
+def test_figure3(dataset, artifact_dir):
+    result = run_figure3(dataset)
     save_artifact(artifact_dir, "figure3.txt", render_figure3(result))
     for protocol in result.protocols:
         # Stability across the seven measurements...

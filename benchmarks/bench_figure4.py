@@ -1,4 +1,4 @@
-"""Benchmark + regeneration of Figure 4 (density-ranked coverage curves).
+"""Regeneration of Figure 4 (density-ranked coverage curves).
 
 Also exports the full per-rank series as CSV (the paper plots ~100K+
 points; the text render downsamples).
@@ -13,10 +13,8 @@ from repro.analysis.figure4 import (
 from benchmarks.conftest import save_artifact
 
 
-def test_figure4(benchmark, dataset, artifact_dir):
-    result = benchmark.pedantic(
-        run_figure4, args=(dataset,), rounds=1, iterations=1
-    )
+def test_figure4(dataset, artifact_dir):
+    result = run_figure4(dataset)
     save_artifact(artifact_dir, "figure4.txt", render_figure4(result))
     export_figure4_csv(result, str(artifact_dir))
     for (view, protocol), curve in result.curves.items():

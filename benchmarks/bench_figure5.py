@@ -1,14 +1,12 @@
-"""Benchmark + regeneration of Figure 5 (hitlist hitrate over time)."""
+"""Regeneration of Figure 5 (hitlist hitrate over time)."""
 
 from repro.analysis.figure5 import render_figure5, run_figure5
 
 from benchmarks.conftest import save_artifact
 
 
-def test_figure5(benchmark, dataset, artifact_dir):
-    result = benchmark.pedantic(
-        run_figure5, args=(dataset,), rounds=1, iterations=1
-    )
+def test_figure5(dataset, artifact_dir):
+    result = run_figure5(dataset)
     save_artifact(artifact_dir, "figure5.txt", render_figure5(result))
     rates = result.hitrates()
     # Paper: server protocols ~0.8 after one month; CWMP collapses.

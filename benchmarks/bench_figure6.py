@@ -1,4 +1,4 @@
-"""Benchmark + regeneration of Figure 6 (TASS hitrate over time).
+"""Regeneration of Figure 6 (TASS hitrate over time).
 
 Both panels: φ=1 and φ=0.95, both prefix views, all four protocols.
 """
@@ -8,10 +8,8 @@ from repro.analysis.figure6 import render_figure6, run_figure6
 from benchmarks.conftest import save_artifact
 
 
-def test_figure6(benchmark, dataset, artifact_dir):
-    result = benchmark.pedantic(
-        run_figure6, args=(dataset,), rounds=1, iterations=1
-    )
+def test_figure6(dataset, artifact_dir):
+    result = run_figure6(dataset)
     save_artifact(artifact_dir, "figure6.txt", render_figure6(result))
     for protocol in dataset.protocols:
         less = result.decay(1.0, "less-specific", protocol)

@@ -1,6 +1,6 @@
 """The 128-bit address-family hot paths.
 
-Benchmarks the v6-specific machinery against a generated v6 preset
+Runs the v6-specific machinery against a generated v6 preset
 (``v6-tiny`` under ``REPRO_BENCH_PRESET=tiny``, ``v6-small``
 otherwise): phi-selection counting over an S16 partition, the
 hitlist + sampled sharded scan, and the big-modulus (Python-int)
@@ -40,14 +40,14 @@ def v6_inputs(v6_dataset):
     return strategy, selection, snapshot.addresses
 
 
-def test_v6_selection_plan(benchmark, v6_inputs):
+def test_v6_selection_plan(v6_inputs):
     """Two-searchsorted counting + density ranking on S16 intervals."""
     strategy, selection, responsive = v6_inputs
-    planned = benchmark(strategy.plan, responsive)
+    planned = strategy.plan(responsive)
     assert planned.covered_hosts == selection.covered_hosts
 
 
-def test_v6_sharded_scan(benchmark, v6_inputs):
+def test_v6_sharded_scan(v6_inputs):
     """Hitlist + sampled v6 scan through the sharded executor."""
     _, selection, responsive = v6_inputs
     reference = run_sharded(
@@ -59,32 +59,24 @@ def test_v6_sharded_scan(benchmark, v6_inputs):
         samples=_SAMPLES,
     ).result
 
-    def scan():
-        return run_sharded(
-            selection,
-            responsive,
-            shards=4,
-            executor="serial",
-            hitlist=responsive.values,
-            samples=_SAMPLES,
-        )
-
-    run = benchmark(scan)
+    run = run_sharded(
+        selection,
+        responsive,
+        shards=4,
+        executor="serial",
+        hitlist=responsive.values,
+        samples=_SAMPLES,
+    )
     assert dataclasses.astuple(run.result) == dataclasses.astuple(
         reference
     )
 
 
-def test_v6_bigint_walk(benchmark):
+def test_v6_bigint_walk():
     """First 8k elements of a 2^96-element cyclic walk (one /32)."""
-    permutation = CyclicPermutation(1 << 96, seed=3)
-
-    def drain():
-        seen = 0
-        for batch in permutation.batches(1 << 10):
-            seen += len(batch)
-            if seen >= 1 << 13:
-                break
-        return seen
-
-    assert benchmark(drain) >= 1 << 13
+    seen = 0
+    for batch in CyclicPermutation(1 << 96, seed=3).batches(1 << 10):
+        seen += len(batch)
+        if seen >= 1 << 13:
+            break
+    assert seen >= 1 << 13

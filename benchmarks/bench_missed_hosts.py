@@ -1,14 +1,12 @@
-"""Benchmark + regeneration of the found-vs-missed host analysis (§5)."""
+"""Regeneration of the found-vs-missed host analysis (§5)."""
 
 from repro.analysis.missed import render_missed_hosts, run_missed_hosts
 
 from benchmarks.conftest import save_artifact
 
 
-def test_missed_hosts(benchmark, dataset, artifact_dir):
-    result = benchmark.pedantic(
-        run_missed_hosts, args=(dataset,), rounds=1, iterations=1
-    )
+def test_missed_hosts(dataset, artifact_dir):
+    result = run_missed_hosts(dataset)
     save_artifact(
         artifact_dir, "missed_hosts.txt", render_missed_hosts(result)
     )

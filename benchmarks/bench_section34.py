@@ -1,14 +1,12 @@
-"""Benchmark + regeneration of the §3.4 headline statistics (FTP)."""
+"""Regeneration of the §3.4 headline statistics (FTP)."""
 
 from repro.analysis.section34 import render_section34, run_section34
 
 from benchmarks.conftest import save_artifact
 
 
-def test_section34(benchmark, dataset, artifact_dir):
-    result = benchmark.pedantic(
-        run_section34, args=(dataset,), rounds=1, iterations=1
-    )
+def test_section34(dataset, artifact_dir):
+    result = run_section34(dataset)
     save_artifact(artifact_dir, "section34.txt", render_section34(result))
     # phi=0.95 must cost far less space than phi=1 (paper: 27.3 vs 76.2).
     assert result.phi95_space_less < 0.6 * result.phi1_space_less

@@ -1,10 +1,10 @@
 """Sharded scan execution: one shard vs K shards, drained in-process.
 
 Scans the phi=0.9 TASS selection for HTTP against the seed snapshot
-through the sharded executor at several shard counts, recording the
-speedup trajectory of the scale-out layer.  Every variant must merge to
-a byte-identical :class:`ScanResult` — the K-invariance the sharded
-test suite locks down, re-asserted here on the full benchmark dataset.
+through the sharded executor at several shard counts.  Every variant
+must merge to a byte-identical :class:`ScanResult` — the K-invariance
+the sharded test suite locks down, re-asserted here on the full
+benchmark dataset.
 """
 
 import dataclasses
@@ -38,28 +38,20 @@ def _assert_matches(run, reference):
     assert dataclasses.astuple(run.result) == dataclasses.astuple(reference)
 
 
-def test_sharded_serial_k1(benchmark, scan_inputs, reference_result):
+def test_sharded_serial_k1(scan_inputs, reference_result):
     selection, responsive = scan_inputs
-    run = benchmark(
-        run_sharded,
-        selection,
-        responsive,
-        shards=1,
-        executor="serial",
+    run = run_sharded(
+        selection, responsive, shards=1, executor="serial",
         config=_CONFIG,
     )
     _assert_matches(run, reference_result)
 
 
 @pytest.mark.parametrize("shards", [4, 8])
-def test_sharded_serial_many(benchmark, scan_inputs, reference_result, shards):
+def test_sharded_serial_many(scan_inputs, reference_result, shards):
     selection, responsive = scan_inputs
-    run = benchmark(
-        run_sharded,
-        selection,
-        responsive,
-        shards=shards,
-        executor="serial",
+    run = run_sharded(
+        selection, responsive, shards=shards, executor="serial",
         config=_CONFIG,
     )
     _assert_matches(run, reference_result)

@@ -71,6 +71,13 @@ _MANIFEST_KEY = "manifest"
 _GENERATION_RE = re.compile(r"^checkpoint\.(\d+)\.npz$")
 
 
+def _is_gen(value) -> bool:
+    """A generation number: a non-negative ``int``, never a ``bool``."""
+    return (
+        isinstance(value, int) and not isinstance(value, bool) and value >= 0
+    )
+
+
 class CheckpointCorruption(ValueError):
     """Every candidate checkpoint generation failed verification."""
 
@@ -240,10 +247,15 @@ class CheckpointStore:
             document = json.loads(self.journal_path.read_text())
             entries = document["generations"]
             latest = document["latest"]
+            if not _is_gen(latest):
+                raise ValueError(f"latest {latest!r} is not a generation")
+            # Each entry must name the one file save() writes for its
+            # generation, so pruning, loading and repair never touch a
+            # path outside the campaign directory.
             if not isinstance(entries, list) or not all(
                 isinstance(e, dict)
-                and isinstance(e.get("gen"), int)
-                and isinstance(e.get("file"), str)
+                and _is_gen(e.get("gen"))
+                and e.get("file") == f"checkpoint.{e['gen']}.npz"
                 for e in entries
             ):
                 raise ValueError("malformed generation entries")

@@ -185,9 +185,27 @@ class TestRollback:
         assert error is None
         assert journal["latest"] == 3
 
-    def test_corrupt_journal_falls_back_to_scanning(self, tmp_path):
+    @pytest.mark.parametrize(
+        "journal",
+        [
+            "{not json",
+            # An entry naming a file outside the campaign directory.
+            json.dumps({
+                "latest": 2,
+                "generations": [
+                    {"gen": 1, "file": "../checkpoint.1.npz"},
+                    {"gen": 2, "file": "checkpoint.2.npz"},
+                ],
+            }),
+            # Generation numbers that are not ints.
+            json.dumps({"latest": "x", "generations": []}),
+            json.dumps({"latest": 1.5, "generations": []}),
+        ],
+        ids=["not-json", "outside-file", "str-latest", "float-latest"],
+    )
+    def test_corrupt_journal_falls_back_to_scanning(self, tmp_path, journal):
         _save_n(CheckpointStore(tmp_path, keep=2), 2)
-        (tmp_path / "checkpoints.json").write_text("{not json")
+        (tmp_path / "checkpoints.json").write_text(journal)
         store = CheckpointStore(tmp_path, keep=2)
         manifest, _ = store.load()
         assert manifest["ordinal"] == 1
@@ -195,6 +213,41 @@ class TestRollback:
         assert corrupt["type"] == "checkpoint.corrupt"
         assert corrupt["gen"] is None
         assert "checkpoints.json" in corrupt["reason"]
+        # save() falls back the same way: the next generation number
+        # comes from the files on disk.
+        (tmp_path / "checkpoints.json").write_text(journal)
+        _save_n(store, 1, start=2)
+        assert store.incidents[-1]["type"] == "checkpoint.corrupt"
+        assert [g for g, _ in store.generation_files()] == [1, 2, 3]
+        assert store.read_journal()[0]["latest"] == 3
+
+    @pytest.mark.parametrize("outside", ["absolute", "relative"])
+    def test_journal_never_reaches_outside_the_directory(
+        self, tmp_path, outside
+    ):
+        directory = tmp_path / "campaign"
+        victim = tmp_path / "victim.npz"
+        victim.write_bytes(b"not this campaign's")
+        name = str(victim) if outside == "absolute" else "../victim.npz"
+        journal = json.dumps({
+            "version": 1,
+            "latest": 1,
+            "generations": [
+                {"gen": 1, "file": name, "sha256": "0" * 64, "bytes": 1},
+            ],
+        })
+        _save_n(CheckpointStore(directory, keep=1), 1)
+        store = CheckpointStore(directory, keep=1)
+        # save() prunes, load() and audit(repair=True) quarantine: none
+        # of them may delete or move the named file.
+        for act in (
+            lambda: _save_n(store, 1, start=1),
+            store.load,
+            lambda: store.audit(repair=True),
+        ):
+            (directory / "checkpoints.json").write_text(journal)
+            act()
+            assert victim.read_bytes() == b"not this campaign's"
 
     def test_version_mismatch_is_an_error_not_corruption(
         self, tmp_path
