@@ -19,6 +19,10 @@
 #       fleet that stays alive across waves)
 #   v6, distributed (2 workers), 8 shards, 64 samples per prefix (the
 #       v6 shard descriptions cross the wire)
+#   v4, distributed (2 workers) as above, under the fault plan
+#       crash@1,corrupt@3,mid_result@5,spawn_crash@2; this arm also
+#       requires progress.json's executor_telemetry (failures,
+#       respawns, faults armed, ...) to match
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -51,7 +55,7 @@ run_arm() {  # run_arm TREE OUT PLAN-ARGS...
     )
 }
 
-compare_arm() {  # compare_arm NAME PLAN-ARGS...
+compare_arm() {  # [REPRO_FAULT_PLAN=...] compare_arm NAME PLAN-ARGS...
     local name=$1
     shift
     echo "== $name"
@@ -74,6 +78,18 @@ compare_arm() {  # compare_arm NAME PLAN-ARGS...
         echo "generation count differs: base $gens, head $head_gens" >&2
         exit 1
     }
+    if [ -n "${REPRO_FAULT_PLAN:-}" ]; then
+        python - "$WORK/base-$name" "$WORK/head-$name" <<'PY'
+import json, sys
+base, head = (
+    json.load(open(f"{d}/progress.json"))["executor_telemetry"]
+    for d in sys.argv[1:]
+)
+if base != head:
+    sys.exit(f"executor_telemetry differs:\n  base {base}\n  head {head}")
+print(f"   telemetry identical: {head}")
+PY
+    fi
     echo "   identical: ${#files[@]} files ($gens checkpoint generations)"
 }
 
@@ -85,5 +101,8 @@ compare_arm v4-distributed --preset "$V4_PRESET" --executor distributed \
     --use-blocklist --explore-frac 0.01
 compare_arm v6-distributed --preset "$V6_PRESET" --executor distributed \
     --samples-per-prefix 64
+REPRO_FAULT_PLAN=crash@1,corrupt@3,mid_result@5,spawn_crash@2 \
+    compare_arm v4-distributed-faults --preset "$V4_PRESET" \
+    --executor distributed --use-blocklist --explore-frac 0.01
 
 echo "identity smoke passed"

@@ -101,7 +101,7 @@ class PacedTargets:
     """Wrap a target stream so each batch pays the bucket before probing.
 
     Duck-types the ``batches(batch_size)`` contract of
-    :class:`~repro.scan.sharded.IntervalTargets`, which is all the scan
+    :class:`~repro.scan.walk.IntervalTargets`, which is all the scan
     engine needs — batch contents pass through untouched.  A batch is
     walk coordinates, and the bucket is charged one token per
     coordinate.  On v4 that is one per probe considered, blocked ones

@@ -19,7 +19,7 @@ import numpy as np
 # Module-level on purpose: this feeds per-wave hot loops, which must
 # not pay an import-machinery lookup per wave.
 from repro.bgp.backends import COUNT_CACHE
-from repro.scan.sharded import _pack
+from repro.scan.walk import _pack
 
 __all__ = [
     "RESEED_MODES",

@@ -1,102 +1,68 @@
 """Distributed shard execution: a coordinator driving socket workers.
 
-This is the multi-node seam: the coordinator sends each worker a
-wave's :class:`~repro.scan.sharded.IntervalTargets` walk once, then
-shard indices from a work queue, and drives ``N`` workers over a small
-wire protocol — length-prefixed JSON frames over TCP, with ``int64``
-arrays carried as base64 ``tobytes`` payloads pinned to little-endian
-(``<i8``) on the wire, so hosts of different endianness interoperate.
-Workers join the fleet two ways, mixed freely:
+This is the multi-node seam.  The coordinator sends each worker a
+wave's :class:`~repro.scan.walk.IntervalTargets` walk once, then shard
+indices from a work queue, over length-prefixed JSON frames on TCP
+(``int64`` arrays ride as base64 payloads pinned little-endian, so
+hosts of different endianness interoperate).  Workers join the fleet
+two ways, mixed freely:
 
-- **spawned** — local child processes the coordinator launches
-  (``python -m repro.scan.distributed --connect HOST:PORT``) that dial
-  back in to its listener;
-- **remote** — pre-started workers (``python -m repro.scan.distributed
-  --listen HOST:PORT``) named in the ``REPRO_DIST_ADDRESS_BOOK``
-  address book that the coordinator dials *out* to.  A listen worker
-  serves coordinator *sessions* in sequence: when one session ends
-  (shutdown, coordinator death, a stray peer hanging up) it returns to
-  ``accept`` and waits for the next — which is what lets a restarted
-  coordinator reconnect the same fleet and resume from its checkpoint
-  stream, and lets a worker that starts late join mid-wave through the
-  coordinator's redial pump.
+- **spawned** — local children (``python -m repro.scan.distributed
+  --connect HOST:PORT``) that dial back in to the listener;
+- **remote** — pre-started ``--listen HOST:PORT`` workers named in
+  ``REPRO_DIST_ADDRESS_BOOK``, dialed *out* to and redialed on a short
+  cadence.  A listen worker serves coordinator sessions in sequence,
+  so a restarted coordinator reconnects the same fleet and a late
+  worker joins mid-wave.
 
-One fleet serves a whole campaign run: the coordinator starts it on
-the first wave, sends each later wave's ``init`` on the sessions
-already open, and shuts it down when the run ends (a wave retry or a
-resume starts a fresh one).
+One fleet serves a whole campaign run: the first wave starts it, each
+later wave sends its ``init`` on the sessions already open, and the
+run's end shuts it down (a wave retry or a resume starts a fresh one).
+
+The module has two halves.  :class:`Coordinator` is an I/O shell: it
+owns the listener, the selector, the child processes and the
+handshake, turns what happens on them into events, and carries out
+commands.  Every decision — the shard queue and in-order release,
+deadlines and speculation, the failure budget, respawn backoff and
+degradation, redials, the wave boundary and its telemetry — belongs
+to the pure :class:`~repro.scan.fleet_policy.FleetPolicy`, which is
+where a new scheduling rule goes.  The worker side
+(:func:`worker_main`, :func:`listen_main`) serves one coordinator
+session at a time.
 
 Protocol (all frames are ``>I``-length-prefixed UTF-8 JSON):
 
 - ``hello``     worker → coordinator: ``{"type": "hello", "pid": ...,
   "nonce": ...}`` — always the worker's first frame, whichever side
-  dialed the connection.
+  dialed.
 - ``challenge`` coordinator → worker (only when ``REPRO_DIST_SECRET``
   is set): a fresh nonce plus the coordinator's HMAC-SHA256 proof over
-  both nonces — authentication is *mutual*, a worker never drains
-  shards for an impostor coordinator.
-- ``auth``      worker → coordinator: the worker's HMAC-SHA256 proof.
-  Peers that fail the exchange are dropped **without charging the
-  failure budget** — stray or impostor connections must not be able to
-  abort a healthy campaign.
-- ``init``     coordinator → worker: responsive set, blocklist, engine
-  batch size, protocol, and the wave's walk
-  (``starts``/``ends``/``seed``/``shards``, plus the v6-only
-  ``hitlist``/``samples`` seeding) — sent to each worker once per
-  wave on its open session; the worker builds the walk and its
-  bitmaps once per ``init``.
+  both nonces — authentication is *mutual*.
+- ``auth``      worker → coordinator: the worker's proof.  Peers that
+  fail the exchange are dropped without charging the failure budget.
+- ``init``     coordinator → worker: responsive set, blocklist, batch
+  size, protocol and the wave's walk (``starts``/``ends``/``seed``/
+  ``shards``, plus the v6-only ``hitlist``/``samples``), once per wave
+  per session; the worker builds the walk and its bitmaps once.
 - ``shard``    coordinator → worker: ``{"type": "shard", "shard": i,
-  "index": q}`` — drain the ``i``-th sub-walk of the init walk (``q``
-  is the coordinator's queue index, echoed in the result).  May carry
-  a ``fault`` object when a chaos plan armed one for this attempt.
+  "index": q}`` — drain the ``i``-th sub-walk (``q``, the queue
+  index, is echoed in the result), with a ``fault`` object when a
+  chaos plan armed one for this attempt.
 - ``result``   worker → coordinator: the shard's ``ScanResult`` counters.
-- ``shutdown`` coordinator → worker: the campaign run is over — a
-  spawned worker exits cleanly, a listen worker returns to ``accept``.
+- ``shutdown`` coordinator → worker: the run is over — a spawned worker
+  exits, a listen worker returns to ``accept``.
 
-Determinism and failure semantics: every shard's ``ScanResult`` is a
-pure function of the shard description, so *which* worker drains a
-shard (or how often it is retried, or whether two workers race it)
-never changes the outcome.  The coordinator survives the full chaos
-matrix of :mod:`repro.scan.faults`:
-
-- a worker that **dies** (mid-shard, mid-result, or before saying
-  hello) has its shard re-queued and a replacement spawned;
-- a worker that sends a **malformed, truncated, or oversized frame**
-  is dropped — just that worker — and charged to the failure budget;
-- a worker that **hangs or stalls** past the per-shard attempt
-  deadline has its shard *speculatively re-dispatched* to an idle
-  worker; the first result wins, late duplicates are discarded, and a
-  worker far past its deadline is killed outright;
-- **respawns back off exponentially** (deterministic, no jitter), and
-  a crash-looping replacement fleet trips a detector that *degrades*
-  the fleet — the wave finishes on the survivors instead of
-  tight-loop respawning, surfaced in :attr:`Coordinator.telemetry`;
-- only when no worker remains and none can be spawned does the run
-  abort, with a bounded tail of each dead worker's stderr in the
-  error message.
-
-Throughout, results are released strictly in shard order, so the
-orchestrator's ``on_shard`` checkpoint stream (and therefore
-kill-and-resume byte-identity) is preserved under every fault.
-
-Failure-budget accounting draws one safety line: a peer that was never
-a fleet member — a clean pre-hello EOF from a port scanner or health
-checker, or a connection that fails authentication — is logged and
-ignored (``stray_disconnects`` / ``auth_rejects`` telemetry), while a
-*garbled* hello and every failure of an initialized worker still
-charge the budget.  A noisy or hostile network can therefore never
-wedge a healthy run, but genuine infrastructure collapse still aborts
-loudly.
+Every shard's result is a pure function of its description, so which
+worker drains it, how often it is retried, or whether two attempts
+race never changes an outcome, and results are released strictly in
+shard order under every fault of :mod:`repro.scan.faults`.
 
 Knobs: ``REPRO_DIST_WORKERS`` (fleet size, spawned + remote; default
 one per shard capped at the CPU count plus the address book),
-``REPRO_DIST_ADDRESS_BOOK`` (``host:port,host:port`` of pre-started
-``--listen`` workers), ``REPRO_DIST_SECRET`` (shared HMAC key; unset
-disables the challenge/response), ``REPRO_FAULT_PLAN`` (declarative
-fault injection; see :mod:`repro.scan.faults`),
-``REPRO_DIST_SHARD_DEADLINE``
-(per-shard attempt deadline, default 30 s; 0 disables); none of these
-change any result.  A test that needs every shard to take a while
+``REPRO_DIST_ADDRESS_BOOK``, ``REPRO_DIST_SECRET`` (unset disables the
+challenge/response), ``REPRO_FAULT_PLAN`` and
+``REPRO_DIST_SHARD_DEADLINE`` (default 30 s; 0 disables); none of them
+changes any result.  A test that needs every shard to take a while
 appends ``stall@*:attempts=*:delay=S`` to its fault plan.
 """
 
@@ -131,9 +97,9 @@ from repro.env import (
     dist_workers,
     fault_plan as _env_fault_plan,
 )
-from repro.scan.engine import ScanResult
-from repro.scan.executors import ExecutorFailure, build_worker
-from repro.scan.faults import RespawnGovernor, deadline_action
+from repro.scan.faults import WORKER_FAULT_KINDS
+from repro.scan.fleet_policy import ExecutorFailure, FleetPolicy, Worker
+from repro.scan.walk import IntervalTargets, build_worker
 
 __all__ = [
     "FrameStream",
@@ -153,10 +119,6 @@ MAX_FRAME = 1 << 30
 #: fixed-width bytes (v6 addresses travel as ``|S16``).
 _WIRE_DTYPE = re.compile(r"[<>=|]?(?:[biuf][1248]|S[1-9][0-9]{0,2})")
 
-#: At most one speculative copy of a shard races the original attempt.
-_MAX_SPECULATION = 2
-#: A worker this many deadlines past dispatch is killed, not raced.
-_HARD_KILL_FACTOR = 3.0
 #: Bytes of each dead worker's stderr kept for the failure report.
 _STDERR_TAIL_BYTES = 512
 
@@ -176,9 +138,6 @@ _HANDSHAKE_TIMEOUT = 30.0
 #: Seconds to wait for one outbound TCP connect to an address-book
 #: entry before treating the worker as not-up-yet.
 _DIAL_TIMEOUT = 2.0
-#: Seconds between redial attempts at address-book entries that are
-#: down, rejected, or lost mid-run — the mid-wave join cadence.
-_REDIAL_INTERVAL = 0.5
 
 #: "Forever" for a hung worker; the coordinator kills it long before.
 _HANG_SECONDS = 3600.0
@@ -251,16 +210,6 @@ def _auth_proof(secret: str, role: str, nonce_c: str, nonce_w: str) -> str:
     return hmac.new(secret.encode(), message, hashlib.sha256).hexdigest()
 
 
-def _hello_pid(hello) -> int | None:
-    """The pid a well-formed ``hello`` frame carries, else ``None``."""
-    if not isinstance(hello, dict) or hello.get("type") != "hello":
-        return None
-    try:
-        return int(hello.get("pid", -1))
-    except (TypeError, ValueError, OverflowError):
-        return None
-
-
 class FrameStream:
     """Length-prefixed JSON frames over a blocking socket.
 
@@ -330,41 +279,6 @@ class FrameStream:
 # ---------------------------------------------------------------------------
 
 
-class _Worker:
-    """One connected worker: its stream, process, and assigned shard."""
-
-    __slots__ = (
-        "stream", "pid", "origin", "assigned", "assigned_at",
-        "fault_kind",
-    )
-
-    def __init__(self, stream: FrameStream, pid: int, origin=None):
-        self.stream = stream
-        self.pid = pid
-        self.origin = origin  # (host, port) book entry; None = accepted
-        self.assigned = None  # local queue index, or None when idle
-        self.assigned_at = 0.0  # coordinator clock at dispatch
-        self.fault_kind = None  # fault armed on the in-flight dispatch
-
-
-#: One wave's telemetry, zeroed at the start of every :meth:`Coordinator.run`.
-_WAVE_TELEMETRY = {
-    "failures": 0,
-    "respawns": 0,
-    "faults_armed": 0,
-    "speculative_requeues": 0,
-    "duplicates_discarded": 0,
-    "deadline_kills": 0,
-    "degraded": False,
-    "fleet_initial": 0,
-    "survivors": None,
-    "auth_rejects": 0,
-    "stray_disconnects": 0,
-    "remote_fleet": 0,
-    "remote_connected": 0,
-}
-
-
 def _init_frame(walk, worker_args) -> dict:
     """The ``init`` frame of one wave: its walk and engine inputs."""
     values, batch_size, block_state, protocol = worker_args
@@ -394,51 +308,84 @@ def _init_frame(walk, worker_args) -> dict:
     }
 
 
+def _authenticate(stream: FrameStream, hello: dict, secret: str) -> bool:
+    """The coordinator's half of the mutual challenge/response."""
+    nonce_w = hello.get("nonce")
+    if not isinstance(nonce_w, str) or not nonce_w:
+        return False
+    nonce_c = os.urandom(16).hex()
+    try:
+        stream.send({
+            "type": "challenge",
+            "nonce": nonce_c,
+            "proof": _auth_proof(secret, "coordinator", nonce_c, nonce_w),
+        })
+        reply = stream.recv()
+    except (OSError, ValueError):
+        return False
+    if not isinstance(reply, dict) or reply.get("type") != "auth":
+        return False
+    proof = reply.get("proof")
+    expected = _auth_proof(secret, "worker", nonce_c, nonce_w)
+    # compare_digest raises TypeError on non-ASCII str: reject it.
+    return (
+        isinstance(proof, str)
+        and proof.isascii()
+        and hmac.compare_digest(proof, expected)
+    )
+
+
+def _greet(stream: FrameStream, secret: str | None):
+    """Read a fresh peer's hello, authenticate it, and say what it is.
+
+    Returns ``("hello", pid)`` for a fleet member, ``("stray", None)``
+    for a clean pre-hello EOF (or reset/stall), ``("garbled", detail)``
+    for a peer that talked but not our protocol, and ``("rejected",
+    pid)`` for one that failed the auth exchange.
+    """
+    try:
+        hello = stream.recv()
+    except ValueError as exc:
+        return "garbled", f" ({exc})"
+    except OSError:
+        hello = None
+    if hello is None:
+        return "stray", None
+    if not isinstance(hello, dict) or hello.get("type") != "hello":
+        return "garbled", ""
+    try:
+        pid = int(hello.get("pid", -1))
+    except (TypeError, ValueError, OverflowError):
+        return "garbled", ""
+    if secret is not None and not _authenticate(stream, hello, secret):
+        return "rejected", pid
+    return "hello", pid
+
+
 class Coordinator:
     """Drive one socket-worker fleet over per-wave shard queues.
 
     One coordinator serves any number of :meth:`run` calls, one per
-    wave, on one fleet.  The first ``run`` binds the listener and
-    spawns or dials the fleet; each later ``run`` sends its wave's
-    ``init`` to every live worker on the session already open.
-    :meth:`close` (or leaving the ``with`` block) shuts the fleet down.
-    ``workers=None`` sizes the fleet at one worker per shard, capped at
-    the CPU count plus the address book.
+    wave, on one fleet; :meth:`close` (or leaving the ``with`` block)
+    shuts it down.  ``workers=None`` sizes the fleet at one worker per
+    shard, capped at the CPU count plus the address book.  Every
+    ``address_book`` entry is dialed (and redialed until it joins);
+    local children fill the rest of the fleet.  With a ``secret``,
+    every connection must pass the mutual HMAC-SHA256 exchange before
+    it receives init.  ``fault_plan`` injects faults (a
+    :class:`~repro.scan.faults.FaultPlan` or plan string),
+    ``shard_deadline`` is the speculation deadline (``None`` disables)
+    and ``timeout`` the no-progress watchdog and the bound on every
+    worker socket read or write.  Each knob left unset resolves from
+    its ``repro.env`` variable; ``secret=None`` or
+    ``address_book=None`` disables the feature even when it is set.
 
-    Fleet composition: every ``address_book`` entry (default
-    ``$REPRO_DIST_ADDRESS_BOOK``) is dialed out to — and *re*-dialed on
-    a short cadence, so a remote worker that starts late, or comes back
-    after its coordinator session dropped, joins mid-wave.  The
-    remainder of the fleet is spawned as local child processes.  When
-    ``secret`` (default ``$REPRO_DIST_SECRET``) is set, every
-    connection — accepted or dialed — must complete the mutual
-    HMAC-SHA256 challenge/response before it receives init; rejects are
-    counted in ``auth_rejects`` and never charge the failure budget.
-    Passing ``secret=None`` / ``address_book=None`` explicitly disables
-    the feature even when the env var is set.
-
-    Chaos and recovery knobs (each defaults to its ``repro.env``
-    resolution, so env vars apply unless a test passes a value):
-
-    - ``fault_plan`` — a :class:`~repro.scan.faults.FaultPlan` (or plan
-      string) of injected faults; default ``$REPRO_FAULT_PLAN``.
-    - ``shard_deadline`` — seconds one attempt may hold a shard before
-      it is speculatively re-dispatched to an idle worker (first
-      result wins, duplicates discarded); ``None`` disables.
-    - ``timeout`` — the global no-progress watchdog (backstop).
-
-    Replacement spawns back off exponentially and a crash loop
-    degrades the fleet to its survivors, at the
-    :class:`~repro.scan.faults.RespawnGovernor` defaults.
-
-    Each ``run`` is one wave: it refills the fleet to its size and
-    starts from zero shard attempts (so a fault plan replays per wave),
-    a fresh failure budget and respawn governor, and fresh
-    :attr:`telemetry` — failures, respawns, speculative re-dispatches,
-    discarded duplicates, whether the fleet degraded — which it
-    publishes when the wave ends.  A worker still holding a shard at
-    the end of a wave (the loser of a speculative race) is dropped, so
-    its stale result can never land in the next wave.
+    Every scheduling decision, and :attr:`telemetry`, belongs to a
+    :class:`~repro.scan.fleet_policy.FleetPolicy`.  The coordinator
+    turns selector, ``Popen``, handshake and auth I/O into its events,
+    and is the port that carries out its commands (:meth:`send`,
+    :meth:`spawn`, :meth:`dial`, :meth:`detach`, :meth:`trace`,
+    :meth:`warn`).
     """
 
     def __init__(
@@ -450,52 +397,49 @@ class Coordinator:
         address_book=_ENV,
         secret=_ENV,
     ):
-        self.workers = workers
-        if address_book is _ENV:
-            self.address_book = dist_address_book()
-        elif address_book is None:
-            self.address_book = ()
-        else:
-            self.address_book = dist_address_book(address_book)
-        if secret is _ENV:
-            self.secret = dist_secret()
-        elif secret is None:
-            self.secret = None
-        else:
-            self.secret = dist_secret(secret)
-        self.fault_plan = _env_fault_plan(fault_plan)
-        self.shard_deadline = (
-            dist_shard_deadline()
-            if shard_deadline is _ENV
-            else shard_deadline
+        # _ENV reads the knob's environment variable; None disables.
+        book = () if address_book is None else dist_address_book(
+            None if address_book is _ENV else address_book
+        )
+        self.secret = None if secret is None else dist_secret(
+            None if secret is _ENV else secret
         )
         self.timeout = timeout
-        self._governor = RespawnGovernor()
-        self.failures = 0
-        self.telemetry = dict(_WAVE_TELEMETRY)
+        self._policy = FleetPolicy(
+            self,
+            workers=workers or (os.cpu_count() or 1) + len(book),
+            address_book=book,
+            fault_plan=_env_fault_plan(fault_plan),
+            shard_deadline=(
+                dist_shard_deadline()
+                if shard_deadline is _ENV
+                else shard_deadline
+            ),
+            timeout=timeout,
+        )
         self._listener = None
         self._selector = None
         self._procs: dict[int, subprocess.Popen] = {}
         self._connected: set[int] = set()
-        self._live: list[_Worker] = []
-        # The in-flight wave, released when it ends.
-        self._init_message = None
-        self._targets = ()
-        self._pending: deque = deque()
-        self._results: dict[int, ScanResult] = {}
-        self._attempts: dict[int, int] = {}
-        self._max_failures = 8
-        self._last_failure = ""
-        self._spawn_ordinal = 0
-        self._spawn_backlog = 0
-        self._next_spawn_at = 0.0
-        self._degraded = False
         self._stderr_files: dict[int, object] = {}
         self._stderr_tails: deque = deque(maxlen=8)
-        #: Address-book entries owed a (re)dial, mapped to the clock
-        #: time the next attempt is due — the mid-wave join mechanism.
-        self._remote_due: dict[tuple[str, int], float] = {}
-        self._remote_live: set[tuple[str, int]] = set()
+
+    @property
+    def telemetry(self) -> dict:
+        """The current (or last) wave's fleet accounting."""
+        return self._policy.telemetry
+
+    @property
+    def failures(self) -> int:
+        """Failures charged to the current (or last) wave's budget."""
+        return self._policy.telemetry["failures"]
+
+    @property
+    def address(self):
+        """``(host, port)`` workers dial back to, or ``None`` when closed."""
+        if self._listener is None:
+            return None
+        return self._listener.getsockname()[:2]
 
     # -- lifecycle -----------------------------------------------------
 
@@ -508,16 +452,16 @@ class Coordinator:
     def close(self) -> None:
         """Shut the fleet down; safe to call twice."""
         collect_stats = bool(obs.get_registry())
-        for worker in self._live:
+        for worker in self._policy.disband():
             try:
-                worker.stream.send({"type": "shutdown"})
+                worker.link.send({"type": "shutdown"})
                 if collect_stats:
                     # A worker answers shutdown with one final stats
                     # frame; best-effort with a short clamp so a hung
                     # worker cannot stall teardown.  Skipped entirely
                     # outside a metrics scope.
-                    worker.stream.sock.settimeout(0.25)
-                    reply = worker.stream.recv()
+                    worker.link.sock.settimeout(0.25)
+                    reply = worker.link.recv()
                     if (
                         isinstance(reply, dict)
                         and reply.get("type") == "stats"
@@ -528,8 +472,7 @@ class Coordinator:
             except (OSError, ValueError):
                 pass
             self._flush_worker_bytes(worker)
-            worker.stream.close()
-        self._live = []
+            worker.link.close()
         if self._selector is not None:
             self._selector.close()
             self._selector = None
@@ -537,49 +480,30 @@ class Coordinator:
             self._listener.close()
             self._listener = None
         # One short shared grace for clean exits, then escalate: a hung
-        # worker must not stall teardown for 5 s apiece — every result
-        # is already durable, so killing laggards loses nothing.
+        # worker must not stall teardown for seconds apiece — every
+        # result is already durable, so killing laggards loses nothing.
         grace = time.monotonic() + 1.0
-        for proc in self._procs.values():
-            try:
-                proc.wait(timeout=max(0.0, grace - time.monotonic()))
-            except subprocess.TimeoutExpired:
-                proc.terminate()
-                try:
-                    proc.wait(timeout=2.0)
-                except subprocess.TimeoutExpired:
-                    proc.kill()
-                    proc.wait()
-        self._procs = {}
-        for fh in self._stderr_files.values():
-            try:
-                fh.close()
-            except OSError:
-                pass
-        self._stderr_files = {}
+        for pid in list(self._procs):
+            self._reap(pid, max(0.0, grace - time.monotonic()))
         self._connected = set()
-        self._remote_due = {}
-        self._remote_live = set()
 
-    # -- spawning ------------------------------------------------------
+    # -- the policy's port ---------------------------------------------
 
-    def _spawn(self, first_generation: bool) -> None:
+    def send(self, worker: Worker, message: dict) -> None:
+        worker.link.send(message)
+
+    def spawn(self, ordinal: int, fault, respawn: bool) -> None:
         """Launch one worker process pointed at the coordinator socket."""
-        port = self._listener.getsockname()[1]
         argv = [
             sys.executable,
             "-m",
             "repro.scan.distributed",
             "--connect",
-            f"127.0.0.1:{port}",
+            "%s:%d" % self.address,
         ]
-        ordinal = self._spawn_ordinal
-        self._spawn_ordinal += 1
-        spec = self.fault_plan.spawn_fault(ordinal)
-        if spec is not None:
+        if fault is not None:
             argv.append(
-                "--auth-fail" if spec.kind == "auth_fail"
-                else "--die-at-spawn"
+                "--auth-fail" if fault == "auth_fail" else "--die-at-spawn"
             )
         env = dict(os.environ)
         # The coordinator's *resolved* auth config is authoritative for
@@ -602,72 +526,64 @@ class Coordinator:
             proc = subprocess.Popen(
                 argv, env=env, stdout=subprocess.DEVNULL, stderr=stderr
             )
-        except OSError as exc:
-            # ENOMEM, a missing interpreter, fd exhaustion: a spawn
-            # failure is a worker failure, not a coordinator crash —
-            # charge the budget and retry through the backoff path.
+        except OSError:
             stderr.close()
-            self._governor.record_failure()
-            self._fail(f"spawn of worker ordinal {ordinal} raised {exc}")
-            self._request_spawn()
-            return
-        if not first_generation:
-            self._governor.record_respawn()
-            self.telemetry["respawns"] += 1
+            raise
         self._procs[proc.pid] = proc
         self._stderr_files[proc.pid] = stderr
         obs.get_tracer().point(
-            "worker_spawn",
-            pid=proc.pid,
-            ordinal=ordinal,
-            respawn=not first_generation,
+            "worker_spawn", pid=proc.pid, ordinal=ordinal, respawn=respawn
         )
 
-    def _request_spawn(self) -> None:
-        """Ask for one replacement; honored by :meth:`_pump_spawns`."""
-        if not self._degraded:
-            self._spawn_backlog += 1
-
-    def _pump_spawns(self) -> None:
-        """Spawn owed replacements, backoff-paced; degrade on crash loop."""
-        if not self._spawn_backlog or self._degraded:
-            return
-        if self._governor.in_crash_loop:
-            self._enter_degraded()
-            return
-        now = time.monotonic()
-        if now < self._next_spawn_at:
-            return
-        self._spawn_backlog -= 1
-        self._next_spawn_at = now + self._governor.delay()
-        self._spawn(first_generation=False)
-
-    def _enter_degraded(self) -> None:
-        """Crash loop: stop respawning, finish on the survivors."""
-        self._degraded = True
-        self._spawn_backlog = 0
-        self.telemetry["degraded"] = True
-        self.telemetry["survivors"] = len(self._live)
-        obs.get_tracer().point(
-            "fleet_degraded", survivors=len(self._live)
-        )
-        sys.stderr.write(
-            "repro.scan.distributed: crash loop detected after "
-            f"{self._governor.failures} consecutive spawn failures; "
-            f"degrading fleet to {len(self._live)} surviving worker(s)\n"
+    def dial(self, addr) -> None:
+        """One outbound connect to a pre-started --listen worker."""
+        self._handshake(
+            socket.create_connection(addr, timeout=_DIAL_TIMEOUT), addr
         )
 
-    # -- stderr attribution --------------------------------------------
+    def detach(self, worker: Worker) -> None:
+        """End ``worker``'s session; reap it if it is a local child."""
+        try:
+            self._selector.unregister(worker.link.sock)
+        except (KeyError, ValueError):
+            pass
+        self._flush_worker_bytes(worker)
+        worker.link.close()
+        if worker.origin is None:
+            # Usually the process is already dead (that's why the drop
+            # happened); a protocol-violating or hung survivor is
+            # terminated so the reap cannot block the event loop.  A
+            # remote's pid may collide with a local child's, so only
+            # accepted workers are reaped.
+            self._reap(worker.pid, grace=0.0)
 
-    def _stderr_tail(self, pid: int) -> None:
-        """Bank the last bytes of a dead worker's stderr for the report."""
-        fh = self._stderr_files.pop(pid, None)
-        if fh is None:
-            return
+    def trace(self, point: str, /, **fields) -> None:
+        obs.get_tracer().point(point, **fields)
+
+    def warn(self, text: str) -> None:
+        sys.stderr.write(f"repro.scan.distributed: {text}\n")
+
+    # -- processes and stderr ------------------------------------------
+
+    def _reap(self, pid: int, grace: float) -> bool:
+        """Give local child ``pid`` ``grace`` seconds to exit, then stop
+        it; bank its stderr tail.  False when ``pid`` is no child."""
+        proc = self._procs.pop(pid, None)
+        if proc is None:
+            return False
+        try:
+            proc.wait(timeout=grace)
+        except subprocess.TimeoutExpired:
+            proc.terminate()
+            try:
+                proc.wait(timeout=2.0)
+            except subprocess.TimeoutExpired:
+                proc.kill()
+                proc.wait()
+        fh = self._stderr_files.pop(pid)
         try:
             fh.seek(0, os.SEEK_END)
-            size = fh.tell()
-            fh.seek(max(0, size - _STDERR_TAIL_BYTES))
+            fh.seek(max(0, fh.tell() - _STDERR_TAIL_BYTES))
             tail = fh.read().decode(errors="replace").strip()
         except (OSError, ValueError):
             tail = ""
@@ -675,6 +591,18 @@ class Coordinator:
             fh.close()
         if tail:
             self._stderr_tails.append(f"pid {pid}: {tail}")
+        return True
+
+    def _reap_unconnected(self, now: float) -> None:
+        """Workers that died before saying hello never hit the selector."""
+        for pid, proc in list(self._procs.items()):
+            if pid not in self._connected and proc.poll() is not None:
+                self._reap(pid, grace=0.0)
+                self._policy.peer_failed(
+                    now,
+                    f"worker pid {pid} exited with {proc.returncode} "
+                    "before connecting",
+                )
 
     def _stderr_report(self) -> str:
         if not self._stderr_tails:
@@ -683,30 +611,13 @@ class Coordinator:
             f"  {tail}" for tail in self._stderr_tails
         )
 
-    # -- event handling ------------------------------------------------
+    # -- metrics -------------------------------------------------------
 
-    def _fail(self, message: str) -> None:
-        self.failures += 1
-        self.telemetry["failures"] = self.failures
-        self._last_failure = message
-        if self.failures > self._max_failures:
-            raise ExecutorFailure(
-                f"distributed executor: too many worker failures "
-                f"({self.failures}); last: {message}"
-                + self._stderr_report()
-            )
-
-    def _needs_requeue(self, index: int) -> bool:
-        """Is nobody else (result, queue, live worker) covering ``index``?"""
-        if index in self._results or index in self._pending:
-            return False
-        return not any(w.assigned == index for w in self._live)
-
-    def _flush_worker_bytes(self, worker: _Worker) -> None:
+    def _flush_worker_bytes(self, worker: Worker) -> None:
         """Fold this side's wire counters in as a worker detaches."""
         registry = obs.get_registry()
-        registry.counter("dist.bytes_in").inc(worker.stream.bytes_in)
-        registry.counter("dist.bytes_out").inc(worker.stream.bytes_out)
+        registry.counter("dist.bytes_in").inc(worker.link.bytes_in)
+        registry.counter("dist.bytes_out").inc(worker.link.bytes_out)
 
     def _absorb_stats(self, pid: int, stats) -> None:
         """Worker-side counters (shipped home in frames) → gauges.
@@ -724,546 +635,72 @@ class Coordinator:
             ):
                 registry.gauge(f"worker.{pid}.{key}").set(value)
 
-    def _detach(self, worker: _Worker) -> None:
-        """Take ``worker`` out of the fleet: end its session, reap it."""
-        if worker in self._live:
-            self._live.remove(worker)
-        try:
-            self._selector.unregister(worker.stream.sock)
-        except (KeyError, ValueError):
-            pass
-        self._flush_worker_bytes(worker)
-        worker.stream.close()
-        if worker.origin is not None:
-            # A remote fleet member: its listen loop may well survive
-            # this session (a coordinator-side drop, a transient stall)
-            # — schedule a redial so it can rejoin mid-wave.  A pid
-            # collision with a local child must not reap that child, so
-            # the proc table is only consulted for accepted workers.
-            self._remote_live.discard(worker.origin)
-            self._schedule_redial(worker.origin)
-            return
-        proc = self._procs.pop(worker.pid, None)
-        if proc is not None:
-            # Usually the process is already dead (that's why the drop
-            # happened); a protocol-violating or hung survivor is
-            # terminated so the reap below cannot block the event loop.
-            if proc.poll() is None:
-                proc.terminate()
-            try:
-                proc.wait(timeout=5.0)
-            except subprocess.TimeoutExpired:
-                proc.kill()
-                proc.wait()
-        self._stderr_tail(worker.pid)
+    # -- I/O into events -----------------------------------------------
 
-    def _drop_worker(self, worker: _Worker, reason: str) -> None:
-        """A worker died or misbehaved: re-queue its shard, count it."""
-        tracer = obs.get_tracer()
-        tracer.point("worker_drop", pid=worker.pid, reason=reason)
-        if worker.fault_kind is not None and worker.assigned is not None:
-            # Worker processes cannot write the coordinator's event
-            # log; a drop whose in-flight dispatch had a fault armed is
-            # the observable moment that fault fired.
-            tracer.point(
-                "fault_fired", pid=worker.pid, kind=worker.fault_kind
-            )
-        self._detach(worker)
-        requeued = worker.assigned
-        worker.assigned = None
-        if requeued is not None and self._needs_requeue(requeued):
-            # Front of the queue: the lost shard is the next dispatch,
-            # keeping the in-order release window as small as possible.
-            self._pending.appendleft(requeued)
-        self._fail(
-            f"worker pid {worker.pid} {reason}"
-            + (f" while draining queue slot {requeued}" if requeued
-               is not None else "")
-        )
-        # An already-idle survivor picks the re-queued shard up at once;
-        # a replacement is only spawned for work nobody can absorb.
-        self._dispatch_idle()
-        if self._pending:
-            self._request_spawn()
+    def _handshake(self, sock: socket.socket, origin) -> None:
+        """hello(/challenge/auth) with a fresh connection, then an event.
 
-    def _dispatch_idle(self) -> None:
-        for idle in list(self._live):
-            if not self._pending:
-                break
-            self._dispatch(idle)
-
-    def _dispatch(self, worker: _Worker) -> None:
-        pending = self._pending
-        if worker.assigned is not None or not pending:
-            return
-        # Skip queue entries whose result already landed (a speculative
-        # copy that lost the race before ever being dispatched).
-        while pending and pending[0] in self._results:
-            pending.popleft()
-        if not pending:
-            return
-        index = pending.popleft()
-        shard_no = int(self._targets[index].shard)
-        attempt = self._attempts.get(index, 0)
-        message = {"type": "shard", "shard": shard_no, "index": index}
-        tracer = obs.get_tracer()
-        spec = self.fault_plan.shard_fault(shard_no, attempt)
-        if spec is not None:
-            message["fault"] = {"kind": spec.kind, "delay": spec.delay}
-            self.telemetry["faults_armed"] += 1
-            tracer.point(
-                "fault_armed",
-                shard=shard_no,
-                attempt=attempt,
-                kind=spec.kind,
-            )
-        self._attempts[index] = attempt + 1
-        try:
-            worker.stream.send(message)
-            worker.assigned = index
-            worker.assigned_at = time.monotonic()
-            worker.fault_kind = spec.kind if spec is not None else None
-            tracer.point(
-                "shard_dispatch",
-                index=index,
-                shard=shard_no,
-                attempt=attempt,
-                pid=worker.pid,
-            )
-        except OSError:
-            self._attempts[index] = attempt  # never actually dispatched
-            pending.appendleft(index)
-            self._drop_worker(worker, "died at dispatch")
-
-    def _accept(self) -> None:
-        sock, _ = self._listener.accept()
+        ``origin`` is ``None`` for accepted connections (spawned
+        workers — and strays), or the ``(host, port)`` address-book
+        entry for connections the coordinator dialed out.
+        """
         sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
         # Every read/write on a worker socket is bounded: a peer that
         # connects and then stalls (mid-hello, mid-frame, or refusing
         # to drain the init payload) times out and is handled as a
         # failure instead of wedging the event loop past the watchdog.
         sock.settimeout(self.timeout)
-        self._handshake(FrameStream(sock), None)
-
-    def _handshake(self, stream: FrameStream, origin) -> bool:
-        """hello(/challenge/auth)/init with a fresh connection.
-
-        ``origin`` is ``None`` for accepted connections (spawned
-        workers — and strays), or the ``(host, port)`` address-book
-        entry for connections the coordinator dialed out.  Returns True
-        when the peer became a live fleet member.
-
-        Budget accounting draws the safety line documented up top: a
-        clean pre-hello EOF or an authentication failure is *never*
-        charged (the peer was never a fleet member), while a garbled
-        hello — a peer that sent bytes but not our protocol where a
-        worker was expected — still is.
-        """
-        label = (
-            "worker" if origin is None
-            else "remote worker %s:%s" % origin
-        )
-        try:
-            hello = stream.recv()
-        except ValueError as exc:
-            # Garbled hello: framing or JSON garbage from a peer that
-            # did talk.  The connecting peer's failure, not the
-            # coordinator's — drop it, keep the event loop, charge.
-            stream.close()
-            self._governor.record_failure()
-            self._fail(f"{label} connected without a valid hello ({exc})")
-            if self._pending:
-                self._request_spawn()
-            return False
-        except OSError:
-            hello = None
-        if hello is None:
-            # Clean pre-hello EOF (or reset/stall): a port scanner or
-            # health checker probing the socket.  Never a fleet member,
-            # so never charged — a noisy network must not be able to
-            # abort a healthy run.  (A spawned child that died before
-            # hello is still charged, by _reap_unconnected.)
-            stream.close()
-            self.telemetry["stray_disconnects"] += 1
-            if origin is not None:
-                self._schedule_redial(origin)
-            return False
-        pid = _hello_pid(hello)
-        if pid is None:
-            stream.close()
-            self._governor.record_failure()
-            self._fail(f"{label} connected without a valid hello")
-            if self._pending:
-                self._request_spawn()
-            return False
-        if self.secret is not None and not self._authenticate(
-            stream, hello
-        ):
-            self._reject_unauthenticated(stream, pid, origin)
-            return False
-        worker = _Worker(stream, pid, origin)
-        if origin is None:
-            self._connected.add(pid)
-        try:
-            stream.send(self._init_message)
-        except OSError:
-            # The pid is already marked connected, so _reap_unconnected
-            # will never replace this worker — do it here.
-            stream.close()
-            self._governor.record_failure()
-            self._fail(f"{label} pid {pid} died at init")
-            if origin is not None:
-                self._schedule_redial(origin)
-            elif self._pending:
-                self._request_spawn()
-            return False
-        self._governor.record_success()
-        self._live.append(worker)
-        obs.get_tracer().point(
-            "worker_connect",
-            pid=pid,
-            origin="%s:%s" % origin if origin is not None else None,
-        )
-        if origin is not None:
-            self._remote_live.add(origin)
-            self.telemetry["remote_connected"] += 1
-        self._selector.register(stream.sock, selectors.EVENT_READ, worker)
-        self._dispatch(worker)
-        return True
-
-    def _authenticate(self, stream: FrameStream, hello: dict) -> bool:
-        """The coordinator's half of the mutual challenge/response."""
-        nonce_w = hello.get("nonce")
-        if not isinstance(nonce_w, str) or not nonce_w:
-            return False
-        nonce_c = os.urandom(16).hex()
-        try:
-            stream.send({
-                "type": "challenge",
-                "nonce": nonce_c,
-                "proof": _auth_proof(
-                    self.secret, "coordinator", nonce_c, nonce_w
-                ),
-            })
-            reply = stream.recv()
-        except (OSError, ValueError):
-            return False
-        if not isinstance(reply, dict) or reply.get("type") != "auth":
-            return False
-        proof = reply.get("proof")
-        expected = _auth_proof(self.secret, "worker", nonce_c, nonce_w)
-        # compare_digest raises TypeError on non-ASCII str: reject it.
-        return (
-            isinstance(proof, str)
-            and proof.isascii()
-            and hmac.compare_digest(proof, expected)
-        )
-
-    def _reject_unauthenticated(self, stream: FrameStream, pid: int,
-                                origin) -> None:
-        """Drop a peer that failed (or walked out of) the auth exchange.
-
-        Never charges the failure budget or the respawn governor: an
-        impostor or misconfigured peer was never a fleet member, and
-        letting it burn the budget would hand any hostile network a
-        lever to abort healthy campaigns.  A spawned child that failed
-        auth (the ``auth_fail`` fault, or a secret mismatch) is reaped
-        and replaced; a dialed address-book entry is *not* redialed
-        within the wave — a wrong secret will not fix itself, and
-        redialing it forever would just spin the auth_rejects counter.
-        """
-        stream.close()
-        self.telemetry["auth_rejects"] += 1
-        where = (
-            "accepted" if origin is None else "dialed %s:%s" % origin
-        )
-        obs.get_tracer().point("auth_reject", pid=pid, where=where)
-        sys.stderr.write(
-            "repro.scan.distributed: rejected unauthenticated peer "
-            f"(pid {pid}, {where})\n"
-        )
-        proc = self._procs.pop(pid, None) if origin is None else None
-        if proc is not None:
-            # Mark it connected so _reap_unconnected never sees (and
-            # charges) its exit, reap it, and queue a replacement.
-            self._connected.add(pid)
-            try:
-                proc.wait(timeout=5.0)
-            except subprocess.TimeoutExpired:
-                proc.kill()
-                proc.wait()
-            self._stderr_tail(pid)
-            if self._pending:
-                self._request_spawn()
-
-    # -- dialing the address book --------------------------------------
-
-    def _schedule_redial(self, addr) -> None:
-        self._remote_due[addr] = time.monotonic() + _REDIAL_INTERVAL
-
-    def _dial(self, addr) -> bool:
-        """One outbound connect to a pre-started --listen worker."""
-        try:
-            sock = socket.create_connection(addr, timeout=_DIAL_TIMEOUT)
-        except OSError:
-            # Not up (yet).  A worker that starts late joins through
-            # the redial pump; dial failures never charge the budget.
-            self._schedule_redial(addr)
-            return False
-        sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-        sock.settimeout(self.timeout)
-        return self._handshake(FrameStream(sock), addr)
-
-    def _pump_dials(self) -> bool:
-        """Dial due address-book entries — the mid-wave join path.
-
-        Returns True when any dial produced a live fleet member (the
-        drive loop counts that as progress for its watchdog).
-        """
-        joined = False
+        stream = FrameStream(sock)
+        kind, detail = _greet(stream, self.secret)
         now = time.monotonic()
-        due = [a for a, t in self._remote_due.items() if t <= now]
-        for addr in due:
-            del self._remote_due[addr]
-            if addr in self._remote_live:
-                continue
-            joined = self._dial(addr) or joined
-        return joined
+        if kind == "hello":
+            worker = Worker(detail, origin, stream)
+            if origin is None:
+                self._connected.add(detail)
+            self._selector.register(sock, selectors.EVENT_READ, worker)
+            self._policy.joined(now, worker)
+            return
+        stream.close()
+        if kind == "stray":
+            self._policy.stray(now, origin)
+        elif kind == "rejected":
+            # A rejected local child (the auth_fail fault, or a secret
+            # mismatch) is reaped and replaced.
+            replace = origin is None and self._reap(detail, grace=5.0)
+            self._policy.auth_rejected(now, detail, origin, replace)
+        else:
+            label = (
+                "worker" if origin is None
+                else "remote worker %s:%s" % origin
+            )
+            self._policy.peer_failed(
+                now, f"{label} connected without a valid hello{detail}"
+            )
 
-    def _on_readable(self, worker: _Worker) -> bool:
-        """Handle one frame from a worker; True when a result landed."""
+    def _on_readable(self, worker: Worker) -> None:
+        """Hand one frame from ``worker`` to the policy."""
         try:
-            message = worker.stream.recv()
+            message = worker.link.recv()
         except (OSError, ValueError) as exc:
             # ValueError covers the whole malformed-frame family: an
             # oversized length prefix, a non-JSON or too deeply nested
             # body, and undecodable bytes (UnicodeDecodeError).  One
             # bad frame costs one worker, never the run.
-            self._drop_worker(worker, f"sent an unreadable frame ({exc})")
-            return False
-        if message is None:
-            if worker.assigned is None and not self._pending:
-                # Clean EOF from an idle worker during wind-down.
-                self._detach(worker)
-                return False
-            self._drop_worker(worker, "hung up")
-            return False
-        if isinstance(message, dict) and message.get("type") == "stats":
-            # A worker's final session counters (normally sent in
-            # answer to shutdown; tolerated any time it is idle).
-            self._absorb_stats(worker.pid, message.get("stats"))
-            return False
-        if not isinstance(message, dict) or message.get("type") != "result":
-            kind = (
-                message.get("type") if isinstance(message, dict)
-                else type(message).__name__
+            self._policy.lost(
+                time.monotonic(), worker, f"sent an unreadable frame ({exc})"
             )
-            self._drop_worker(worker, f"sent unexpected {kind!r}")
-            return False
-        index = worker.assigned
-        if index is None or index != message.get("index"):
-            # Validate *before* clearing the assignment: a stale or
-            # duplicate result frame must not erase the in-flight shard
-            # — _drop_worker re-queues whatever is still assigned.
-            self._drop_worker(
-                worker, "sent a result for an unassigned shard"
-            )
-            return False
-        try:
-            result = ScanResult(
-                probes_sent=int(message["probes_sent"]),
-                responses=int(message["responses"]),
-                blocked=int(message["blocked"]),
-                batches=int(message["batches"]),
-                protocol=message.get("protocol"),
-            )
-        except (KeyError, TypeError, ValueError, OverflowError):
-            self._drop_worker(worker, "sent a malformed result")
-            return False
-        worker.assigned = None
-        worker.fault_kind = None
-        if index in self._results:
-            # A speculative race this worker lost: the shard already
-            # completed elsewhere.  Both results are byte-identical by
-            # construction, so the duplicate is simply discarded and
-            # the worker goes back to useful work.
-            self.telemetry["duplicates_discarded"] += 1
-            obs.get_tracer().point(
-                "duplicate_discarded", index=index, pid=worker.pid
-            )
-            self._dispatch(worker)
-            return False
-        self._results[index] = result
-        seconds = message.get("seconds")
-        obs.get_tracer().point(
-            "shard_result",
-            index=index,
-            pid=worker.pid,
-            probes_sent=result.probes_sent,
-            seconds=seconds,
-        )
-        if isinstance(seconds, (int, float)):
-            obs.get_registry().histogram("dist.shard_seconds").observe(
-                seconds
-            )
-        self._absorb_stats(worker.pid, message.get("stats"))
-        self._dispatch(worker)
-        return True
-
-    def _reap_unconnected(self) -> None:
-        """Workers that died before saying hello never hit the selector."""
-        for pid, proc in list(self._procs.items()):
-            if pid not in self._connected and proc.poll() is not None:
-                del self._procs[pid]
-                self._stderr_tail(pid)
-                self._governor.record_failure()
-                self._fail(
-                    f"worker pid {pid} exited with {proc.returncode} "
-                    "before connecting"
-                )
-                if self._pending:
-                    self._request_spawn()
-
-    def _check_deadlines(self) -> None:
-        """Rescue shards held past their deadline by hung/slow workers."""
-        deadline = self.shard_deadline
-        if deadline is None:
             return
-        now = time.monotonic()
-        for worker in list(self._live):
-            index = worker.assigned
-            if index is None:
-                continue
-            action = deadline_action(
-                now, worker.assigned_at, deadline, _HARD_KILL_FACTOR
+        landed = self._policy.frame(time.monotonic(), worker, message)
+        if landed and isinstance(message.get("seconds"), (int, float)):
+            obs.get_registry().histogram("dist.shard_seconds").observe(
+                message["seconds"]
             )
-            if action == "ok":
-                continue
-            if action == "kill":
-                # Far past the deadline the worker is presumed hung;
-                # reclaim its process (its shard re-queues if nobody
-                # else covered it).
-                self.telemetry["deadline_kills"] += 1
-                obs.get_tracer().point(
-                    "deadline_kill", pid=worker.pid, index=index
-                )
-                self._drop_worker(
-                    worker,
-                    f"held a shard {now - worker.assigned_at:.1f}s "
-                    f"(deadline {deadline:.1f}s)",
-                )
-                continue
-            if index in self._results or index in self._pending:
-                continue
-            live_copies = sum(
-                1 for w in self._live if w.assigned == index
-            )
-            if live_copies >= _MAX_SPECULATION:
-                continue
-            # Speculative re-dispatch: race a second attempt on an idle
-            # worker.  First completed result wins; the loser's frame
-            # is discarded in _on_readable.  In-order release and every
-            # merged byte are unchanged — shard results are pure.
-            self._pending.appendleft(index)
-            self.telemetry["speculative_requeues"] += 1
-            obs.get_tracer().point(
-                "speculative_redispatch", index=index
-            )
-            self._dispatch_idle()
-            if self._pending and not any(
-                w.assigned is None for w in self._live
-            ):
-                self._request_spawn()
+        if landed or (
+            isinstance(message, dict) and message.get("type") == "stats"
+        ):
+            self._absorb_stats(worker.pid, message.get("stats"))
 
     # -- the drive loop ------------------------------------------------
-
-    def _begin_wave(self, targets, worker_args) -> None:
-        """Per-wave state: the wave's init, queue, attempts and budget."""
-        self._init_message = _init_frame(targets[0], worker_args)
-        self._targets = targets
-        self._pending = deque(range(len(targets)))
-        self._results = {}
-        self._attempts = {}
-        self._max_failures = max(8, 2 * len(targets))
-        self.failures = 0
-        self._last_failure = ""
-        self._governor = RespawnGovernor()
-        self._degraded = False
-        self._spawn_backlog = 0
-        self._next_spawn_at = 0.0
-        self._stderr_tails.clear()
-        self.telemetry = dict(_WAVE_TELEMETRY)
-
-    def _fill_fleet(self) -> None:
-        """Bring the fleet to this wave's size and hand it the init.
-
-        The first wave binds the listener; later waves send ``init`` to
-        the live fleet on its open sessions, spawn children for any it
-        lost, and dial every book entry not in it.
-        """
-        if self._listener is None:
-            self._listener = socket.socket()
-            self._listener.bind(("127.0.0.1", 0))
-            self._listener.listen(64)
-            self._selector = selectors.DefaultSelector()
-            self._selector.register(
-                self._listener, selectors.EVENT_READ, None
-            )
-        book = self.address_book
-        n_workers = self.workers or min(
-            len(self._targets), (os.cpu_count() or 1) + len(book)
-        )
-        fleet = max(1, min(n_workers, len(self._targets)))
-        self.telemetry["fleet_initial"] = fleet
-        self.telemetry["remote_fleet"] = len(book)
-        # Every book entry is dialed (and redialed) — a late-starting
-        # remote joins mid-wave; local children fill out the rest of
-        # the fleet.
-        for _ in range(fleet - len(book) - len(self._procs)):
-            self._spawn(first_generation=True)
-        # Every carried-over worker gets this wave's init before any of
-        # them gets a shard: a shard drained on the last wave's walk
-        # would be wrong.
-        lost = []
-        for worker in self._live:
-            try:
-                worker.stream.send(self._init_message)
-            except OSError:
-                lost.append(worker)
-                continue
-            if worker.origin is not None:
-                self.telemetry["remote_connected"] += 1
-        for worker in lost:
-            self._drop_worker(worker, "died at init")
-        self._dispatch_idle()
-        for addr in book:
-            if addr not in self._remote_live:
-                self._remote_due[addr] = 0.0
-        self._pump_dials()
-
-    def _end_wave(self) -> None:
-        """Release the wave and publish its telemetry.
-
-        A worker still holding a shard — a speculative race's loser, or
-        any worker when the wave was abandoned — is dropped uncharged:
-        its result belongs to this wave and must never land in the next.
-        """
-        for worker in [w for w in self._live if w.assigned is not None]:
-            obs.get_tracer().point(
-                "worker_drop", pid=worker.pid,
-                reason="held a shard at wave end",
-            )
-            self._detach(worker)
-        if self.telemetry["degraded"]:
-            self.telemetry["survivors"] = len(self._live)
-        self._init_message = None
-        self._targets = ()
-        self._pending = deque()
-        self._results = {}
-        # Always-on (independent of REPRO_OBS): the orchestrator
-        # persists fleet accounting into progress.json, cumulative
-        # across waves and resumes.
-        obs.publish_executor_telemetry(self.telemetry)
 
     def run(self, targets, worker_args):
         """Drain one wave's ``targets``; yield one ScanResult per shard,
@@ -1283,62 +720,40 @@ class Coordinator:
                 "distributed executor requires shards of one walk "
                 "(targets from one shard_targets call)"
             )
-        self._begin_wave(targets, worker_args)
-        results = self._results
-        next_emit = 0
+        if self._listener is None:
+            self._listener = socket.create_server(
+                ("127.0.0.1", 0), backlog=64
+            )
+            self._selector = selectors.DefaultSelector()
+            self._selector.register(
+                self._listener, selectors.EVENT_READ, None
+            )
+        self._stderr_tails.clear()
+        policy = self._policy
         try:
-            self._fill_fleet()
-            last_progress = time.monotonic()
-            while next_emit < len(targets):
+            policy.begin_wave(
+                time.monotonic(),
+                [int(t.shard) for t in targets],
+                _init_frame(walk, worker_args),
+                children=len(self._procs),
+            )
+            while policy.outstanding:
                 for key, _ in self._selector.select(timeout=0.2):
                     if key.data is None:
-                        self._accept()
-                        last_progress = time.monotonic()
-                    elif self._on_readable(key.data):
-                        last_progress = time.monotonic()
-                self._reap_unconnected()
-                self._check_deadlines()
-                self._pump_spawns()
-                if self._pump_dials():
-                    last_progress = time.monotonic()
-                while next_emit in results:
-                    # Kept until the wave ends: a late duplicate of an
-                    # emitted shard must still read as a duplicate.
-                    yield results[next_emit]
-                    next_emit += 1
-                    last_progress = time.monotonic()
-                if (
-                    next_emit < len(targets)
-                    and not self._live
-                    and not self._procs
-                    and not self._spawn_backlog
-                    and not self._remote_due
-                ):
-                    # Nobody is working, nobody is starting, no spawn
-                    # is owed, and no redial is pending: the fleet is
-                    # gone.  (A fleet that is merely *waiting* on
-                    # redials is rescued by the pump or, if the remotes
-                    # never answer, by the no-progress watchdog.)
-                    raise ExecutorFailure(
-                        "distributed executor: too many worker failures"
-                        " — no live workers remain and respawning "
-                        + (
-                            "is halted by the crash-loop detector"
-                            if self._degraded
-                            else "produced none"
-                        )
-                        + f" ({self.failures} failures; "
-                        f"last: {self._last_failure})"
-                        + self._stderr_report()
-                    )
-                if time.monotonic() - last_progress > self.timeout:
-                    raise ExecutorFailure(
-                        "distributed executor: no worker progress for "
-                        f"{self.timeout:.0f}s "
-                        f"(shard {next_emit}/{len(targets)})"
-                    )
+                        self._handshake(self._listener.accept()[0], None)
+                    else:
+                        self._on_readable(key.data)
+                self._reap_unconnected(time.monotonic())
+                yield from policy.tick(time.monotonic(), len(self._procs))
+        except ExecutorFailure as exc:
+            # Every abort carries the dead workers' stderr tails.
+            raise ExecutorFailure(f"{exc}{self._stderr_report()}") from None
         finally:
-            self._end_wave()
+            policy.end_wave(time.monotonic())
+            # Always-on (independent of REPRO_OBS): the orchestrator
+            # persists fleet accounting into progress.json, cumulative
+            # across waves and resumes.
+            obs.publish_executor_telemetry(policy.telemetry)
 
 
 @contextlib.contextmanager
@@ -1405,6 +820,23 @@ def _execute_fault_and_maybe_die(stream: FrameStream, kind: str,
         os._exit(_EXIT_TRUNCATE)
 
 
+def _shard_fault(fault) -> tuple:
+    """``(kind, delay)`` of the fault a ``shard`` frame arms, if any.
+
+    ``fault`` is absent (``None``) or ``{"kind": <worker fault kind>,
+    "delay": <finite seconds >= 0>}``; anything else raises a
+    :class:`ValueError` naming it.
+    """
+    if fault is None:
+        return None, 0.0
+    if isinstance(fault, dict) and fault.get("kind") in WORKER_FAULT_KINDS:
+        delay = fault.get("delay")
+        # type(), not isinstance(): a bool is no delay.
+        if type(delay) in (int, float) and 0 <= delay < float("inf"):
+            return fault["kind"], float(delay)
+    raise ValueError(f"shard frame: malformed fault {fault!r}")
+
+
 def _build_session(message: dict):
     """(engine, bitmaps, protocol, walk) from an ``init`` frame.
 
@@ -1412,11 +844,6 @@ def _build_session(message: dict):
     drains one sub-walk of it.  Raises ``KeyError``/``TypeError``/
     ``ValueError`` on a malformed frame.
     """
-    # Imported lazily: this module is imported by repro.scan.executors
-    # while repro.scan.sharded is still initialising, so a top-level
-    # import would be circular.
-    from repro.scan.sharded import IntervalTargets
-
     block_state = None
     if message["block_starts"] is not None:
         block_state = (
@@ -1538,7 +965,7 @@ def _session(
                 return "denied"
             try:
                 engine, bitmaps, protocol, walk = _build_session(message)
-            except (KeyError, TypeError, ValueError):
+            except (KeyError, TypeError, ValueError, OverflowError):
                 # A well-framed init missing a field or carrying a bad
                 # array: a stray peer, not our coordinator.
                 if strict:
@@ -1555,12 +982,11 @@ def _session(
             try:
                 index = message["index"]
                 targets = walk._for_shard(int(message["shard"]))
-            except (KeyError, TypeError, ValueError):
+                kind, delay = _shard_fault(message.get("fault"))
+            except (KeyError, TypeError, ValueError, OverflowError):
                 if strict:
                     raise
                 return "protocol"
-            fault = message.get("fault") or {}
-            kind = fault.get("kind")
             if kind == "corrupt":
                 # A well-framed body that is not JSON: recv() raises
                 # JSONDecodeError.  No result follows; the coordinator
@@ -1570,9 +996,7 @@ def _session(
                 stream.send_raw(_HEADER.pack(len(body)) + body)
                 continue
             if kind is not None:
-                _execute_fault_and_maybe_die(
-                    stream, kind, float(fault.get("delay") or 0.0)
-                )
+                _execute_fault_and_maybe_die(stream, kind, delay)
             began = time.monotonic()
             result = engine.run(targets, bitmaps, protocol=protocol)
             seconds = time.monotonic() - began

@@ -1,7 +1,7 @@
 """The batched scan engine: probe scoring in flat coordinates.
 
 This is the zmap-class simulator core.  It drains a target stream of
-walk coordinates (:class:`~repro.scan.sharded.IntervalTargets`) in
+walk coordinates (:class:`~repro.scan.walk.IntervalTargets`) in
 fixed-size batches and scores each batch with one bit gather per
 :class:`ScanBitmaps` map, built once per wave; it never sees an
 address.  Probe order never changes a counter.

@@ -4,7 +4,7 @@ An executor is a generator function
 
     fn(targets, worker_args, wrap_targets=None) -> iterator[ScanResult]
 
-that drains a list of :class:`~repro.scan.sharded.IntervalTargets`
+that drains a list of :class:`~repro.scan.walk.IntervalTargets`
 shard descriptions and yields one :class:`~repro.scan.engine.ScanResult`
 per shard **in list order** — the ordering contract is what lets the
 orchestrator checkpoint at every shard boundary and keep kill-and-resume
@@ -32,19 +32,21 @@ that drain in place of a name.
 
 ``worker_args`` is the 4-tuple
 ``(responsive_values, batch_size, block_state, protocol)`` accepted by
-:func:`build_worker`, which turns it and the shards' shared walk into a
-ready ``(engine, bitmaps, protocol)`` triple once per wave: in the
-calling process for ``serial``, once per ``init`` in a distributed
-worker.
+:func:`~repro.scan.walk.build_worker`, which turns it and the shards'
+shared walk into a ready ``(engine, bitmaps, protocol)`` triple once
+per wave: in the calling process for ``serial``, once per ``init`` in
+a distributed worker.  :class:`ExecutorFailure` (defined with the
+fleet's scheduling policy, :mod:`repro.scan.fleet_policy`) is what an
+executor raises when its infrastructure collapses.
 """
 
 from __future__ import annotations
 
 import contextlib
 
-from repro.census.addrset import AddressSet
-from repro.scan.blocklist import Blocklist
-from repro.scan.engine import EngineConfig, ScanEngine
+from repro.scan.distributed import distributed_executor, open_fleet
+from repro.scan.fleet_policy import ExecutorFailure
+from repro.scan.walk import build_worker
 
 __all__ = [
     "EXECUTORS",
@@ -52,20 +54,7 @@ __all__ = [
     "get_executor",
     "open_executor",
     "executor_supports_wrap",
-    "build_worker",
 ]
-
-
-class ExecutorFailure(RuntimeError):
-    """An executor's *infrastructure* collapsed (not a bad input).
-
-    Raised when worker failures exhaust an executor's recovery options
-    — a tripped failure budget, a crash-looped fleet with no survivors,
-    a global progress stall.  Shards already drained were checkpointed
-    by ``on_shard``, so the condition is retryable: the orchestrator's
-    wave-level retry policy catches exactly this type and re-runs the
-    remainder of the wave.
-    """
 
 
 def get_executor(executor):
@@ -98,29 +87,12 @@ def open_executor(name: str):
     reports; any other executor has nothing to hold and is yielded as
     it is.
     """
-    if get_executor(name) is not _distributed.distributed_executor:
+    if get_executor(name) is not distributed_executor:
         yield name
         return
-    with _distributed.open_fleet() as drain:
+    with open_fleet() as drain:
         drain.executor_name = name
         yield drain
-
-
-# ---------------------------------------------------------------------------
-# Worker construction (shared by every executor, in any process)
-# ---------------------------------------------------------------------------
-
-
-def build_worker(walk, responsive_values, batch_size, block_state, protocol):
-    """(engine, bitmaps, protocol) ready to drain the shards of ``walk``."""
-    blocklist = (
-        Blocklist(block_state[0], block_state[1])
-        if block_state is not None
-        else None
-    )
-    truth = AddressSet(responsive_values, assume_sorted_unique=True)
-    engine = ScanEngine(EngineConfig(batch_size=batch_size))
-    return engine, walk.bitmaps(truth, blocklist), protocol
 
 
 # ---------------------------------------------------------------------------
@@ -136,12 +108,8 @@ def serial_executor(targets, worker_args, wrap_targets=None):
         yield engine.run(stream, bitmaps, protocol=protocol)
 
 
-# Imported last: the distributed module imports ExecutorFailure and
-# build_worker from this one.
-from repro.scan import distributed as _distributed  # noqa: E402
-
 #: Executor name -> generator function; the only names a spec may give.
 EXECUTORS = {
     "serial": serial_executor,
-    "distributed": _distributed.distributed_executor,
+    "distributed": distributed_executor,
 }

@@ -1,24 +1,31 @@
 """Distributed executor: registry, wire codec, parity, failure requeue.
 
 The load-bearing guarantees: merged results are **executor invariant**
-(``serial``, ``process``, and ``distributed`` produce byte-identical
+(``serial`` and ``distributed`` produce byte-identical
 ``ShardedScanResult.result``\\ s, per-shard results included), worker
 failures re-queue the lost shard without perturbing any result, and a
 campaign killed and resumed under the distributed executor stays
-byte-identical to an uninterrupted run.
+byte-identical to an uninterrupted run.  How the coordinator's
+scheduling policy answers a bad frame, a stray peer or a dead worker is
+tested without sockets, against the simulated fleet of
+``tests/fleet_sim.py``.
 """
 
 import base64
 import dataclasses
 import json
-import selectors
+import os
 import socket
-from collections import deque
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import repro.scan.distributed as distributed
 from conftest import build_mini_dataset
+from fleet_sim import SimFleet, shard_result
 from repro.env import ENV_FAULT_PLAN
 from repro.orchestrator import CampaignRunner, CampaignSpec, ReseedPolicy
 from repro.scan.blocklist import Blocklist
@@ -27,11 +34,12 @@ from repro.scan.distributed import (
     Coordinator,
     FrameStream,
     _HEADER,
-    _Worker,
+    _greet,
     _session,
     decode_array,
     encode_array,
 )
+from repro.scan.fleet_policy import ExecutorFailure, Worker
 from repro.scan.engine import EngineConfig
 from repro.scan.executors import (
     EXECUTORS,
@@ -158,8 +166,39 @@ class _ChunkSocket:
         out, self.data = self.data[:take], self.data[take:]
         return out
 
+    def sendall(self, data: bytes) -> None:
+        pass
+
     def close(self) -> None:
         pass
+
+
+def _frames(*messages) -> bytes:
+    """``messages`` framed back to back, as a peer would send them."""
+    out = b""
+    for message in messages:
+        body = message if isinstance(message, bytes) else (
+            json.dumps(message).encode()
+        )
+        out += _HEADER.pack(len(body)) + body
+    return out
+
+
+def _holding_worker(shards=2):
+    """A fleet mid-wave: one worker holds queue slot 0, the rest wait."""
+    fleet = SimFleet(workers=1)
+    fleet.policy.begin_wave(0.0, list(range(shards)), {"type": "init"}, 1)
+    worker = Worker(pid=-99)
+    fleet.policy.joined(0.0, worker)
+    assert worker.assigned == 0
+    return fleet, worker
+
+
+def _unreadable(stream) -> str:
+    """The reason the coordinator gives for a frame ``stream`` cannot read."""
+    with pytest.raises(ValueError) as info:
+        stream.recv()
+    return f"sent an unreadable frame ({info.value})"
 
 
 def _nested_frame() -> bytes:
@@ -214,30 +253,18 @@ class TestFrameStream:
         # result frame queued behind it must never be read — the
         # coordinator drops the worker and re-queues its shard instead
         # of retrying the same stream.
-        coordinator = Coordinator(secret=None)
-        coordinator._selector = selectors.DefaultSelector()
-        a, b = socket.socketpair()
-        try:
-            worker = _Worker(FrameStream(a), pid=-99)
-            worker.assigned = 0
-            coordinator._live.append(worker)
-            coordinator._selector.register(a, selectors.EVENT_READ, worker)
-            coordinator._pending = deque([1])
-            payload = json.dumps({"type": "result", "index": 0}).encode()
-            b.sendall(
-                _HEADER.pack(MAX_FRAME + 1)
-                + _HEADER.pack(len(payload))
-                + payload
-            )
-            landed = coordinator._on_readable(worker)
-            assert landed is False
-            assert worker not in coordinator._live
-            # The lost shard is re-queued first.
-            assert list(coordinator._pending) == [0, 1]
-            assert coordinator.failures == 1
-        finally:
-            coordinator._selector.close()
-            b.close()
+        fleet, worker = _holding_worker()
+        policy = fleet.policy
+        stream = FrameStream(_ChunkSocket(
+            _HEADER.pack(MAX_FRAME + 1)
+            + _frames({"type": "result", "index": 0}), chunk=64,
+        ))
+        policy.lost(0.0, worker, _unreadable(stream))
+        assert worker not in policy.live
+        assert worker.pid in fleet.detached
+        # The lost shard is re-queued first.
+        assert list(policy.wave.pending) == [0, 1]
+        assert policy.telemetry["failures"] == 1
 
 
 @pytest.mark.parametrize(
@@ -252,25 +279,15 @@ class TestFrameStream:
 def test_malformed_result_drops_worker(counters):
     # A well-framed result for the assigned shard whose counters do not
     # parse costs that worker (its shard re-queued), never the run.
-    coordinator = _bare_coordinator()
-    a, b = socket.socketpair()
-    try:
-        worker = _Worker(FrameStream(a), pid=-99)
-        worker.assigned = 0
-        coordinator._live.append(worker)
-        coordinator._selector.register(a, selectors.EVENT_READ, worker)
-        coordinator._pending = deque([1])
-        FrameStream(b).send(dict(counters, type="result", index=0))
-        landed = coordinator._on_readable(worker)
-        assert landed is False
-        assert coordinator._results == {}
-        assert worker not in coordinator._live
-        assert list(coordinator._pending) == [0, 1]
-        assert coordinator.failures == 1
-        assert "malformed result" in coordinator._last_failure
-    finally:
-        coordinator._selector.close()
-        b.close()
+    fleet, worker = _holding_worker()
+    policy = fleet.policy
+    message = dict(counters, type="result", index=0)
+    assert policy.frame(0.0, worker, message) is False
+    assert policy.wave.results == {}
+    assert worker not in policy.live
+    assert list(policy.wave.pending) == [0, 1]
+    assert policy.telemetry["failures"] == 1
+    assert "malformed result" in policy.wave.last_failure
 
 
 # ---------------------------------------------------------------------------
@@ -278,28 +295,23 @@ def test_malformed_result_drops_worker(counters):
 # ---------------------------------------------------------------------------
 
 
-def _bare_coordinator():
-    coordinator = Coordinator(secret=None)
-    coordinator._selector = selectors.DefaultSelector()
-    coordinator._init_message = {"type": "init"}
-    return coordinator
+def _wave():
+    fleet = SimFleet(workers=1)
+    fleet.policy.begin_wave(0.0, [0], {"type": "init"}, 1)
+    return fleet.policy
 
 
 def test_stray_connect_then_close_is_not_charged():
     # Regression: a clean pre-hello EOF (port scanner, health checker)
     # used to charge RespawnGovernor.record_failure() and the failure
     # budget — a noisy network could abort a healthy run.
-    coordinator = _bare_coordinator()
-    a, b = socket.socketpair()
-    b.close()  # the stray peer vanishes before saying hello
-    try:
-        joined = coordinator._handshake(FrameStream(a), None)
-        assert joined is False
-        assert coordinator.failures == 0
-        assert coordinator._governor.failures == 0
-        assert coordinator.telemetry["stray_disconnects"] == 1
-    finally:
-        coordinator._selector.close()
+    stream = FrameStream(_ChunkSocket(b""))  # gone before saying hello
+    assert _greet(stream, None) == ("stray", None)
+    policy = _wave()
+    policy.stray(0.0)
+    assert policy.telemetry["failures"] == 0
+    assert policy.wave.governor.failures == 0
+    assert policy.telemetry["stray_disconnects"] == 1
 
 
 def test_garbled_hello_still_charges_budget():
@@ -308,103 +320,75 @@ def test_garbled_hello_still_charges_budget():
         b"ha!!",  # framed, but not JSON
         bad_pid,  # a hello whose pid is not an integer
     ):
-        coordinator = _bare_coordinator()
-        a, b = socket.socketpair()
-        try:
-            b.sendall(_HEADER.pack(len(body)) + body)
-            b.close()
-            joined = coordinator._handshake(FrameStream(a), None)
-            assert joined is False
-            assert coordinator.failures == 1
-            assert coordinator._governor.failures == 1
-            assert coordinator.telemetry["stray_disconnects"] == 0
-        finally:
-            coordinator._selector.close()
+        kind, detail = _greet(FrameStream(_ChunkSocket(_frames(body))), None)
+        assert kind == "garbled"
+        policy = _wave()
+        policy.peer_failed(
+            0.0, f"worker connected without a valid hello{detail}"
+        )
+        assert policy.telemetry["failures"] == 1
+        assert policy.wave.governor.failures == 1
+        assert policy.telemetry["stray_disconnects"] == 0
 
 
 def test_nested_frame_costs_the_worker_not_the_run():
     # A deeply nested result frame is one more malformed frame: the
     # worker is dropped and charged and its shard re-queued, instead of
     # a RecursionError escaping the event loop and aborting the run.
-    coordinator = _bare_coordinator()
-    try:
-        stream = FrameStream(_ChunkSocket(_nested_frame(), chunk=1 << 16))
-        worker = _Worker(stream, pid=-99)
-        worker.assigned = 0
-        coordinator._live.append(worker)
-        assert coordinator._on_readable(worker) is False
-        assert worker not in coordinator._live
-        assert list(coordinator._pending) == [0]
-        assert coordinator.failures == 1
-        assert "too deeply" in coordinator._last_failure
-    finally:
-        coordinator._selector.close()
+    fleet, worker = _holding_worker(shards=1)
+    policy = fleet.policy
+    stream = FrameStream(_ChunkSocket(_nested_frame(), chunk=1 << 16))
+    policy.lost(0.0, worker, _unreadable(stream))
+    assert worker not in policy.live
+    assert list(policy.wave.pending) == [0]
+    assert policy.telemetry["failures"] == 1
+    assert "too deeply" in policy.wave.last_failure
 
 
 def test_nested_hello_turns_the_peer_away():
     # The same frame as a stray peer's hello is turned away like any
     # garbled hello; the coordinator's event loop carries on.
-    coordinator = _bare_coordinator()
-    try:
-        stream = FrameStream(_ChunkSocket(_nested_frame(), chunk=1 << 16))
-        assert coordinator._handshake(stream, None) is False
-        assert coordinator._live == []
-        assert coordinator.failures == 1
-    finally:
-        coordinator._selector.close()
+    stream = FrameStream(_ChunkSocket(_nested_frame(), chunk=1 << 16))
+    kind, detail = _greet(stream, None)
+    assert kind == "garbled"
+    policy = _wave()
+    policy.peer_failed(
+        0.0, f"worker connected without a valid hello{detail}"
+    )
+    assert policy.live == []
+    assert policy.telemetry["failures"] == 1
 
 
-def test_next_wave_inits_every_worker_before_any_shard(monkeypatch):
+def test_next_wave_inits_every_worker_before_any_shard():
     # A carried-over worker that died between waves fails its init
     # send.  Dropping it must not hand a survivor one of this wave's
     # shards before the survivor has this wave's init (it would drain
     # the shard on the last wave's walk).
-    monkeypatch.setattr(Coordinator, "_spawn", lambda *a, **k: None)
-    spec, _ = _world()
-    targets = shard_targets(spec, shards=2, seed=0)
-    coordinator = _bare_coordinator()
-    coordinator._listener = socket.socket()  # an open fleet's listener
-    dead_end, dead_peer = socket.socketpair()
-    dead_peer.close()
-    live_end, live_peer = socket.socketpair()
-    try:
-        coordinator._live = [
-            _Worker(FrameStream(dead_end), pid=-1),
-            _Worker(FrameStream(live_end), pid=-2),
-        ]
-        worker_args = (np.arange(10), 1 << 11, None, None)
-        coordinator._begin_wave(targets, worker_args)
-        coordinator._fill_fleet()
-        peer = FrameStream(live_peer)
-        assert [peer.recv()["type"], peer.recv()["type"]] == [
-            "init", "shard"
-        ]
-        assert coordinator.failures == 1
-    finally:
-        coordinator._listener.close()
-        coordinator._selector.close()
-        live_peer.close()
+    fleet = SimFleet(workers=2)
+    fleet.run_wave(range(2))
+    dead, live = [worker.pid for worker in fleet.policy.live]
+    fleet.detached.add(dead)
+    fleet.sent.clear()
+    fleet.policy.begin_wave(
+        fleet.now, [0, 1], {"type": "init"}, len(fleet.children)
+    )
+    assert [m["type"] for m in fleet.messages(live)] == ["init", "shard"]
+    assert fleet.policy.telemetry["failures"] == 1
 
 
 def test_non_ascii_auth_proof_is_a_reject_not_a_crash():
     # hmac.compare_digest raises TypeError on non-ASCII str; a peer
     # sending one is rejected (uncharged) on the coordinator side and
     # denied on the worker side, never a bare traceback.
-    coordinator = Coordinator(secret="k")
-    coordinator._selector = selectors.DefaultSelector()
-    coordinator._init_message = {"type": "init"}
-    a, b = socket.socketpair()
-    try:
-        peer = FrameStream(b)
-        peer.send({"type": "hello", "pid": -5, "nonce": "n"})
-        peer.send({"type": "auth", "proof": "\u00e9"})
-        joined = coordinator._handshake(FrameStream(a), None)
-        assert joined is False
-        assert coordinator.failures == 0
-        assert coordinator.telemetry["auth_rejects"] == 1
-    finally:
-        coordinator._selector.close()
-        b.close()
+    peer = _frames(
+        {"type": "hello", "pid": -5, "nonce": "n"},
+        {"type": "auth", "proof": "\u00e9"},
+    )
+    assert _greet(FrameStream(_ChunkSocket(peer)), "k") == ("rejected", -5)
+    policy = _wave()
+    policy.auth_rejected(0.0, -5, None, False)
+    assert policy.telemetry["failures"] == 0
+    assert policy.telemetry["auth_rejects"] == 1
     a, b = socket.socketpair()
     try:
         FrameStream(b).send(
@@ -430,7 +414,7 @@ def test_stray_peers_mid_run_do_not_perturb_results():
     ) as coordinator:
         gen = coordinator.run(targets, worker_args)
         results = [next(gen)]  # the listener is live past this point
-        port = coordinator._listener.getsockname()[1]
+        port = coordinator.address[1]
         for _ in range(3):  # connect-and-hang-up, like a port scanner
             socket.create_connection(("127.0.0.1", port)).close()
         results.extend(gen)
@@ -439,6 +423,18 @@ def test_stray_peers_mid_run_do_not_perturb_results():
     assert [_result_bytes(r) for r in results] == [
         _result_bytes(r) for r in serial.shard_results
     ]
+
+
+@pytest.mark.parametrize(
+    "statement",
+    ["import repro.scan.distributed", "from repro.scan import distributed"],
+)
+def test_distributed_imports_in_a_fresh_interpreter(statement):
+    # Regression: the executor table and the distributed module imported
+    # each other, so this raised "partially initialized module".
+    src = str(Path(distributed.__file__).resolve().parents[2])
+    env = dict(os.environ, PYTHONPATH=src)
+    subprocess.run([sys.executable, "-c", statement], check=True, env=env)
 
 
 # ---------------------------------------------------------------------------
@@ -532,18 +528,10 @@ def test_coordinator_rejects_mismatched_geometry():
 
 
 def test_worker_failure_requeues_without_perturbing_results():
-    spec, responsive = _world()
-    serial = run_sharded(
-        spec, responsive, shards=4, executor="serial", config=_CONFIG
-    )
-    targets = shard_targets(spec, shards=4, seed=0)
-    worker_args = (responsive, _CONFIG.batch_size, None, None)
-    with Coordinator(workers=2, fault_plan="crash@2") as coordinator:
-        results = list(coordinator.run(targets, worker_args))
-        assert coordinator.failures >= 1
-    assert [_result_bytes(r) for r in results] == [
-        _result_bytes(r) for r in serial.shard_results
-    ]
+    fleet = SimFleet("crash@2", workers=2)
+    released = fleet.run_wave(range(4))
+    assert fleet.policy.telemetry["failures"] == 1
+    assert released == [shard_result(shard) for shard in range(4)]
 
 
 def test_env_fail_injection_through_run_sharded(monkeypatch):
@@ -559,22 +547,19 @@ def test_env_fail_injection_through_run_sharded(monkeypatch):
 
 
 def test_unrecoverable_failures_raise():
-    spec, responsive = _world()
-    targets = shard_targets(spec, shards=2, seed=0)
-    worker_args = (responsive, _CONFIG.batch_size, None, None)
-    with Coordinator(
-        workers=1,
-        fault_plan="crash@0:attempts=*,crash@1:attempts=*",
-    ) as coordinator:
-        with pytest.raises(RuntimeError, match="worker failures"):
-            list(coordinator.run(targets, worker_args))
+    fleet = SimFleet("crash@0:attempts=*,crash@1:attempts=*", workers=1)
+    with pytest.raises(ExecutorFailure, match="worker failures"):
+        fleet.run_wave(range(2))
+    assert fleet.policy.telemetry["failures"] == 9  # max(8, 2 x 2) + 1
 
 
 def test_bad_shard_delay_raises_before_any_worker_starts(monkeypatch):
     # The per-shard delay is the stall entry of the fault plan.
     spec, responsive = _world()
     spawned = []
-    monkeypatch.setattr(Coordinator, "_spawn", lambda *a: spawned.append(a))
+    monkeypatch.setattr(
+        distributed.subprocess, "Popen", lambda *a, **k: spawned.append(a)
+    )
     for bad in ("soon", "nan", "inf"):
         monkeypatch.setenv(
             ENV_FAULT_PLAN, f"stall@*:attempts=*:delay={bad}"

@@ -6,9 +6,10 @@ sessions already open.  These tests read ``events.jsonl``
 (``REPRO_OBS=events``) to pin what happens at the edges of that
 lifetime: a wave retry starts a fresh fleet, a fault plan keyed by
 shard attempt replays every wave, and a speculative copy still running
-when its wave ends never lands in the next.  (One fleet for an
-unfaulted run and two across a kill and resume are pinned in
-``tests/test_distributed.py``.)
+when its wave ends never lands in the next (a timing rule of the
+scheduling policy, run on the simulated fleet of
+``tests/fleet_sim.py``).  (One fleet for an unfaulted run and two
+across a kill and resume are pinned in ``tests/test_distributed.py``.)
 """
 
 import dataclasses
@@ -17,6 +18,7 @@ import json
 import pytest
 
 from conftest import build_mini_dataset
+from fleet_sim import SimFleet, shard_result
 import repro.orchestrator.campaign as campaign_mod
 from repro.env import ENV_FAULT_PLAN
 from repro.orchestrator import CampaignRunner, CampaignSpec, ReseedPolicy
@@ -120,32 +122,28 @@ def test_fault_plan_replays_every_wave(tmp_path, monkeypatch):
     _assert_matches_serial(status, SPEC)
 
 
-def test_wave_boundary_drops_in_flight_speculative_copies(
-    tmp_path, monkeypatch
-):
+def test_wave_boundary_drops_in_flight_speculative_copies():
     # Every shard's first attempt stalls far past its deadline, so each
     # is raced by a speculative copy on a replacement worker, and each
     # wave ends while the stalled originals still hold their shards.
     # The boundary drops them uncharged: none of their results lands,
-    # in this wave or (as a stale result) in the next.
-    monkeypatch.setenv(ENV_FAULT_PLAN, "stall@*:delay=8")
-    monkeypatch.setenv("REPRO_DIST_SHARD_DEADLINE", "1.5")
-    directory = tmp_path / "raced"
-    spec = dataclasses.replace(SPEC, shards=2)
-    status = _runner(spec, directory).run()
-    telemetry = _telemetry(directory)
-    assert telemetry["speculative_requeues"] == 4  # each shard, each wave
-    assert telemetry["duplicates_discarded"] == 0
-    assert telemetry["failures"] == 0
-    assert telemetry["deadline_kills"] == 0
-    drops = _events(directory, "worker_drop")
+    # in this wave or (as a stale result) in the next.  The policy's
+    # timing rule, so it runs on the simulated fleet.
+    fleet = SimFleet("stall@*:delay=8", workers=2, shard_deadline=1.5)
+    for _ in range(2):
+        assert fleet.run_wave(range(2)) == [shard_result(0), shard_result(1)]
+        telemetry = fleet.policy.telemetry
+        assert telemetry["speculative_requeues"] == 2  # each shard
+        assert telemetry["duplicates_discarded"] == 0
+        assert telemetry["failures"] == 0
+        assert telemetry["deadline_kills"] == 0
+    drops = fleet.points("worker_drop")
     assert [drop["reason"] for drop in drops] == (
         ["held a shard at wave end"] * 4
     )
     dropped = set()
-    for record in _records(directory):
-        if record["type"] == "worker_drop":
-            dropped.add(record["data"]["pid"])
-        elif record["type"] == "shard_result":
-            assert record["data"]["pid"] not in dropped
-    _assert_matches_serial(status, spec)
+    for point, fields in fleet.traces:
+        if point == "worker_drop":
+            dropped.add(fields["pid"])
+        elif point == "shard_result":
+            assert fields["pid"] not in dropped

@@ -18,6 +18,7 @@ import threading
 import numpy as np
 import pytest
 
+import repro.scan.distributed as distributed
 from conftest import build_mini_dataset
 from repro.orchestrator import CampaignRunner, CampaignSpec, ReseedPolicy
 from repro.scan.distributed import (
@@ -43,12 +44,13 @@ def _result_bytes(result) -> bytes:
     return repr(dataclasses.astuple(result)).encode()
 
 
-def _listen_worker(secret=None, max_sessions=1, auth_fail=False):
-    """A pre-started --listen worker on a free port, in a thread."""
+def _listen_worker(secret=None, max_sessions=1, auth_fail=False, port=0):
+    """A pre-started --listen worker (on a free port by default), in a
+    thread."""
     ports: queue.Queue = queue.Queue()
     thread = threading.Thread(
         target=listen_main,
-        args=("127.0.0.1", 0),
+        args=("127.0.0.1", port),
         kwargs=dict(
             secret=secret,
             max_sessions=max_sessions,
@@ -59,6 +61,20 @@ def _listen_worker(secret=None, max_sessions=1, auth_fail=False):
     )
     thread.start()
     return thread, ("127.0.0.1", ports.get(timeout=10))
+
+
+@pytest.fixture
+def spawns(monkeypatch):
+    """The argv of every worker process a coordinator starts."""
+    started = []
+    popen = distributed.subprocess.Popen
+
+    def counting(argv, **kwargs):
+        started.append(argv)
+        return popen(argv, **kwargs)
+
+    monkeypatch.setattr(distributed.subprocess, "Popen", counting)
+    return started
 
 
 def _serial_shards(spec, responsive, shards):
@@ -72,7 +88,7 @@ def _serial_shards(spec, responsive, shards):
 # ---------------------------------------------------------------------------
 
 
-def test_remote_only_fleet_matches_serial():
+def test_remote_only_fleet_matches_serial(spawns):
     spec, responsive = _world()
     serial = _serial_shards(spec, responsive, 4)
     t1, addr1 = _listen_worker()
@@ -86,7 +102,7 @@ def test_remote_only_fleet_matches_serial():
     # The whole fleet was dialed, nothing was spawned.
     assert coordinator.telemetry["remote_connected"] == 2
     assert coordinator.telemetry["remote_fleet"] == 2
-    assert coordinator._spawn_ordinal == 0
+    assert spawns == []
     assert coordinator.failures == 0
     assert [_result_bytes(r) for r in results] == [
         _result_bytes(r) for r in serial
@@ -96,7 +112,7 @@ def test_remote_only_fleet_matches_serial():
     assert not t1.is_alive() and not t2.is_alive()
 
 
-def test_mixed_spawned_and_remote_fleet_matches_serial():
+def test_mixed_spawned_and_remote_fleet_matches_serial(spawns):
     spec, responsive = _world()
     serial = _serial_shards(spec, responsive, 4)
     thread, addr = _listen_worker()
@@ -108,7 +124,7 @@ def test_mixed_spawned_and_remote_fleet_matches_serial():
         results = list(coordinator.run(targets, worker_args))
     # One dialed remote plus one spawned child, one fleet.
     assert coordinator.telemetry["remote_connected"] == 1
-    assert coordinator._spawn_ordinal == 1
+    assert len(spawns) == 1
     assert coordinator.failures == 0
     assert [_result_bytes(r) for r in results] == [
         _result_bytes(r) for r in serial
@@ -131,7 +147,6 @@ def test_dead_book_entry_never_charges_budget():
     ) as coordinator:
         results = list(coordinator.run(targets, worker_args))
     assert coordinator.failures == 0
-    assert coordinator._governor.failures == 0
     assert coordinator.telemetry["remote_connected"] == 0
     assert [_result_bytes(r) for r in results] == [
         _result_bytes(r) for r in serial
@@ -144,21 +159,24 @@ def test_dead_book_entry_never_charges_budget():
 
 
 def test_late_worker_joins_mid_wave():
-    # A worker whose hello arrives *after* dispatch started gets init
-    # plus a shard — it is not implicitly rejected.
+    # A book entry that only starts listening after dispatch started is
+    # reached by the redial pump and gets init plus a shard — it is not
+    # implicitly rejected.  Every shard stalls, so the wave outlasts the
+    # late start.
     spec, responsive = _world()
     serial = _serial_shards(spec, responsive, 6)
     targets = shard_targets(spec, shards=6, seed=0)
     worker_args = (responsive, _CONFIG.batch_size, None, None)
-    thread, addr = _listen_worker()
+    with socket.socket() as probe:  # a free port nobody listens on yet
+        probe.bind(("127.0.0.1", 0))
+        addr = probe.getsockname()[:2]
     with Coordinator(
-        workers=1, address_book=None, secret=None
+        workers=2, address_book=[addr], secret=None,
+        fault_plan="stall@*:attempts=*:delay=0.3",
     ) as coordinator:
         gen = coordinator.run(targets, worker_args)
         results = [next(gen)]  # dispatch is well underway
-        # The fleet learns of the pre-started remote only now — the
-        # redial pump dials it on the next loop turn, mid-wave.
-        coordinator._remote_due[addr] = 0.0
+        thread, _ = _listen_worker(port=addr[1])
         results.extend(gen)
     assert coordinator.telemetry["remote_connected"] == 1
     assert coordinator.failures == 0
@@ -333,14 +351,13 @@ def test_wrong_secret_remote_rejected_without_charge():
     assert coordinator.telemetry["auth_rejects"] == 1
     assert coordinator.telemetry["remote_connected"] == 0
     assert coordinator.failures == 0
-    assert coordinator._governor.failures == 0
     assert [_result_bytes(r) for r in results] == [
         _result_bytes(r) for r in serial
     ]
     thread.join(timeout=10)
 
 
-def test_auth_fail_fault_exercises_reject_path():
+def test_auth_fail_fault_exercises_reject_path(spawns):
     # The deterministic auth_fail fault: spawn ordinal 0 presents a
     # sabotaged proof, is rejected without charging the budget, and a
     # replacement drains its work.
@@ -357,8 +374,7 @@ def test_auth_fail_fault_exercises_reject_path():
         results = list(coordinator.run(targets, worker_args))
     assert coordinator.telemetry["auth_rejects"] == 1
     assert coordinator.failures == 0
-    assert coordinator._governor.failures == 0
-    assert coordinator._spawn_ordinal == 2  # the saboteur + its spare
+    assert len(spawns) == 2  # the saboteur + its spare
     assert [_result_bytes(r) for r in results] == [
         _result_bytes(r) for r in serial
     ]
