@@ -5,7 +5,7 @@
 # run's final status JSON to be byte-identical to an undisturbed
 # distributed run.  A final arm layers a SIGTERM + resume on top of a
 # combined plan.  This exercises the fault plane across the real
-# process boundary (sockets, signals, worker subprocesses, durable
+# process boundary (sockets, signals, forked workers, durable
 # checkpoints) that the in-process chaos tests approximate.
 set -euo pipefail
 cd "$(dirname "$0")/.."

@@ -4,7 +4,7 @@
 # resume, and require the final status JSON to be byte-identical to an
 # uninterrupted distributed run — and its computed numbers (waves +
 # totals) identical to a serial run of the same campaign.  Exercises
-# the real process boundary (worker subprocesses, sockets, signals,
+# the real process boundary (forked workers, sockets, signals,
 # durable checkpoints) that the in-process test suite can't.  The
 # uninterrupted arm also counts its worker spawns: one fleet serves
 # every wave of a run.
@@ -47,6 +47,17 @@ wait "$PID"
 RC=$?
 set -e
 echo "   interrupted run exited with $RC"
+
+# Forked workers carry the coordinator's command line; none may outlive
+# it by more than a moment.
+for _ in $(seq 1 50); do
+    pgrep -f -- "--dir $WORK/interrupted" > /dev/null || break
+    sleep 0.1
+done
+if pgrep -af -- "--dir $WORK/interrupted" >&2; then
+    echo "workers of the SIGTERMed run were still alive 5s later" >&2
+    exit 1
+fi
 
 python -m repro.orchestrator status --dir "$WORK/interrupted" --json \
     > "$WORK/mid.json"

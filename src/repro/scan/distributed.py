@@ -7,8 +7,8 @@ indices from a work queue, over length-prefixed JSON frames on TCP
 hosts of different endianness interoperate).  Workers join the fleet
 two ways, mixed freely:
 
-- **spawned** — local children (``python -m repro.scan.distributed
-  --connect HOST:PORT``) that dial back in to the listener;
+- **forked** — local children, forked from the coordinator (POSIX
+  only), that dial back in to the listener;
 - **remote** — pre-started ``--listen HOST:PORT`` workers named in
   ``REPRO_DIST_ADDRESS_BOOK``, dialed *out* to and redialed on a short
   cadence.  A listen worker serves coordinator sessions in sequence,
@@ -20,7 +20,7 @@ later wave sends its ``init`` on the sessions already open, and the
 run's end shuts it down (a wave retry or a resume starts a fresh one).
 
 The module has two halves.  :class:`Coordinator` is an I/O shell: it
-owns the listener, the selector, the child processes and the
+owns the listener, the selector, the forked children and the
 handshake, turns what happens on them into events, and carries out
 commands.  Every decision — the shard queue and in-order release,
 deadlines and speculation, the failure budget, respawn backoff and
@@ -49,7 +49,7 @@ Protocol (all frames are ``>I``-length-prefixed UTF-8 JSON):
   index, is echoed in the result), with a ``fault`` object when a
   chaos plan armed one for this attempt.
 - ``result``   worker → coordinator: the shard's ``ScanResult`` counters.
-- ``shutdown`` coordinator → worker: the run is over — a spawned worker
+- ``shutdown`` coordinator → worker: the run is over — a forked worker
   exits, a listen worker returns to ``accept``.
 
 Every shard's result is a pure function of its description, so which
@@ -71,26 +71,27 @@ from __future__ import annotations
 import argparse
 import base64
 import contextlib
+import gc
 import hashlib
 import hmac
 import json
 import os
 import re
 import selectors
+import signal
 import socket
 import struct
-import subprocess
 import sys
 import tempfile
+import threading
 import time
+import traceback
 from collections import deque
-from pathlib import Path
 
 import numpy as np
 
 from repro import obs
 from repro.env import (
-    ENV_DIST_SECRET,
     dist_address_book,
     dist_secret,
     dist_shard_deadline,
@@ -128,7 +129,7 @@ _EXIT_TRUNCATE = 18
 _EXIT_OVERSIZE = 19
 _EXIT_MID_RESULT = 20
 _EXIT_SPAWN = 21
-#: A --connect worker that was denied (or denied the coordinator) auth.
+#: A dial-out worker that was denied (or denied the coordinator) auth.
 _EXIT_AUTH = 22
 
 #: Seconds a listen worker allows a fresh connection to finish the
@@ -362,6 +363,31 @@ def _greet(stream: FrameStream, secret: str | None):
     return "hello", pid
 
 
+class _Child:
+    """A forked worker's pid, stderr tail file, returncode (``None``
+    while it runs, ``-N`` once signal N ended it) and whether it said
+    hello."""
+
+    def __init__(self, pid: int, stderr):
+        self.pid = pid
+        self.stderr = stderr
+        self.returncode = None
+        self.connected = False
+
+    def wait(self, timeout: float) -> int | None:
+        """The returncode, polled for up to ``timeout`` seconds."""
+        deadline = time.monotonic() + timeout
+        while self.returncode is None:
+            pid, status = os.waitpid(self.pid, os.WNOHANG)
+            if pid:
+                self.returncode = os.waitstatus_to_exitcode(status)
+            elif time.monotonic() >= deadline:
+                break
+            else:
+                time.sleep(0.001)
+        return self.returncode
+
+
 class Coordinator:
     """Drive one socket-worker fleet over per-wave shard queues.
 
@@ -382,7 +408,7 @@ class Coordinator:
 
     Every scheduling decision, and :attr:`telemetry`, belongs to a
     :class:`~repro.scan.fleet_policy.FleetPolicy`.  The coordinator
-    turns selector, ``Popen``, handshake and auth I/O into its events,
+    turns selector, fork, handshake and auth I/O into its events,
     and is the port that carries out its commands (:meth:`send`,
     :meth:`spawn`, :meth:`dial`, :meth:`detach`, :meth:`trace`,
     :meth:`warn`).
@@ -419,9 +445,7 @@ class Coordinator:
         )
         self._listener = None
         self._selector = None
-        self._procs: dict[int, subprocess.Popen] = {}
-        self._connected: set[int] = set()
-        self._stderr_files: dict[int, object] = {}
+        self._procs: dict[int, _Child] = {}
         self._stderr_tails: deque = deque(maxlen=8)
 
     @property
@@ -485,7 +509,6 @@ class Coordinator:
         grace = time.monotonic() + 1.0
         for pid in list(self._procs):
             self._reap(pid, max(0.0, grace - time.monotonic()))
-        self._connected = set()
 
     # -- the policy's port ---------------------------------------------
 
@@ -493,46 +516,21 @@ class Coordinator:
         worker.link.send(message)
 
     def spawn(self, ordinal: int, fault, respawn: bool) -> None:
-        """Launch one worker process pointed at the coordinator socket."""
-        argv = [
-            sys.executable,
-            "-m",
-            "repro.scan.distributed",
-            "--connect",
-            "%s:%d" % self.address,
-        ]
-        if fault is not None:
-            argv.append(
-                "--auth-fail" if fault == "auth_fail" else "--die-at-spawn"
-            )
-        env = dict(os.environ)
-        # The coordinator's *resolved* auth config is authoritative for
-        # its own children: an explicit secret reaches them through the
-        # environment, an explicit None scrubs an inherited one.
-        if self.secret is not None:
-            env[ENV_DIST_SECRET] = self.secret
-        else:
-            env.pop(ENV_DIST_SECRET, None)
-        # Make the repro package importable in the child regardless of
-        # how this process found it (installed, PYTHONPATH, or src/).
-        pkg_root = str(Path(__file__).resolve().parents[2])
-        path = env.get("PYTHONPATH", "")
-        if pkg_root not in path.split(os.pathsep):
-            env["PYTHONPATH"] = (
-                pkg_root + (os.pathsep + path if path else "")
-            )
+        """Fork one worker that dials back to the coordinator socket."""
+        if threading.active_count() != 1:
+            # The child could inherit a lock another thread holds.
+            raise RuntimeError("cannot fork a worker: other threads run")
         stderr = tempfile.TemporaryFile()
         try:
-            proc = subprocess.Popen(
-                argv, env=env, stdout=subprocess.DEVNULL, stderr=stderr
-            )
+            pid = os.fork()
         except OSError:
             stderr.close()
             raise
-        self._procs[proc.pid] = proc
-        self._stderr_files[proc.pid] = stderr
+        if pid == 0:
+            _forked_worker(self.address, self.secret, stderr.fileno(), fault)
+        self._procs[pid] = _Child(pid, stderr)
         obs.get_tracer().point(
-            "worker_spawn", pid=proc.pid, ordinal=ordinal, respawn=respawn
+            "worker_spawn", pid=pid, ordinal=ordinal, respawn=respawn
         )
 
     def dial(self, addr) -> None:
@@ -568,39 +566,32 @@ class Coordinator:
     def _reap(self, pid: int, grace: float) -> bool:
         """Give local child ``pid`` ``grace`` seconds to exit, then stop
         it; bank its stderr tail.  False when ``pid`` is no child."""
-        proc = self._procs.pop(pid, None)
-        if proc is None:
+        child = self._procs.pop(pid, None)
+        if child is None:
             return False
+        if child.wait(grace) is None:
+            os.kill(pid, signal.SIGTERM)
+            if child.wait(2.0) is None:
+                os.kill(pid, signal.SIGKILL)
+                child.wait(float("inf"))
         try:
-            proc.wait(timeout=grace)
-        except subprocess.TimeoutExpired:
-            proc.terminate()
-            try:
-                proc.wait(timeout=2.0)
-            except subprocess.TimeoutExpired:
-                proc.kill()
-                proc.wait()
-        fh = self._stderr_files.pop(pid)
-        try:
-            fh.seek(0, os.SEEK_END)
-            fh.seek(max(0, fh.tell() - _STDERR_TAIL_BYTES))
-            tail = fh.read().decode(errors="replace").strip()
+            with child.stderr as fh:
+                fh.seek(max(0, fh.seek(0, os.SEEK_END) - _STDERR_TAIL_BYTES))
+                tail = fh.read().decode(errors="replace").strip()
         except (OSError, ValueError):
             tail = ""
-        finally:
-            fh.close()
         if tail:
             self._stderr_tails.append(f"pid {pid}: {tail}")
         return True
 
     def _reap_unconnected(self, now: float) -> None:
         """Workers that died before saying hello never hit the selector."""
-        for pid, proc in list(self._procs.items()):
-            if pid not in self._connected and proc.poll() is not None:
+        for pid, child in list(self._procs.items()):
+            if not child.connected and child.wait(0.0) is not None:
                 self._reap(pid, grace=0.0)
                 self._policy.peer_failed(
                     now,
-                    f"worker pid {pid} exited with {proc.returncode} "
+                    f"worker pid {pid} exited with {child.returncode} "
                     "before connecting",
                 )
 
@@ -655,8 +646,8 @@ class Coordinator:
         now = time.monotonic()
         if kind == "hello":
             worker = Worker(detail, origin, stream)
-            if origin is None:
-                self._connected.add(detail)
+            if origin is None and detail in self._procs:
+                self._procs[detail].connected = True
             self._selector.register(sock, selectors.EVENT_READ, worker)
             self._policy.joined(now, worker)
             return
@@ -780,7 +771,7 @@ def distributed_executor(targets, worker_args, wrap_targets=None):
 
 
 # ---------------------------------------------------------------------------
-# Worker side (`python -m repro.scan.distributed --connect HOST:PORT`)
+# Worker side (forked children, `--connect` and `--listen` processes)
 # ---------------------------------------------------------------------------
 
 
@@ -842,7 +833,8 @@ def _build_session(message: dict):
 
     The walk and its bitmaps are built once here; each ``shard`` frame
     drains one sub-walk of it.  Raises ``KeyError``/``TypeError``/
-    ``ValueError`` on a malformed frame.
+    ``ValueError`` on a malformed frame, and ``ValueError`` on a walk
+    of more coordinates than all of IPv4 (the bitmaps are sized by it).
     """
     block_state = None
     if message["block_starts"] is not None:
@@ -864,6 +856,11 @@ def _build_session(message: dict):
         ),
         samples=message.get("samples"),
     )
+    if walk.address_count() > 1 << 32:
+        raise ValueError(
+            f"init: starts/ends/samples span {walk.address_count()} "
+            "coordinates, more than all of IPv4"
+        )
     engine, bitmaps, protocol = build_worker(
         walk,
         decode_array(message["responsive"], "responsive"),
@@ -1033,16 +1030,15 @@ def _session(
             return "protocol"
 
 
-def worker_main(host: str, port: int, auth_fail: bool = False,
-                secret=_ENV) -> int:
-    """Dial out to a coordinator, drain shards until shutdown/EOF."""
+def worker_main(host: str, port: int, secret, auth_fail=False) -> int:
+    """Dial out to a coordinator, drain shards until shutdown/EOF.
+
+    ``secret`` is the shared HMAC key (``None``: no authentication);
+    ``auth_fail`` arms the sabotaged proof of the ``auth_fail`` fault.
+    """
     stream = FrameStream(socket.create_connection((host, port)))
     try:
-        outcome = _session(
-            stream,
-            secret=dist_secret() if secret is _ENV else secret,
-            auth_fail=auth_fail,
-        )
+        outcome = _session(stream, secret=secret, auth_fail=auth_fail)
     finally:
         stream.close()
     if outcome == "denied" or (auth_fail and outcome == "eof"):
@@ -1055,12 +1051,37 @@ def worker_main(host: str, port: int, auth_fail: bool = False,
     return 0
 
 
+def _forked_worker(address, secret, stderr_fd: int, fault) -> None:
+    """A forked worker's life, ended by ``os._exit``: it keeps the
+    coordinator's imports but not its GC, signal handlers, fds (the
+    listener, sibling sockets, the event log) or obs scope."""
+    code = 1
+    try:
+        gc.freeze()
+        for sig in (signal.SIGTERM, signal.SIGINT):
+            signal.signal(sig, signal.SIG_DFL)
+        os.dup2(stderr_fd, 2)
+        os.dup2(os.open(os.devnull, os.O_WRONLY), 1)
+        os.closerange(3, os.sysconf("SC_OPEN_MAX"))
+        sys.stdout = open(1, "w", closefd=False)
+        sys.stderr = open(2, "w", buffering=1, closefd=False)
+        if fault == "spawn_crash":
+            _scream("injected fault 'spawn_crash'")
+            code = _EXIT_SPAWN
+        else:
+            with obs.observe():
+                code = worker_main(*address, secret, fault == "auth_fail")
+    except BaseException:
+        traceback.print_exc()  # into the coordinator's stderr tail
+    finally:
+        os._exit(code)
+
+
 def listen_main(
     host: str,
     port: int,
     *,
-    auth_fail: bool = False,
-    secret=_ENV,
+    secret: str | None,
     max_sessions: int | None = None,
     on_bound=None,
 ) -> int:
@@ -1076,14 +1097,10 @@ def listen_main(
     ``port`` 0 binds a free port; the bound address is announced on
     stdout (``repro.scan.distributed: listening on HOST:PORT``) and
     passed to ``on_bound(host, port)`` when given.  ``max_sessions``
-    bounds the loop (for tests); ``None`` serves forever.
+    bounds the loop (for tests); ``None`` serves forever.  ``secret``
+    is the shared HMAC key; ``None`` serves without authentication.
     """
-    if secret is _ENV:
-        secret = dist_secret()
-    server = socket.socket()
-    server.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
-    server.bind((host, port))
-    server.listen(8)
+    server = socket.create_server((host, port), backlog=8)
     bound_host, bound_port = server.getsockname()[:2]
     if on_bound is not None:
         on_bound(bound_host, bound_port)
@@ -1102,12 +1119,7 @@ def listen_main(
             sock.settimeout(_HANDSHAKE_TIMEOUT)
             stream = FrameStream(sock)
             try:
-                outcome = _session(
-                    stream,
-                    secret=secret,
-                    auth_fail=auth_fail,
-                    strict=False,
-                )
+                outcome = _session(stream, secret=secret, strict=False)
             except (OSError, ValueError) as exc:
                 # A stray peer's garbage (or its vanishing mid-frame)
                 # ends the session, never the worker.
@@ -1130,34 +1142,21 @@ def main(argv=None) -> int:
     mode = parser.add_mutually_exclusive_group(required=True)
     mode.add_argument(
         "--connect", metavar="HOST:PORT",
-        help="coordinator address to dial (spawned-worker mode)",
+        help="coordinator address to dial (an out-of-process worker)",
     )
     mode.add_argument(
         "--listen", metavar="HOST:PORT",
         help="pre-started remote worker: serve coordinator sessions in "
         "sequence; HOST:0 picks a free port, announced on stdout",
     )
-    parser.add_argument(
-        "--die-at-spawn", action="store_true",
-        help="test-only: exit immediately (an injected crash-looping "
-        "spawn; see repro.scan.faults)",
-    )
-    parser.add_argument(
-        "--auth-fail", action="store_true",
-        help="test-only: present a sabotaged HMAC proof (the auth_fail "
-        "fault; see repro.scan.faults)",
-    )
     args = parser.parse_args(argv)
-    if args.die_at_spawn:
-        _scream("injected fault 'spawn_crash'")
-        os._exit(_EXIT_SPAWN)
     addr = args.connect or args.listen
     host, _, port = addr.rpartition(":")
     if not host or not port.isdigit():
         parser.error(f"address must be HOST:PORT, got {addr!r}")
     if args.listen:
-        return listen_main(host, int(port), auth_fail=args.auth_fail)
-    return worker_main(host, int(port), auth_fail=args.auth_fail)
+        return listen_main(host, int(port), secret=dist_secret())
+    return worker_main(host, int(port), dist_secret())
 
 
 if __name__ == "__main__":

@@ -25,7 +25,7 @@ Plan syntax (entries separated by ``,`` or ``;``)::
     oversize@1               worker sends a > MAX_FRAME length prefix
     mid_result@0             worker dies halfway through its result frame
     crash@1:attempts=*       every attempt of shard 1 dies (poison shard)
-    spawn_crash@4:attempts=* every spawn from ordinal 4 on dies at exec
+    spawn_crash@4:attempts=* every spawn from ordinal 4 on dies at start
                              (a crash-looping replacement fleet)
     auth_fail@2              spawn ordinal 2 presents a sabotaged HMAC
                              proof; the coordinator must reject it
@@ -75,7 +75,7 @@ WORKER_FAULT_KINDS = (
 )
 
 #: Faults keyed on the spawn ordinal, sabotaging a worker before it
-#: ever joins the fleet: ``spawn_crash`` dies at exec (before hello),
+#: ever joins the fleet: ``spawn_crash`` dies at start (before hello),
 #: ``auth_fail`` connects but presents a deliberately wrong HMAC proof,
 #: exercising the coordinator's authentication-reject path.
 SPAWN_FAULT_KINDS = ("spawn_crash", "auth_fail")
@@ -288,7 +288,7 @@ class RespawnGovernor:
     """Backoff pacing + crash-loop detection for worker respawns.
 
     The coordinator records a *spawn-side* failure (a process that died
-    before completing the handshake, or a ``Popen`` that raised) and a
+    before completing the handshake, or a fork that raised) and a
     success (a worker that connected and took its init).  ``delay()``
     is the backoff to wait before the next spawn; once
     ``crash_loop_threshold`` consecutive spawn-side failures accumulate

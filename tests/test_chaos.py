@@ -213,16 +213,16 @@ def test_no_survivors_aborts_with_stderr_tails():
 
 def test_spawn_oserror_counts_against_budget(monkeypatch):
     spec, responsive = _world()
-    real_popen = distributed.subprocess.Popen
+    real_fork = distributed.os.fork
     blown = []
 
-    def flaky_popen(*args, **kwargs):
+    def flaky_fork():
         if not blown:
             blown.append(True)
-            raise OSError("exec scheduler refused")
-        return real_popen(*args, **kwargs)
+            raise OSError("fork refused")
+        return real_fork()
 
-    monkeypatch.setattr(distributed.subprocess, "Popen", flaky_popen)
+    monkeypatch.setattr(distributed.os, "fork", flaky_fork)
     results, coordinator = _run_under_plan(None, shards=3)
     assert coordinator.failures >= 1
     assert results == _serial_shards(spec, responsive, 3)

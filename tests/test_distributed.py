@@ -15,9 +15,11 @@ import base64
 import dataclasses
 import json
 import os
+import signal
 import socket
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -28,6 +30,7 @@ from conftest import build_mini_dataset
 from fleet_sim import SimFleet, shard_result
 from repro.env import ENV_FAULT_PLAN
 from repro.orchestrator import CampaignRunner, CampaignSpec, ReseedPolicy
+from repro.orchestrator import cli
 from repro.scan.blocklist import Blocklist
 from repro.scan.distributed import (
     MAX_FRAME,
@@ -557,9 +560,7 @@ def test_bad_shard_delay_raises_before_any_worker_starts(monkeypatch):
     # The per-shard delay is the stall entry of the fault plan.
     spec, responsive = _world()
     spawned = []
-    monkeypatch.setattr(
-        distributed.subprocess, "Popen", lambda *a, **k: spawned.append(a)
-    )
+    monkeypatch.setattr(distributed.os, "fork", lambda: spawned.append(1))
     for bad in ("soon", "nan", "inf"):
         monkeypatch.setenv(
             ENV_FAULT_PLAN, f"stall@*:attempts=*:delay={bad}"
@@ -690,3 +691,114 @@ def test_distributed_kill_and_resume_with_worker_failure(
         directory, dataset=build_mini_dataset()
     )
     assert _status_bytes(resumed.run()) == _status_bytes(reference)
+
+
+# ---------------------------------------------------------------------------
+# Forked workers: what a child must not inherit
+# ---------------------------------------------------------------------------
+
+
+def _files(directory) -> dict:
+    return {
+        path.relative_to(directory): path.read_bytes()
+        for path in sorted(directory.rglob("*"))
+        if path.is_file()
+    }
+
+
+@pytest.mark.skipif(
+    not os.path.isdir("/proc/self/fd"), reason="needs /proc/<pid>/fd"
+)
+def test_forked_worker_holds_only_stdio_and_its_socket(tmp_path):
+    spec, responsive = _world()
+    targets = shard_targets(spec, shards=4, seed=0)
+    worker_args = (responsive, _CONFIG.batch_size, None, None)
+    # An open campaign file stands in for events.jsonl and checkpoints.
+    with open(tmp_path / "events.jsonl", "w"), Coordinator(
+        workers=2,
+        fault_plan="stall@*:attempts=*:delay=0.3",
+        address_book=None,
+    ) as coordinator:
+        gen = coordinator.run(targets, worker_args)
+        next(gen)  # both workers are up and draining
+        held = {
+            pid: {
+                int(fd): os.readlink(f"/proc/{pid}/fd/{fd}")
+                for fd in os.listdir(f"/proc/{pid}/fd")
+            }
+            for pid in coordinator._procs
+        }
+        list(gen)
+    assert len(held) == 2
+    for fds in held.values():
+        others = [link for fd, link in fds.items() if fd > 2]
+        assert set(fds) >= {0, 1, 2}
+        assert fds[1] == os.devnull
+        assert len(others) == 1 and others[0].startswith("socket:"), fds
+
+
+def test_spawning_beside_a_second_thread_raises_and_forks_nothing(
+    monkeypatch,
+):
+    forks = []
+    monkeypatch.setattr(distributed.os, "fork", lambda: forks.append(1))
+    spec, responsive = _world()
+    targets = shard_targets(spec, shards=2, seed=0)
+    worker_args = (responsive, _CONFIG.batch_size, None, None)
+    release = threading.Event()
+    thread = threading.Thread(target=release.wait)
+    thread.start()
+    try:
+        with Coordinator(workers=1, address_book=None) as coordinator:
+            with pytest.raises(RuntimeError, match="other threads run"):
+                list(coordinator.run(targets, worker_args))
+    finally:
+        release.set()
+        thread.join(timeout=10)
+    assert forks == [] and not thread.is_alive()
+
+
+def test_sigterm_ends_a_forked_worker_under_the_cli_handlers(
+    tmp_path, monkeypatch
+):
+    # The CLI turns SIGTERM into SystemExit; a forked worker that kept
+    # that handler would unwind into the campaign and write its files.
+    monkeypatch.setenv("REPRO_OBS", "events")
+    monkeypatch.setenv("REPRO_DIST_WORKERS", "2")
+    monkeypatch.setenv(ENV_FAULT_PLAN, "stall@*:attempts=*:delay=0.2")
+    coordinators = []
+    spawn = Coordinator.spawn
+
+    def recording(self, *args):
+        coordinators.append(self)
+        return spawn(self, *args)
+
+    monkeypatch.setattr(Coordinator, "spawn", recording)
+    directory = tmp_path / "dist"
+    runner = CampaignRunner(
+        DIST_SPEC, dataset=build_mini_dataset(), directory=directory
+    )
+    runner.store.write_spec(runner.spec.to_dict())
+    ended = []
+
+    def terminate_workers(_):
+        if ended:
+            return
+        before = _files(directory)
+        children = list(coordinators[-1]._procs.values())
+        for child in children:
+            os.kill(child.pid, signal.SIGTERM)
+        ended.extend(child.wait(10.0) for child in children)
+        assert _files(directory) == before
+
+    handlers = {
+        sig: signal.getsignal(sig) for sig in (signal.SIGTERM, signal.SIGINT)
+    }
+    cli._install_signal_handlers()
+    try:
+        status = runner.run(on_checkpoint=terminate_workers)
+    finally:
+        for sig, handler in handlers.items():
+            signal.signal(sig, handler)
+    assert ended and set(ended) == {-signal.SIGTERM}
+    assert status["finished"]

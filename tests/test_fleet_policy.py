@@ -15,21 +15,34 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro.scan.distributed as distributed
 import repro.scan.fleet_policy as fleet_policy
 from fleet_sim import SimFleet, expected_failures, shard_result
 from repro.scan.faults import WORKER_FAULT_KINDS, FaultPlan
 from repro.scan.fleet_policy import REDIAL_INTERVAL, ExecutorFailure
 
 
-def test_policy_imports_no_io():
-    tree = ast.parse(inspect.getsource(fleet_policy))
+def _imported(module) -> set:
+    """The top-level packages ``module`` imports."""
     imported = set()
-    for node in ast.walk(tree):
+    for node in ast.walk(ast.parse(inspect.getsource(module))):
         if isinstance(node, ast.Import):
             imported.update(alias.name.split(".")[0] for alias in node.names)
         elif isinstance(node, ast.ImportFrom):
             imported.add(node.module.split(".")[0])
-    assert not imported & {"socket", "selectors", "subprocess", "time", "os"}
+    return imported
+
+
+def test_policy_imports_no_io():
+    assert not _imported(fleet_policy) & {
+        "socket", "selectors", "subprocess", "time", "os"
+    }
+
+
+def test_coordinator_forks_rather_than_starting_interpreters():
+    # Local workers are forked from the coordinator, which has every
+    # import they need already loaded.
+    assert "subprocess" not in _imported(distributed)
 
 
 # ---------------------------------------------------------------------------

@@ -11,9 +11,9 @@ the checkpoint stream — all without perturbing a single merged byte.
 
 import dataclasses
 import json
-import queue
+import multiprocessing
 import socket
-import threading
+import sys
 
 import numpy as np
 import pytest
@@ -32,6 +32,7 @@ from repro.scan.engine import EngineConfig
 from repro.scan.sharded import run_sharded, shard_targets
 
 _CONFIG = EngineConfig(batch_size=1 << 11)
+_FORK = multiprocessing.get_context("fork")
 
 
 def _world():
@@ -44,36 +45,41 @@ def _result_bytes(result) -> bytes:
     return repr(dataclasses.astuple(result)).encode()
 
 
-def _listen_worker(secret=None, max_sessions=1, auth_fail=False, port=0):
+def _listen_worker(secret=None, max_sessions=1, port=0):
     """A pre-started --listen worker (on a free port by default), in a
-    thread."""
-    ports: queue.Queue = queue.Queue()
-    thread = threading.Thread(
+    forked process: a coordinator refuses to fork its own workers while
+    a second thread runs."""
+    bound, announce = _FORK.Pipe(duplex=False)
+    worker = _FORK.Process(
         target=listen_main,
         args=("127.0.0.1", port),
         kwargs=dict(
             secret=secret,
             max_sessions=max_sessions,
-            auth_fail=auth_fail,
-            on_bound=lambda _host, port: ports.put(port),
+            on_bound=lambda _host, port: announce.send(port),
         ),
         daemon=True,
     )
-    thread.start()
-    return thread, ("127.0.0.1", ports.get(timeout=10))
+    worker.start()
+    assert bound.poll(10), "the listen worker never bound"
+    return worker, ("127.0.0.1", bound.recv())
 
 
 @pytest.fixture
 def spawns(monkeypatch):
-    """The argv of every worker process a coordinator starts."""
+    """The pid of every worker process a coordinator forks (forked
+    listen workers are not counted)."""
     started = []
-    popen = distributed.subprocess.Popen
+    fork = distributed.os.fork
 
-    def counting(argv, **kwargs):
-        started.append(argv)
-        return popen(argv, **kwargs)
+    def counting():
+        caller = sys._getframe(1).f_globals["__name__"]
+        pid = fork()
+        if pid and caller == distributed.__name__:
+            started.append(pid)
+        return pid
 
-    monkeypatch.setattr(distributed.subprocess, "Popen", counting)
+    monkeypatch.setattr(distributed.os, "fork", counting)
     return started
 
 
@@ -91,8 +97,8 @@ def _serial_shards(spec, responsive, shards):
 def test_remote_only_fleet_matches_serial(spawns):
     spec, responsive = _world()
     serial = _serial_shards(spec, responsive, 4)
-    t1, addr1 = _listen_worker()
-    t2, addr2 = _listen_worker()
+    w1, addr1 = _listen_worker()
+    w2, addr2 = _listen_worker()
     targets = shard_targets(spec, shards=4, seed=0)
     worker_args = (responsive, _CONFIG.batch_size, None, None)
     with Coordinator(
@@ -107,15 +113,15 @@ def test_remote_only_fleet_matches_serial(spawns):
     assert [_result_bytes(r) for r in results] == [
         _result_bytes(r) for r in serial
     ]
-    t1.join(timeout=10)
-    t2.join(timeout=10)
-    assert not t1.is_alive() and not t2.is_alive()
+    w1.join(timeout=10)
+    w2.join(timeout=10)
+    assert not w1.is_alive() and not w2.is_alive()
 
 
 def test_mixed_spawned_and_remote_fleet_matches_serial(spawns):
     spec, responsive = _world()
     serial = _serial_shards(spec, responsive, 4)
-    thread, addr = _listen_worker()
+    worker, addr = _listen_worker()
     targets = shard_targets(spec, shards=4, seed=0)
     worker_args = (responsive, _CONFIG.batch_size, None, None)
     with Coordinator(
@@ -129,7 +135,7 @@ def test_mixed_spawned_and_remote_fleet_matches_serial(spawns):
     assert [_result_bytes(r) for r in results] == [
         _result_bytes(r) for r in serial
     ]
-    thread.join(timeout=10)
+    worker.join(timeout=10)
 
 
 def test_dead_book_entry_never_charges_budget():
@@ -176,14 +182,14 @@ def test_late_worker_joins_mid_wave():
     ) as coordinator:
         gen = coordinator.run(targets, worker_args)
         results = [next(gen)]  # dispatch is well underway
-        thread, _ = _listen_worker(port=addr[1])
+        worker, _ = _listen_worker(port=addr[1])
         results.extend(gen)
     assert coordinator.telemetry["remote_connected"] == 1
     assert coordinator.failures == 0
     assert [_result_bytes(r) for r in results] == [
         _result_bytes(r) for r in serial
     ]
-    thread.join(timeout=10)
+    worker.join(timeout=10)
 
 
 # ---------------------------------------------------------------------------
@@ -197,7 +203,7 @@ def test_listen_worker_serves_sequential_coordinator_sessions():
     # byte-identical results.
     spec, responsive = _world()
     serial = _serial_shards(spec, responsive, 3)
-    thread, addr = _listen_worker(max_sessions=2)
+    worker, addr = _listen_worker(max_sessions=2)
     targets = shard_targets(spec, shards=3, seed=0)
     worker_args = (responsive, _CONFIG.batch_size, None, None)
     runs = []
@@ -211,8 +217,8 @@ def test_listen_worker_serves_sequential_coordinator_sessions():
         assert [_result_bytes(r) for r in results] == [
             _result_bytes(r) for r in serial
         ]
-    thread.join(timeout=10)
-    assert not thread.is_alive()
+    worker.join(timeout=10)
+    assert not worker.is_alive()
 
 
 def _init_frame(values, walk, **overrides):
@@ -240,7 +246,7 @@ def test_listen_worker_survives_nested_frame():
     # served byte-identically.
     spec, responsive = _world()
     serial = _serial_shards(spec, responsive, 2)
-    thread, addr = _listen_worker(max_sessions=2)
+    worker, addr = _listen_worker(max_sessions=2)
     stray = FrameStream(socket.create_connection(addr))
     try:
         assert stray.recv()["type"] == "hello"
@@ -249,7 +255,7 @@ def test_listen_worker_survives_nested_frame():
         assert stray.recv() is None  # the worker ended the session
     finally:
         stray.close()
-    assert thread.is_alive()
+    assert worker.is_alive()
     targets = shard_targets(spec, shards=2, seed=0)
     worker_args = (responsive, _CONFIG.batch_size, None, None)
     with Coordinator(
@@ -260,8 +266,8 @@ def test_listen_worker_survives_nested_frame():
     assert [_result_bytes(r) for r in results] == [
         _result_bytes(r) for r in serial
     ]
-    thread.join(timeout=10)
-    assert not thread.is_alive()
+    worker.join(timeout=10)
+    assert not worker.is_alive()
 
 
 @pytest.mark.parametrize(
@@ -273,7 +279,7 @@ def test_listen_worker_survives_malformed_session(case):
     # (real) coordinator byte-identically.
     spec, responsive = _world()
     serial = _serial_shards(spec, responsive, 3)
-    thread, addr = _listen_worker(max_sessions=2)
+    worker, addr = _listen_worker(max_sessions=2)
     targets = shard_targets(spec, shards=3, seed=0)
     frames = {
         "empty-init": [{"type": "init"}],
@@ -295,7 +301,7 @@ def test_listen_worker_survives_malformed_session(case):
         assert stray.recv() is None  # the worker ended the session
     finally:
         stray.close()
-    assert thread.is_alive()  # ... and went back to accept
+    assert worker.is_alive()  # ... and went back to accept
     worker_args = (responsive, _CONFIG.batch_size, None, None)
     with Coordinator(
         workers=1, address_book=[addr], secret=None
@@ -305,8 +311,8 @@ def test_listen_worker_survives_malformed_session(case):
     assert [_result_bytes(r) for r in results] == [
         _result_bytes(r) for r in serial
     ]
-    thread.join(timeout=10)
-    assert not thread.is_alive()
+    worker.join(timeout=10)
+    assert not worker.is_alive()
 
 
 # ---------------------------------------------------------------------------
@@ -317,7 +323,7 @@ def test_listen_worker_survives_malformed_session(case):
 def test_authenticated_fleet_matches_serial():
     spec, responsive = _world()
     serial = _serial_shards(spec, responsive, 4)
-    thread, addr = _listen_worker(secret="s3cret")
+    worker, addr = _listen_worker(secret="s3cret")
     targets = shard_targets(spec, shards=4, seed=0)
     worker_args = (responsive, _CONFIG.batch_size, None, None)
     with Coordinator(
@@ -332,7 +338,7 @@ def test_authenticated_fleet_matches_serial():
     assert [_result_bytes(r) for r in results] == [
         _result_bytes(r) for r in serial
     ]
-    thread.join(timeout=10)
+    worker.join(timeout=10)
 
 
 def test_wrong_secret_remote_rejected_without_charge():
@@ -341,7 +347,7 @@ def test_wrong_secret_remote_rejected_without_charge():
     # completes on the spawned half of the fleet.
     spec, responsive = _world()
     serial = _serial_shards(spec, responsive, 3)
-    thread, addr = _listen_worker(secret="wrong")
+    worker, addr = _listen_worker(secret="wrong")
     targets = shard_targets(spec, shards=3, seed=0)
     worker_args = (responsive, _CONFIG.batch_size, None, None)
     with Coordinator(
@@ -354,7 +360,7 @@ def test_wrong_secret_remote_rejected_without_charge():
     assert [_result_bytes(r) for r in results] == [
         _result_bytes(r) for r in serial
     ]
-    thread.join(timeout=10)
+    worker.join(timeout=10)
 
 
 def test_auth_fail_fault_exercises_reject_path(spawns):
@@ -431,7 +437,7 @@ def test_campaign_resume_reconnects_address_book(tmp_path, monkeypatch):
         FLEET_SPEC, dataset=build_mini_dataset()
     ).run()
 
-    thread, addr = _listen_worker(secret="fleet-key", max_sessions=None)
+    worker, addr = _listen_worker(secret="fleet-key", max_sessions=None)
     monkeypatch.setenv(
         "REPRO_DIST_ADDRESS_BOOK", "%s:%d" % addr
     )
@@ -454,4 +460,6 @@ def test_campaign_resume_reconnects_address_book(tmp_path, monkeypatch):
         directory, dataset=build_mini_dataset()
     )
     assert _status_bytes(resumed.run()) == _status_bytes(reference)
-    assert thread.is_alive()  # the remote fleet outlives every run
+    assert worker.is_alive()  # the remote fleet outlives every run
+    worker.terminate()
+    worker.join(timeout=10)

@@ -13,6 +13,7 @@ listen loop catches): any other exception kills the remote worker.
 
 import base64
 import json
+import socket
 
 import numpy as np
 import pytest
@@ -265,4 +266,27 @@ def test_malformed_fault_is_a_protocol_error(fault):
     assert _serve(_INIT, shard) == "protocol"
     with pytest.raises(ValueError, match="malformed fault"):
         _serve(_INIT, shard, strict=True)
+
+
+
+def test_init_walk_past_ipv4_is_a_protocol_error():
+    # Regression: a walk of 2**62 addresses made the worker allocate its
+    # bitmaps (numpy MemoryError, "512. PiB"), which killed a listen
+    # worker; it is now refused before anything is allocated.
+    init = dict(
+        _INIT,
+        starts=encode_array([0]),
+        ends=encode_array([1 << 62]),
+        shards=1,
+    )
+    for strict in (False, True):
+        ours, theirs = socket.socketpair()
+        with ours, theirs:
+            ours.sendall(_frame(json.dumps(init).encode()))
+            stream = FrameStream(theirs)
+            if strict:
+                with pytest.raises(ValueError, match="starts/ends"):
+                    _session(stream, strict=True)
+            else:
+                assert _session(stream, strict=False) == "protocol"
 
