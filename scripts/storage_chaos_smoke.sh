@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # Storage chaos smoke: run CLI campaigns under a rotating
 # REPRO_FS_FAULT_PLAN matrix — clean save failures (enospc +
-# fsync_fail), a simulated crash at the promote rename, bitrot caught
+# fsync_fail), a simulated crash at the promote rename, a deleted or
+# truncated progress.json after a mid-wave crash, bitrot caught
 # by `verify --repair`, and a torn final write recovered by the
 # automatic rollback-on-resume path — and require every surviving
 # arm's journaled checkpoint generations and final status JSON to be
@@ -77,6 +78,32 @@ compgen -G "$WORK/crash/checkpoint.*.tmp.npz" > /dev/null || {
 python -m repro.orchestrator resume --dir "$WORK/crash"
 diff_against_ref "$WORK/crash"
 python -m repro.orchestrator verify --dir "$WORK/crash"
+
+echo "== arm: progress.json lost after a mid-wave kill, deleted or truncated"
+# progress.json is atomic but not durable: a crash may leave it
+# missing or stale.  The injected crash kills the run at wave 0's
+# third shard; one copy resumes without progress.json, the other with
+# half of it.
+python -m repro.orchestrator plan --dir "$WORK/lost" "${SPEC[@]}" \
+    > /dev/null
+set +e
+REPRO_FS_FAULT_PLAN="rename_crash@save-2" \
+python -m repro.orchestrator run --dir "$WORK/lost" 2> /dev/null
+RC=$?
+set -e
+[ "$RC" -ne 0 ] || { echo "lost-progress arm should have died" >&2; exit 1; }
+[ -s "$WORK/lost/progress.json" ] || {
+    echo "the killed run left no progress.json to lose" >&2; exit 1; }
+cp -r "$WORK/lost" "$WORK/lost-deleted"
+cp -r "$WORK/lost" "$WORK/lost-truncated"
+rm "$WORK/lost-deleted/progress.json"
+PROGRESS="$WORK/lost-truncated/progress.json"
+truncate -s $(( $(stat -c %s "$PROGRESS") / 2 )) "$PROGRESS"
+for arm in lost-deleted lost-truncated; do
+    python -m repro.orchestrator resume --dir "$WORK/$arm"
+    diff_against_ref "$WORK/$arm"
+    python -m repro.orchestrator verify --dir "$WORK/$arm"
+done
 
 echo "== arm: bitrot on the latest generation, caught by verify --repair"
 run_arm "$WORK/rot" "bitrot@gen-$LATEST"

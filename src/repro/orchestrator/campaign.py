@@ -22,6 +22,7 @@ wave accounting, and status JSON to an uninterrupted run.
 from __future__ import annotations
 
 import contextlib
+import copy
 import dataclasses
 import math
 import time
@@ -343,6 +344,11 @@ class CampaignRunner:
         self.state = _State(
             mask=np.zeros(len(self.partition), dtype=bool),
         )
+        # The manifest's immutable parts, built once: the resolved spec,
+        # and each finished wave's record as ``(record, dict)``.  Every
+        # checkpoint serializes them; none may reach a caller unshared.
+        self._spec_dict = self.spec.to_dict()
+        self._record_dicts: list[tuple[WaveRecord, dict]] = []
         self._rng = np.random.default_rng([self.spec.scan_seed, 0x5EED])
         self._on_checkpoint = None
         self._pace = True
@@ -386,11 +392,21 @@ class CampaignRunner:
         progress = store.read_progress()
         if progress is not None:
             retries = progress.get("wave_retries_used")
-            if isinstance(retries, int) and retries >= 0:
+            if (
+                isinstance(retries, int)
+                and not isinstance(retries, bool)
+                and retries >= 0
+            ):
                 runner._retries_used = retries
             telemetry = progress.get("executor_telemetry")
             if isinstance(telemetry, dict):
-                runner._telemetry_totals = dict(telemetry)
+                # Only what merge_telemetry can add to: a damaged
+                # counter is dropped, never carried into the next sum.
+                runner._telemetry_totals = {
+                    key: value
+                    for key, value in telemetry.items()
+                    if value is None or _is_finite_number(value)
+                }
         return runner
 
     def _restore(self, manifest: dict, arrays: dict) -> None:
@@ -426,17 +442,32 @@ class CampaignRunner:
 
     # -- checkpointing -------------------------------------------------
 
+    def _records(self) -> list[dict]:
+        """The finished waves' dicts, each built once per record."""
+        cache, records = self._record_dicts, self.state.records
+        kept = 0
+        while (
+            kept < min(len(cache), len(records))
+            and cache[kept][0] is records[kept]
+        ):
+            kept += 1
+        del cache[kept:]
+        cache.extend((r, r.to_dict()) for r in records[kept:])
+        return [d for _, d in cache]
+
     def _manifest(self) -> dict:
+        """The checkpoint manifest; it shares the cached spec and record
+        dicts, so it is serialized, never handed to a caller."""
         state = self.state
         return {
-            "spec": self.spec.to_dict(),
+            "spec": self._spec_dict,
             "announced": self.announced,
             "wave": state.wave,
             "shard": state.shard,
             "wave_planned": state.wave_planned,
             "wave_reseeded": state.wave_reseeded,
             "wave_attempts": state.wave_attempts,
-            "records": [r.to_dict() for r in state.records],
+            "records": self._records(),
             "shard_results": [
                 [r.probes_sent, r.responses, r.blocked, r.batches]
                 for r in state.shard_results
@@ -551,7 +582,8 @@ class CampaignRunner:
 
     def status(self) -> dict:
         """The deterministic status document (no wall-clock content)."""
-        return status_from_manifest(self._manifest())
+        # A deep copy: the caller owns it, not the manifest caches.
+        return copy.deepcopy(status_from_manifest(self._manifest()))
 
     # -- execution -----------------------------------------------------
 
@@ -887,6 +919,15 @@ class CampaignRunner:
                 value, bool
             ):
                 registry.gauge(f"executor.{key}").set(value)
+
+
+def _is_finite_number(value) -> bool:
+    """A finite ``int``/``float``, never a ``bool``."""
+    if isinstance(value, bool):
+        return False
+    return isinstance(value, int) or (
+        isinstance(value, float) and math.isfinite(value)
+    )
 
 
 def status_from_manifest(manifest: dict) -> dict:

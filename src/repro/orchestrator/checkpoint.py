@@ -7,7 +7,10 @@ never overwrite: every ``save()`` promotes a new ``checkpoint.<gen>.npz``
 via write-tmp-fsync-rename (plus a directory fsync), then commits it to
 the ``checkpoints.json`` journal — which records each generation's
 whole-payload SHA-256 — and prunes generations beyond the keep-N window
-(``REPRO_CKPT_KEEP``, default 2).
+(``REPRO_CKPT_KEEP``, default 2).  The store is the journal's only
+writer, so it keeps the bytes it last wrote and their parsed document;
+a save whose journal on disk still holds those bytes skips the
+re-parse.
 
 ``load()`` trusts nothing: the newest journaled generation is verified
 digest-first (whole file, then every array), and a torn write, bitrot,
@@ -112,7 +115,8 @@ class CheckpointStore:
     - ``status.json``          — the deterministic status document;
     - ``progress.json``        — wall-clock telemetry (timestamps,
       achieved probe rate, cumulative executor telemetry);
-      deliberately *outside* the determinism contract;
+      deliberately *outside* the determinism contract, and atomic but
+      not durable (no ``fsync``), like ``metrics.json``;
     - ``events.jsonl``         — the structured trace-event log
       (:mod:`repro.obs`, ``REPRO_OBS=events|full``); append-only, so
       a resumed campaign continues the same file under a new run id;
@@ -125,6 +129,12 @@ class CheckpointStore:
     them.  Detections and injected faults are appended to
     :attr:`incidents` — the campaign runner drains them into the
     observability plane via :meth:`drain_incidents`.
+
+    A checkpoint (:meth:`save`, then :meth:`write_progress`) makes four
+    ``fsync``s: the generation file and the directory after its rename,
+    then ``checkpoints.json`` and the directory after its rename.
+    ``progress.json`` and ``metrics.json`` are renamed into place
+    without one.
     """
 
     def __init__(self, directory, keep=None, fault_plan=None,
@@ -138,6 +148,9 @@ class CheckpointStore:
         #: Pending observability incidents (dicts with a ``type`` key).
         self.incidents: list[dict] = []
         self._save_index = 0
+        #: ``(raw bytes, parsed document)`` of the journal this store
+        #: last wrote or validated; see :meth:`read_journal`.
+        self._journal_cache: tuple[bytes, dict] | None = None
         if sweep:
             # A kill mid-write leaves an orphaned tmp file next to the
             # real one; it is never a valid resume source (the rename
@@ -240,11 +253,22 @@ class CheckpointStore:
 
     def read_journal(self) -> tuple[dict | None, str | None]:
         """``(journal, None)``, ``(None, None)`` when absent, or
-        ``(None, reason)`` when the journal itself is damaged."""
-        if not self.journal_path.exists():
-            return None, None
+        ``(None, reason)`` when the journal itself is damaged.
+
+        When the file holds exactly the bytes this store last wrote or
+        validated, their cached document comes back without a re-parse;
+        any other bytes are parsed and validated afresh.  The document
+        may be that shared cache: callers must not mutate it.
+        """
         try:
-            document = json.loads(self.journal_path.read_text())
+            raw = self.journal_path.read_bytes()
+        except FileNotFoundError:
+            return None, None
+        cached = self._journal_cache
+        if cached is not None and cached[0] == raw:
+            return cached[1], None
+        try:
+            document = json.loads(raw.decode())
             entries = document["generations"]
             latest = document["latest"]
             if not _is_gen(latest):
@@ -263,18 +287,18 @@ class CheckpointStore:
                 raise ValueError("latest does not match the newest entry")
         except (ValueError, KeyError, TypeError) as exc:
             return None, f"{type(exc).__name__}: {exc}"
+        self._journal_cache = (raw, document)
         return document, None
 
     def _write_journal(self, entries) -> None:
         entries = sorted(entries, key=lambda e: e["gen"])
-        self._write_json(
-            self.journal_path,
-            {
-                "version": JOURNAL_VERSION,
-                "latest": entries[-1]["gen"] if entries else 0,
-                "generations": entries,
-            },
-        )
+        document = {
+            "version": JOURNAL_VERSION,
+            "latest": entries[-1]["gen"] if entries else 0,
+            "generations": entries,
+        }
+        raw = self._write_json(self.journal_path, document)
+        self._journal_cache = (raw, document)
 
     # -- checkpoint ----------------------------------------------------
 
@@ -600,7 +624,16 @@ class CheckpointStore:
         self._write_json(self.status_path, status)
 
     def write_progress(self, progress: dict) -> None:
-        self._write_json(self.progress_path, _sanitize_floats(progress))
+        """Persist the progress document (wall-clock-side).
+
+        Atomic but not durable, as :meth:`write_metrics` is: the
+        document is telemetry outside the determinism contract,
+        rewritten at every checkpoint, and :meth:`read_progress`
+        tolerates a stale, missing or damaged file.
+        """
+        self._write_json(
+            self.progress_path, _sanitize_floats(progress), durable=False
+        )
 
     def read_progress(self) -> dict | None:
         """The last progress document, or ``None`` (never raises on a
@@ -628,16 +661,18 @@ class CheckpointStore:
         )
 
     @staticmethod
-    def _write_json(path: Path, document: dict, durable: bool = True) -> None:
+    def _write_json(
+        path: Path, document: dict, durable: bool = True
+    ) -> bytes:
+        """Write ``document`` atomically; the bytes written."""
+        data = (
+            json.dumps(document, indent=2, sort_keys=True, allow_nan=False)
+            + "\n"
+        ).encode()
         tmp = path.with_suffix(".tmp")
         try:
-            with open(tmp, "w") as fh:
-                fh.write(
-                    json.dumps(
-                        document, indent=2, sort_keys=True, allow_nan=False
-                    )
-                    + "\n"
-                )
+            with open(tmp, "wb") as fh:
+                fh.write(data)
                 if durable:
                     fh.flush()
                     os.fsync(fh.fileno())
@@ -651,6 +686,7 @@ class CheckpointStore:
             raise
         if durable:
             _fsync_path(path.parent)
+        return data
 
     # -- fsck ----------------------------------------------------------
 

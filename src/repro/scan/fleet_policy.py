@@ -5,7 +5,7 @@ needs no socket, process or clock: which shard a worker drains next,
 when a held shard is raced or reclaimed, what a failure costs, when a
 replacement is spawned or an address-book entry redialed, and when
 results are released.  The :class:`~repro.scan.distributed.Coordinator`
-is its shell: it turns selector, ``Popen``, handshake and auth I/O into
+is its shell: it turns selector, fork, handshake and auth I/O into
 the policy's event methods (``begin_wave``/``end_wave``, ``joined``,
 ``frame``, ``lost``, ``peer_failed``, ``stray``, ``auth_rejected`` and
 ``tick``), each taking ``now``, the shell's clock reading.
