@@ -40,6 +40,34 @@ for _ in $(seq 1 120); do
 done
 compgen -G "$WORK/interrupted/checkpoint.*.npz" > /dev/null || {
     echo "no checkpoint appeared within 60s" >&2; exit 1; }
+
+echo "== the live coordinator holds no listening socket"
+# Forked workers each get a socketpair end, so nothing local can dial
+# in: none of the coordinator's socket inodes may be a TCP LISTEN
+# (state 0A) entry of its network namespace.
+python - "$PID" <<'PY'
+import os, sys
+pid = sys.argv[1]
+inodes = set()
+for fd in os.listdir(f"/proc/{pid}/fd"):
+    try:
+        link = os.readlink(f"/proc/{pid}/fd/{fd}")
+    except OSError:
+        continue  # closed since listdir
+    if link.startswith("socket:["):
+        inodes.add(link[len("socket:["):-1])
+listening = set()
+for table in ("tcp", "tcp6"):
+    with open(f"/proc/{pid}/net/{table}") as fh:
+        next(fh)  # the header row
+        for row in fh:
+            fields = row.split()
+            if fields[3] == "0A":
+                listening.add(fields[9])
+held = sorted(inodes & listening)
+assert not held, f"coordinator pid {pid} listens on socket inode(s) {held}"
+print(f"   coordinator pid {pid}: {len(inodes)} socket(s), none listening")
+PY
 sleep 1
 kill -TERM "$PID" 2>/dev/null || true
 set +e

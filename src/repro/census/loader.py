@@ -114,6 +114,8 @@ class CensusDataset:
         return "v6" if prefixes and prefixes[0].bits == 128 else "v4"
 
     def series_for(self, protocol: str) -> SnapshotSeries:
+        if protocol not in self._series:
+            raise ValueError(f"no protocol {protocol!r} in {self.protocols}")
         return self._series[protocol]
 
     @property

@@ -61,9 +61,11 @@ def _status_of(directory: Path) -> dict | None:
     from repro.orchestrator.campaign import status_from_manifest
     from repro.orchestrator.checkpoint import CheckpointStore
 
-    store = CheckpointStore(directory)
+    # A reader: it must not sweep, quarantine or rewrite anything of a
+    # campaign that may still be running.
+    store = CheckpointStore(directory, sweep=False)
     if store.has_checkpoint():
-        manifest, _ = store.load()
+        manifest, _ = store.read_newest()
         return status_from_manifest(manifest)
     return None
 

@@ -26,6 +26,7 @@ import copy
 import dataclasses
 import math
 import time
+import typing
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -53,6 +54,7 @@ from repro.scan.sharded import run_sharded
 
 __all__ = [
     "CampaignSpec",
+    "planned_spec",
     "WaveRecord",
     "CampaignRunner",
     "run_campaign",
@@ -103,6 +105,33 @@ _SAVE_BACKOFF_CAP = 1.0
 #: Wall-clock sleep between wave retries (module-level so deterministic
 #: tests can stub it out; the sleep is telemetry-side, never state).
 _retry_sleep = time.sleep
+
+
+def _checked_fields(cls, data, what: str) -> dict:
+    """``data``, the JSON form of dataclass ``cls``, once every field is
+    there, none is unknown and each has its annotated type (a bool is
+    no int, an int is a float, a nested dataclass is an object);
+    anything else raises a :class:`ValueError` naming the field."""
+    if not isinstance(data, dict):
+        raise ValueError(f"{what} is a {type(data).__name__}, not an object")
+    hints = typing.get_type_hints(cls)
+    odd = sorted(set(data) ^ set(hints))
+    if odd:
+        known = "lacks" if odd[0] in hints else "has unknown"
+        raise ValueError(f"{what} {known} field {odd[0]!r}")
+    for name, hint in hints.items():
+        value, types = data[name], typing.get_args(hint) or (hint,)
+        if not any(
+            isinstance(value, dict) if dataclasses.is_dataclass(t)
+            else type(value) in ((int, float) if t is float else (t,))
+            for t in types
+        ):
+            raise ValueError(
+                f"{what} field {name!r} must be "
+                f"{' or '.join(t.__name__ for t in types)}, not "
+                f"{type(value).__name__}"
+            )
+    return dict(data)
 
 
 @dataclass(frozen=True)
@@ -156,6 +185,8 @@ class CampaignSpec:
     def __post_init__(self):
         if not self.name:
             raise ValueError("campaign name must be non-empty")
+        if self.dataset_seed < 0 or self.scan_seed < 0:
+            raise ValueError("dataset_seed and scan_seed must be >= 0")
         if self.waves < 1:
             raise ValueError("a campaign needs at least one wave")
         if not 0.0 < self.phi <= 1.0:
@@ -256,9 +287,22 @@ class CampaignSpec:
 
     @classmethod
     def from_dict(cls, data: dict) -> "CampaignSpec":
-        data = dict(data)
-        data["reseed"] = ReseedPolicy.from_dict(data["reseed"])
+        """The spec :meth:`to_dict` wrote; see :func:`_checked_fields`."""
+        data = _checked_fields(cls, data, "campaign spec")
+        data["reseed"] = ReseedPolicy(
+            **_checked_fields(ReseedPolicy, data["reseed"], "reseed policy")
+        )
         return cls(**data)
+
+
+def planned_spec(store: CheckpointStore) -> CampaignSpec:
+    """The resolved spec in ``store``'s ``campaign.json``; a damaged one
+    raises a :class:`ValueError` naming the file and the field."""
+    data = store.read_spec()
+    try:
+        return CampaignSpec.from_dict(data).resolved()
+    except ValueError as exc:
+        raise ValueError(f"{store.spec_path}: {exc}") from None
 
 
 @dataclass
@@ -370,8 +414,7 @@ class CampaignRunner:
     @classmethod
     def from_directory(cls, directory, dataset=None) -> "CampaignRunner":
         """A fresh runner for the spec planned under ``directory``."""
-        store = CheckpointStore(directory)
-        spec = CampaignSpec.from_dict(store.read_spec())
+        spec = planned_spec(CheckpointStore(directory))
         return cls(spec, dataset=dataset, directory=directory)
 
     @classmethod

@@ -89,6 +89,16 @@ class _CorruptGeneration(Exception):
     """Internal: one generation failed verification (reason in args)."""
 
 
+def _journal_entry(gen: int, path: Path, data: bytes) -> dict:
+    """Generation ``gen``'s journal entry: its file, digest and size."""
+    return {
+        "gen": gen,
+        "file": path.name,
+        "sha256": hashlib.sha256(data).hexdigest(),
+        "bytes": len(data),
+    }
+
+
 def _array_digest(array) -> str:
     """SHA-256 over an array's dtype, shape, and raw bytes."""
     array = np.asarray(array)
@@ -223,6 +233,18 @@ class CheckpointStore:
         taken, self.incidents = self.incidents, []
         return taken
 
+    def _corrupt(self, gen, reason: str, path=None) -> None:
+        """A ``checkpoint.corrupt`` incident; a damaged generation's
+        ``path`` is quarantined, and the incident names where to."""
+        if path is None:
+            self._incident("checkpoint.corrupt", gen=gen, reason=reason)
+            return
+        moved = self.quarantine(path)
+        self._incident(
+            "checkpoint.corrupt", gen=gen, reason=reason,
+            quarantined=moved.name if moved else None,
+        )
+
     def _fault_fired(self, spec) -> None:
         self._incident(
             "storage.fault_fired", kind=spec.kind, site=spec.site_label
@@ -335,11 +357,7 @@ class CheckpointStore:
 
         journal, journal_error = self.read_journal()
         if journal_error is not None:
-            self._incident(
-                "checkpoint.corrupt",
-                gen=None,
-                reason=f"checkpoints.json: {journal_error}",
-            )
+            self._corrupt(None, f"checkpoints.json: {journal_error}")
         if journal is not None:
             entries = list(journal["generations"])
             gen = journal["latest"] + 1
@@ -395,14 +413,7 @@ class CheckpointStore:
             raise
         _fsync_path(self.directory)
 
-        entries.append(
-            {
-                "gen": gen,
-                "file": path.name,
-                "sha256": hashlib.sha256(data).hexdigest(),
-                "bytes": len(data),
-            }
-        )
+        entries.append(_journal_entry(gen, path, data))
         entries.sort(key=lambda e: e["gen"])
         kept, pruned = entries[-self.keep:], entries[: -self.keep]
         self._write_journal(kept)
@@ -493,23 +504,13 @@ class CheckpointStore:
         path.replace(target)
         return target
 
-    def load(self) -> tuple[dict, dict]:
-        """Load the newest *intact* checkpoint as ``(manifest, arrays)``.
-
-        Generations are verified newest-first; damaged ones are
-        quarantined (``checkpoint.corrupt`` incident) and the journal
-        rewound to the survivor (``checkpoint.rollback`` incident).  A
-        lost or damaged journal is rebuilt from the intact generation
-        files on disk.  Only when *no* generation survives does
-        :class:`CheckpointCorruption` propagate.
-        """
+    def _verify_newest(self):
+        """Verify generations newest-first, moving and writing nothing:
+        ``(journal, journal_error, candidates, rejected, adopted)``, with
+        ascending ``(gen, path, entry)`` candidates, the ``(gen, path,
+        reason)`` of each newer one that failed, and the newest intact
+        one's ``(gen, manifest, arrays, data)`` (``None`` if none is)."""
         journal, journal_error = self.read_journal()
-        if journal_error is not None:
-            self._incident(
-                "checkpoint.corrupt",
-                gen=None,
-                reason=f"checkpoints.json: {journal_error}",
-            )
         if journal is not None:
             candidates = [
                 (entry["gen"], self.directory / entry["file"], entry)
@@ -525,34 +526,58 @@ class CheckpointStore:
             raise FileNotFoundError(
                 f"no checkpoint under {self.directory} — nothing to resume"
             )
-        newest = candidates[-1][0]
-
-        adopted = None
-        quarantined = 0
+        rejected = []
         for gen, path, entry in reversed(candidates):
             try:
                 manifest, arrays, data = self._read_generation(path, entry)
             except _CorruptGeneration as exc:
-                moved = self.quarantine(path)
-                quarantined += 1
-                self._incident(
-                    "checkpoint.corrupt",
-                    gen=gen,
-                    reason=str(exc),
-                    quarantined=moved.name if moved else None,
-                )
+                rejected.append((gen, path, str(exc)))
                 continue
             adopted = (gen, manifest, arrays, data)
             break
+        else:
+            adopted = None
+        return journal, journal_error, candidates, rejected, adopted
+
+    def read_newest(self) -> tuple[dict, dict]:
+        """:meth:`load` for a reader beside a running campaign: it
+        quarantines, rewrites and queues nothing."""
+        *_, adopted = self._verify_newest()
         if adopted is None:
             raise CheckpointCorruption(
                 f"every checkpoint generation under {self.directory} is "
-                f"corrupt ({quarantined} file(s) moved to "
+                "corrupt — audit with `python -m repro.orchestrator verify`"
+            )
+        return adopted[1], adopted[2]
+
+    def load(self) -> tuple[dict, dict]:
+        """Load the newest *intact* checkpoint as ``(manifest, arrays)``.
+
+        Generations are verified newest-first; damaged ones are
+        quarantined (``checkpoint.corrupt`` incident) and the journal
+        rewound to the survivor (``checkpoint.rollback`` incident).  A
+        lost or damaged journal is rebuilt from the intact generation
+        files on disk.  Only when *no* generation survives does
+        :class:`CheckpointCorruption` propagate.  A reader that must
+        not move or write anything uses :meth:`read_newest`.
+        """
+        journal, journal_error, candidates, rejected, adopted = (
+            self._verify_newest()
+        )
+        if journal_error is not None:
+            self._corrupt(None, f"checkpoints.json: {journal_error}")
+        for gen, path, reason in rejected:
+            self._corrupt(gen, reason, path)
+        if adopted is None:
+            raise CheckpointCorruption(
+                f"every checkpoint generation under {self.directory} is "
+                f"corrupt ({len(rejected)} file(s) moved to "
                 f"{self.quarantine_dir.name}/) — audit with `python -m "
                 "repro.orchestrator verify`, or start over with "
                 "`run --fresh`"
             )
         gen, manifest, arrays, data = adopted
+        newest = candidates[-1][0]
 
         if journal is not None:
             if gen != newest:
@@ -575,22 +600,9 @@ class CheckpointStore:
                     try:
                         _, _, payload = self._read_generation(path)
                     except _CorruptGeneration as exc:
-                        moved = self.quarantine(path)
-                        self._incident(
-                            "checkpoint.corrupt",
-                            gen=other_gen,
-                            reason=str(exc),
-                            quarantined=moved.name if moved else None,
-                        )
+                        self._corrupt(other_gen, str(exc), path)
                         continue
-                survivors.append(
-                    {
-                        "gen": other_gen,
-                        "file": path.name,
-                        "sha256": hashlib.sha256(payload).hexdigest(),
-                        "bytes": len(payload),
-                    }
-                )
+                survivors.append(_journal_entry(other_gen, path, payload))
             self._write_journal(survivors)
         if gen != newest:
             self._incident(
@@ -732,7 +744,7 @@ class CheckpointStore:
                 finding(
                     "campaign.json", True, "spec parses and validates"
                 )
-            except (ValueError, TypeError, KeyError) as exc:
+            except ValueError as exc:
                 finding("campaign.json", False, f"spec invalid: {exc}")
 
         # The journal and its generations.
@@ -799,14 +811,8 @@ class CheckpointStore:
             if journal is None and error is None:
                 repaired = None
                 if repair:
-                    data = path.read_bytes()
                     survivors.append(
-                        {
-                            "gen": gen,
-                            "file": path.name,
-                            "sha256": hashlib.sha256(data).hexdigest(),
-                            "bytes": len(data),
-                        }
+                        _journal_entry(gen, path, path.read_bytes())
                     )
                     repaired = "journaled"
                 finding(path.name, False, "intact but not journaled",

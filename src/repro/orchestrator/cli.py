@@ -25,6 +25,7 @@ from repro.bgp.table import LESS_SPECIFIC, MORE_SPECIFIC
 from repro.orchestrator.campaign import (
     CampaignRunner,
     CampaignSpec,
+    planned_spec,
     status_from_manifest,
 )
 from repro.orchestrator.checkpoint import CheckpointStore
@@ -345,14 +346,16 @@ def _dispatch(args) -> int:
         return 0
 
     if args.command == "status":
-        store = CheckpointStore(args.dir)
+        # A reader beside a campaign that may be running: it sweeps no
+        # tmp file and quarantines or rewrites nothing.
+        store = CheckpointStore(args.dir, sweep=False)
         if store.has_checkpoint():
             # The manifest alone carries the whole status document —
             # no dataset load, no runner construction.
-            manifest, _ = store.load()
+            manifest, _ = store.read_newest()
             status = status_from_manifest(manifest)
         else:
-            status = CampaignRunner.from_directory(args.dir).status()
+            status = CampaignRunner(planned_spec(store)).status()
         if args.json:
             print(json.dumps(status, indent=2, sort_keys=True))
         else:

@@ -89,10 +89,6 @@ class ReseedPolicy:
             "min_hitrate": self.min_hitrate,
         }
 
-    @classmethod
-    def from_dict(cls, data: dict) -> "ReseedPolicy":
-        return cls(**data)
-
 
 @dataclass(frozen=True)
 class WavePlan:

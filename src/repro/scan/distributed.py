@@ -2,39 +2,42 @@
 
 This is the multi-node seam.  The coordinator sends each worker a
 wave's :class:`~repro.scan.walk.IntervalTargets` walk once, then shard
-indices from a work queue, over length-prefixed JSON frames on TCP
-(``int64`` arrays ride as base64 payloads pinned little-endian, so
-hosts of different endianness interoperate).  Workers join the fleet
-two ways, mixed freely:
+indices from a work queue, over length-prefixed JSON frames on stream
+sockets (``int64`` arrays ride as base64 payloads pinned little-endian,
+so hosts of different endianness interoperate).  Workers join the
+fleet two ways, mixed freely:
 
 - **forked** — local children, forked from the coordinator (POSIX
-  only), that dial back in to the listener;
+  only), each holding one end of a ``socketpair`` made for it;
 - **remote** — pre-started ``--listen HOST:PORT`` workers named in
   ``REPRO_DIST_ADDRESS_BOOK``, dialed *out* to and redialed on a short
   cadence.  A listen worker serves coordinator sessions in sequence,
   so a restarted coordinator reconnects the same fleet and a late
   worker joins mid-wave.
 
+The coordinator never listens: only its own children and its address
+book can join the fleet, with or without ``REPRO_DIST_SECRET``.
+
 One fleet serves a whole campaign run: the first wave starts it, each
 later wave sends its ``init`` on the sessions already open, and the
 run's end shuts it down (a wave retry or a resume starts a fresh one).
 
 The module has two halves.  :class:`Coordinator` is an I/O shell: it
-owns the listener, the selector, the forked children and the
+owns the selector, the forked children and their sockets, and the
 handshake, turns what happens on them into events, and carries out
 commands.  Every decision — the shard queue and in-order release,
 deadlines and speculation, the failure budget, respawn backoff and
 degradation, redials, the wave boundary and its telemetry — belongs
 to the pure :class:`~repro.scan.fleet_policy.FleetPolicy`, which is
-where a new scheduling rule goes.  The worker side
-(:func:`worker_main`, :func:`listen_main`) serves one coordinator
+where a new scheduling rule goes.  The worker side (``_session``, run
+by a forked child or by :func:`listen_main`) serves one coordinator
 session at a time.
 
 Protocol (all frames are ``>I``-length-prefixed UTF-8 JSON):
 
 - ``hello``     worker → coordinator: ``{"type": "hello", "pid": ...,
-  "nonce": ...}`` — always the worker's first frame, whichever side
-  dialed.
+  "nonce": ...}`` — always the worker's first frame, on a forked
+  child's socketpair and on a dialed connection alike.
 - ``challenge`` coordinator → worker (only when ``REPRO_DIST_SECRET``
   is set): a fresh nonce plus the coordinator's HMAC-SHA256 proof over
   both nonces — authentication is *mutual*.
@@ -99,7 +102,9 @@ from repro.env import (
     fault_plan as _env_fault_plan,
 )
 from repro.scan.faults import WORKER_FAULT_KINDS
-from repro.scan.fleet_policy import ExecutorFailure, FleetPolicy, Worker
+from repro.scan.fleet_policy import (
+    ExecutorFailure, FleetPolicy, Worker, _label,
+)
 from repro.scan.walk import IntervalTargets, build_worker
 
 __all__ = [
@@ -107,7 +112,6 @@ __all__ = [
     "Coordinator",
     "distributed_executor",
     "open_fleet",
-    "worker_main",
     "listen_main",
     "main",
 ]
@@ -129,7 +133,7 @@ _EXIT_TRUNCATE = 18
 _EXIT_OVERSIZE = 19
 _EXIT_MID_RESULT = 20
 _EXIT_SPAWN = 21
-#: A dial-out worker that was denied (or denied the coordinator) auth.
+#: A forked worker that was denied (or denied the coordinator) auth.
 _EXIT_AUTH = 22
 
 #: Seconds a listen worker allows a fresh connection to finish the
@@ -364,15 +368,13 @@ def _greet(stream: FrameStream, secret: str | None):
 
 
 class _Child:
-    """A forked worker's pid, stderr tail file, returncode (``None``
-    while it runs, ``-N`` once signal N ended it) and whether it said
-    hello."""
+    """A forked worker's pid, stderr tail file and returncode (``None``
+    while it runs, ``-N`` once signal N ended it)."""
 
     def __init__(self, pid: int, stderr):
         self.pid = pid
         self.stderr = stderr
         self.returncode = None
-        self.connected = False
 
     def wait(self, timeout: float) -> int | None:
         """The returncode, polled for up to ``timeout`` seconds."""
@@ -396,9 +398,10 @@ class Coordinator:
     shuts it down.  ``workers=None`` sizes the fleet at one worker per
     shard, capped at the CPU count plus the address book.  Every
     ``address_book`` entry is dialed (and redialed until it joins);
-    local children fill the rest of the fleet.  With a ``secret``,
-    every connection must pass the mutual HMAC-SHA256 exchange before
-    it receives init.  ``fault_plan`` injects faults (a
+    local children, each forked with one end of its own ``socketpair``,
+    fill the rest of the fleet.  With a ``secret``, every worker, local
+    or dialed, must pass the mutual HMAC-SHA256 exchange before it
+    receives init.  ``fault_plan`` injects faults (a
     :class:`~repro.scan.faults.FaultPlan` or plan string),
     ``shard_deadline`` is the speculation deadline (``None`` disables)
     and ``timeout`` the no-progress watchdog and the bound on every
@@ -443,7 +446,6 @@ class Coordinator:
             ),
             timeout=timeout,
         )
-        self._listener = None
         self._selector = None
         self._procs: dict[int, _Child] = {}
         self._stderr_tails: deque = deque(maxlen=8)
@@ -457,13 +459,6 @@ class Coordinator:
     def failures(self) -> int:
         """Failures charged to the current (or last) wave's budget."""
         return self._policy.telemetry["failures"]
-
-    @property
-    def address(self):
-        """``(host, port)`` workers dial back to, or ``None`` when closed."""
-        if self._listener is None:
-            return None
-        return self._listener.getsockname()[:2]
 
     # -- lifecycle -----------------------------------------------------
 
@@ -498,11 +493,12 @@ class Coordinator:
             self._flush_worker_bytes(worker)
             worker.link.close()
         if self._selector is not None:
+            for key in list(self._selector.get_map().values()):
+                if isinstance(key.data, _Child):
+                    # A child yet to say hello: its EOF lets it exit.
+                    key.fileobj.close()
             self._selector.close()
             self._selector = None
-        if self._listener is not None:
-            self._listener.close()
-            self._listener = None
         # One short shared grace for clean exits, then escalate: a hung
         # worker must not stall teardown for seconds apiece — every
         # result is already durable, so killing laggards loses nothing.
@@ -516,28 +512,32 @@ class Coordinator:
         worker.link.send(message)
 
     def spawn(self, ordinal: int, fault, respawn: bool) -> None:
-        """Fork one worker that dials back to the coordinator socket."""
+        """Fork one worker that serves its end of a fresh socketpair."""
         if threading.active_count() != 1:
             # The child could inherit a lock another thread holds.
             raise RuntimeError("cannot fork a worker: other threads run")
-        stderr = tempfile.TemporaryFile()
-        try:
-            pid = os.fork()
-        except OSError:
-            stderr.close()
-            raise
-        if pid == 0:
-            _forked_worker(self.address, self.secret, stderr.fileno(), fault)
-        self._procs[pid] = _Child(pid, stderr)
+        with contextlib.ExitStack() as undo:
+            stderr = undo.enter_context(tempfile.TemporaryFile())
+            ours, theirs = socket.socketpair()
+            undo.callback(ours.close)
+            with theirs:
+                pid = os.fork()
+                if pid == 0:
+                    _forked_worker(theirs, self.secret, stderr.fileno(), fault)
+            # The parent's copy of the child's end is closed here: the
+            # child's death must read as EOF on ours.
+            undo.pop_all()
+        child = self._procs[pid] = _Child(pid, stderr)
+        self._selector.register(ours, selectors.EVENT_READ, child)
         obs.get_tracer().point(
             "worker_spawn", pid=pid, ordinal=ordinal, respawn=respawn
         )
 
     def dial(self, addr) -> None:
         """One outbound connect to a pre-started --listen worker."""
-        self._handshake(
-            socket.create_connection(addr, timeout=_DIAL_TIMEOUT), addr
-        )
+        sock = socket.create_connection(addr, timeout=_DIAL_TIMEOUT)
+        sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+        self._handshake(sock, addr)
 
     def detach(self, worker: Worker) -> None:
         """End ``worker``'s session; reap it if it is a local child."""
@@ -552,7 +552,7 @@ class Coordinator:
             # happened); a protocol-violating or hung survivor is
             # terminated so the reap cannot block the event loop.  A
             # remote's pid may collide with a local child's, so only
-            # accepted workers are reaped.
+            # local children are reaped.
             self._reap(worker.pid, grace=0.0)
 
     def trace(self, point: str, /, **fields) -> None:
@@ -583,17 +583,6 @@ class Coordinator:
         if tail:
             self._stderr_tails.append(f"pid {pid}: {tail}")
         return True
-
-    def _reap_unconnected(self, now: float) -> None:
-        """Workers that died before saying hello never hit the selector."""
-        for pid, child in list(self._procs.items()):
-            if not child.connected and child.wait(0.0) is not None:
-                self._reap(pid, grace=0.0)
-                self._policy.peer_failed(
-                    now,
-                    f"worker pid {pid} exited with {child.returncode} "
-                    "before connecting",
-                )
 
     def _stderr_report(self) -> str:
         if not self._stderr_tails:
@@ -628,14 +617,13 @@ class Coordinator:
 
     # -- I/O into events -----------------------------------------------
 
-    def _handshake(self, sock: socket.socket, origin) -> None:
-        """hello(/challenge/auth) with a fresh connection, then an event.
+    def _handshake(self, sock: socket.socket, origin, child=None) -> None:
+        """hello(/challenge/auth) with a fresh session, then an event.
 
-        ``origin`` is ``None`` for accepted connections (spawned
-        workers — and strays), or the ``(host, port)`` address-book
-        entry for connections the coordinator dialed out.
+        ``origin`` is the ``(host, port)`` address-book entry of a
+        connection the coordinator dialed out, or ``None`` for the
+        socketpair end of local ``child``.
         """
-        sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
         # Every read/write on a worker socket is bounded: a peer that
         # connects and then stalls (mid-hello, mid-frame, or refusing
         # to drain the init payload) times out and is handled as a
@@ -646,26 +634,29 @@ class Coordinator:
         now = time.monotonic()
         if kind == "hello":
             worker = Worker(detail, origin, stream)
-            if origin is None and detail in self._procs:
-                self._procs[detail].connected = True
             self._selector.register(sock, selectors.EVENT_READ, worker)
             self._policy.joined(now, worker)
             return
         stream.close()
-        if kind == "stray":
+        if child is not None:
+            # A local child that did not join is reaped (and replaced):
+            # EOF before hello means it died; a rejected one (the
+            # auth_fail fault, a secret mismatch) exits on its own.
+            self._reap(child.pid, grace=0.0 if kind == "garbled" else 5.0)
+        if kind == "stray" and child is not None:
+            self._policy.peer_failed(
+                now,
+                f"worker pid {child.pid} exited with {child.returncode} "
+                "before connecting",
+            )
+        elif kind == "stray":
             self._policy.stray(now, origin)
         elif kind == "rejected":
-            # A rejected local child (the auth_fail fault, or a secret
-            # mismatch) is reaped and replaced.
-            replace = origin is None and self._reap(detail, grace=5.0)
-            self._policy.auth_rejected(now, detail, origin, replace)
+            self._policy.auth_rejected(now, detail, origin, child is not None)
         else:
-            label = (
-                "worker" if origin is None
-                else "remote worker %s:%s" % origin
-            )
             self._policy.peer_failed(
-                now, f"{label} connected without a valid hello{detail}"
+                now,
+                f"{_label(origin)} connected without a valid hello{detail}",
             )
 
     def _on_readable(self, worker: Worker) -> None:
@@ -711,14 +702,8 @@ class Coordinator:
                 "distributed executor requires shards of one walk "
                 "(targets from one shard_targets call)"
             )
-        if self._listener is None:
-            self._listener = socket.create_server(
-                ("127.0.0.1", 0), backlog=64
-            )
+        if self._selector is None:
             self._selector = selectors.DefaultSelector()
-            self._selector.register(
-                self._listener, selectors.EVENT_READ, None
-            )
         self._stderr_tails.clear()
         policy = self._policy
         try:
@@ -730,11 +715,12 @@ class Coordinator:
             )
             while policy.outstanding:
                 for key, _ in self._selector.select(timeout=0.2):
-                    if key.data is None:
-                        self._handshake(self._listener.accept()[0], None)
+                    if isinstance(key.data, _Child):
+                        # A child's first bytes: its hello, or its EOF.
+                        self._selector.unregister(key.fileobj)
+                        self._handshake(key.fileobj, None, key.data)
                     else:
                         self._on_readable(key.data)
-                self._reap_unconnected(time.monotonic())
                 yield from policy.tick(time.monotonic(), len(self._procs))
         except ExecutorFailure as exc:
             # Every abort carries the dead workers' stderr tails.
@@ -771,7 +757,7 @@ def distributed_executor(targets, worker_args, wrap_targets=None):
 
 
 # ---------------------------------------------------------------------------
-# Worker side (forked children, `--connect` and `--listen` processes)
+# Worker side (forked children and `--listen` processes)
 # ---------------------------------------------------------------------------
 
 
@@ -1030,31 +1016,11 @@ def _session(
             return "protocol"
 
 
-def worker_main(host: str, port: int, secret, auth_fail=False) -> int:
-    """Dial out to a coordinator, drain shards until shutdown/EOF.
-
-    ``secret`` is the shared HMAC key (``None``: no authentication);
-    ``auth_fail`` arms the sabotaged proof of the ``auth_fail`` fault.
-    """
-    stream = FrameStream(socket.create_connection((host, port)))
-    try:
-        outcome = _session(stream, secret=secret, auth_fail=auth_fail)
-    finally:
-        stream.close()
-    if outcome == "denied" or (auth_fail and outcome == "eof"):
-        # Rejected by (or refused to work for) the coordinator; a
-        # distinct exit code so a fleet operator can tell auth failures
-        # from crashes in `ps`.  The sabotaged-proof case surfaces as
-        # an EOF — the coordinator hangs up on a bad proof.
-        _scream("authentication failed")
-        return _EXIT_AUTH
-    return 0
-
-
-def _forked_worker(address, secret, stderr_fd: int, fault) -> None:
-    """A forked worker's life, ended by ``os._exit``: it keeps the
-    coordinator's imports but not its GC, signal handlers, fds (the
-    listener, sibling sockets, the event log) or obs scope."""
+def _forked_worker(sock, secret, stderr_fd: int, fault) -> None:
+    """A forked worker's life on its socketpair end ``sock``, ended by
+    ``os._exit``: it keeps the coordinator's imports but not its GC,
+    signal handlers, other fds (sibling sockets, the event log) or obs
+    scope.  ``fault`` is the spawn fault armed for it, if any."""
     code = 1
     try:
         gc.freeze()
@@ -1062,15 +1028,26 @@ def _forked_worker(address, secret, stderr_fd: int, fault) -> None:
             signal.signal(sig, signal.SIG_DFL)
         os.dup2(stderr_fd, 2)
         os.dup2(os.open(os.devnull, os.O_WRONLY), 1)
-        os.closerange(3, os.sysconf("SC_OPEN_MAX"))
+        keep = sock.fileno()
+        os.closerange(3, keep)
+        os.closerange(keep + 1, os.sysconf("SC_OPEN_MAX"))
         sys.stdout = open(1, "w", closefd=False)
         sys.stderr = open(2, "w", buffering=1, closefd=False)
         if fault == "spawn_crash":
             _scream("injected fault 'spawn_crash'")
             code = _EXIT_SPAWN
         else:
+            auth_fail = fault == "auth_fail"
             with obs.observe():
-                code = worker_main(*address, secret, fault == "auth_fail")
+                outcome = _session(
+                    FrameStream(sock), secret=secret, auth_fail=auth_fail
+                )
+            # Denied either way, or hung up on for a sabotaged proof:
+            # a distinct exit code tells auth failures from crashes.
+            code = 0
+            if outcome == "denied" or (auth_fail and outcome == "eof"):
+                _scream("authentication failed")
+                code = _EXIT_AUTH
     except BaseException:
         traceback.print_exc()  # into the coordinator's stderr tail
     finally:
@@ -1136,27 +1113,19 @@ def listen_main(
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="repro.scan.distributed",
-        description="Distributed scan worker: dial out to a coordinator "
-        "(--connect) or serve coordinator sessions (--listen).",
+        description="Distributed scan worker: serve coordinator sessions "
+        "(--listen); a coordinator dials it through its address book.",
     )
-    mode = parser.add_mutually_exclusive_group(required=True)
-    mode.add_argument(
-        "--connect", metavar="HOST:PORT",
-        help="coordinator address to dial (an out-of-process worker)",
-    )
-    mode.add_argument(
-        "--listen", metavar="HOST:PORT",
+    parser.add_argument(
+        "--listen", metavar="HOST:PORT", required=True,
         help="pre-started remote worker: serve coordinator sessions in "
         "sequence; HOST:0 picks a free port, announced on stdout",
     )
     args = parser.parse_args(argv)
-    addr = args.connect or args.listen
-    host, _, port = addr.rpartition(":")
+    host, _, port = args.listen.rpartition(":")
     if not host or not port.isdigit():
-        parser.error(f"address must be HOST:PORT, got {addr!r}")
-    if args.listen:
-        return listen_main(host, int(port), secret=dist_secret())
-    return worker_main(host, int(port), dist_secret())
+        parser.error(f"address must be HOST:PORT, got {args.listen!r}")
+    return listen_main(host, int(port), secret=dist_secret())
 
 
 if __name__ == "__main__":

@@ -82,7 +82,7 @@ class Worker:
 
     def __init__(self, pid: int, origin=None, link=None):
         self.pid = pid
-        self.origin = origin  # (host, port) book entry; None = accepted
+        self.origin = origin  # (host, port) book entry; None = local child
         self.link = link  # the shell's session; the policy never reads it
         self.assigned = None  # queue index in flight, or None when idle
         self.assigned_at = 0.0  # clock at dispatch

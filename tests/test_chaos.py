@@ -97,8 +97,12 @@ def test_every_worker_fault_kind_preserves_results(kind):
 def test_spawn_crash_fault_preserves_results():
     spec, responsive = _world()
     # Ordinals 0-1 are the initial fleet; kill replacement ordinal 2
-    # after a crash forces a respawn.
-    results, coordinator = _run_under_plan("crash@0,spawn_crash@2")
+    # after a crash forces a respawn.  Every other shard stalls, so the
+    # survivor is still busy when the crash is seen and the requeued
+    # shard needs a replacement instead of the survivor's next turn.
+    results, coordinator = _run_under_plan(
+        "crash@0,spawn_crash@2,stall@*:attempts=*:delay=0.2"
+    )
     assert coordinator.telemetry["respawns"] >= 1
     assert results == _serial_shards(spec, responsive, 4)
 
