@@ -2,8 +2,10 @@
 # Byte-identity smoke: run the same campaigns from a base checkout and
 # from this one, keeping every checkpoint generation, and require
 # status.json, campaign.json, checkpoints.json and each
-# checkpoint.<gen>.npz to match byte for byte.  A change that claims
-# "outputs unchanged" runs this against its merge-base.
+# checkpoint.<gen>.npz to match byte for byte; then render the paper
+# analysis passes in both trees and require each text to match.  A
+# change that claims "outputs unchanged" runs this against its
+# merge-base.
 #
 # Usage: scripts/identity_smoke.sh BASE_DIR [V4_PRESET] [V6_PRESET]
 #   BASE_DIR   a checkout of the base commit (e.g. a git worktree of
@@ -23,6 +25,9 @@
 #       crash@1,corrupt@3,mid_result@5,spawn_crash@2; this arm also
 #       requires progress.json's executor_telemetry (failures,
 #       respawns, faults armed, ...) to match
+#   analysis: the 13 paper analysis passes (each module's run_* then
+#       render_*) on V4_PRESET, dataset seed 0; each rendered text must
+#       match
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -104,5 +109,42 @@ compare_arm v6-distributed --preset "$V6_PRESET" --executor distributed \
 REPRO_FAULT_PLAN=crash@1,corrupt@3,mid_result@5,spawn_crash@2 \
     compare_arm v4-distributed-faults --preset "$V4_PRESET" \
     --executor distributed --use-blocklist --explore-frac 0.01
+
+# module:pass pairs; pass P of module M is M.run_P / M.render_P.
+ANALYSIS_PASSES=(figure1:figure1 figure2:figure2 figure3:figure3
+    figure4:figure4 figure5:figure5 figure6:figure6 table1:table1
+    section34:section34 efficiency:efficiency missed:missed_hosts
+    reseeding:reseeding adaptive:adaptive
+    churn_decomposition:churn_decomposition)
+
+render_analysis() {  # render_analysis TREE OUT
+    mkdir -p "$2"
+    (
+        cd "$1"
+        PYTHONPATH=src python - "$V4_PRESET" "$2" "${ANALYSIS_PASSES[@]}" <<'PY'
+import importlib, sys
+from repro.census.loader import get_dataset
+
+preset, out, *passes = sys.argv[1:]
+dataset = get_dataset(preset=preset, seed=0)
+for item in passes:
+    module_name, name = item.split(":")
+    module = importlib.import_module(f"repro.analysis.{module_name}")
+    text = getattr(module, f"render_{name}")(
+        getattr(module, f"run_{name}")(dataset)
+    )
+    with open(f"{out}/{name}.txt", "w") as fh:
+        fh.write(text + "\n")
+PY
+    )
+}
+
+echo "== analysis"
+render_analysis "$BASE_DIR" "$WORK/base-analysis"
+render_analysis "$HEAD_DIR" "$WORK/head-analysis"
+for item in "${ANALYSIS_PASSES[@]}"; do
+    cmp "$WORK/base-analysis/${item#*:}.txt" "$WORK/head-analysis/${item#*:}.txt"
+done
+echo "   identical: ${#ANALYSIS_PASSES[@]} rendered passes"
 
 echo "identity smoke passed"

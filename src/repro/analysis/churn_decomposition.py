@@ -5,6 +5,12 @@ what happened to the host that owned it: *renumbering* (alive at a new
 address in the same routed prefix — prefix scans survive this), *moved*
 (alive in a different prefix), or *died*.  The paper's stability
 argument requires renumbering to dominate.
+
+A lost host is found in the next month through an inverse table,
+``where[host_id] = row``: host ids are unique within a snapshot, and
+:meth:`~repro.census.loader.CensusDataset.load` checks that each is a
+distinct non-negative integer below the series' total row count, so
+the table stays small and the lookup is exact.
 """
 
 from __future__ import annotations
@@ -70,16 +76,14 @@ def _decompose(partition, series) -> ChurnBreakdown:
         lost_addrs = cur_values[lost]
 
         # Locate the lost hosts in the next snapshot by host id.
-        order = np.argsort(nxt.host_ids, kind="stable")
-        sorted_hids = nxt.host_ids[order]
-        pos = np.searchsorted(sorted_hids, lost_hids)
-        pos_safe = pos.clip(max=len(sorted_hids) - 1)
-        alive = (pos < len(sorted_hids)) & (
-            sorted_hids[pos_safe] == lost_hids
-        )
+        hids = (cur.host_ids, nxt.host_ids)
+        where = np.full(1 + max(h.max(initial=-1) for h in hids), -1)
+        where[nxt.host_ids] = np.arange(len(nxt.host_ids))
+        pos = where[lost_hids]
+        alive = pos >= 0
         died += int((~alive).sum())
 
-        new_addrs = nxt_values[order[pos_safe[alive]]]
+        new_addrs = nxt_values[pos[alive]]
         old_parts = partition.index_of(lost_addrs[alive])
         new_parts = partition.index_of(new_addrs)
         same = old_parts == new_parts

@@ -256,19 +256,50 @@ class CensusDataset:
                 blocks = [tuple(b) for b in data["blocks"].tolist()]
             series = {}
             for protocol in meta["protocols"]:
+                months = range(meta["months"])
+                addrs = [data[f"addr_{protocol}_{m}"] for m in months]
+                hids = [data[f"hid_{protocol}_{m}"] for m in months]
+                _check_host_ids(protocol, addrs, hids)
                 snaps = [
                     Snapshot(
-                        data[f"addr_{protocol}_{m}"],
-                        data[f"hid_{protocol}_{m}"],
-                        data[f"kind_{protocol}_{m}"],
+                        addrs[m], hids[m], data[f"kind_{protocol}_{m}"],
                         month=m,
                     )
-                    for m in range(meta["months"])
+                    for m in months
                 ]
                 series[protocol] = SnapshotSeries(protocol, snaps)
         return cls(
             meta["preset"], meta["seed"], Topology(table, asns, blocks), series
         )
+
+
+def _check_host_ids(protocol, addrs, hids) -> None:
+    """Each month's host ids pair one-to-one with its addresses and are
+    distinct integers in ``[0, rows)``, ``rows`` being the series' total
+    row count — so churn analysis may index a table by them.  O(rows):
+    a month's ids are scattered into a table allocated once per series
+    and must read back as their own row numbers."""
+    rows = sum(len(a) for a in addrs)
+    where = np.empty(rows, dtype=np.min_scalar_type(rows))
+    numbers = np.arange(max(map(len, addrs), default=0), dtype=where.dtype)
+    for m, (addr, hid) in enumerate(zip(addrs, hids)):
+        name = f"hid_{protocol}_{m}"
+        if hid.dtype.kind not in "iu" or hid.shape != addr.shape:
+            raise ValueError(
+                f"dataset cache: {name} holds {hid.shape} {hid.dtype} "
+                f"host ids for {addr.shape} addresses"
+            )
+        if not len(hid):
+            continue
+        if hid.min() < 0 or hid.max() >= rows:
+            raise ValueError(
+                f"dataset cache: {name} holds a host id outside "
+                f"[0, {rows})"
+            )
+        index = numbers[: len(hid)]
+        where[hid] = index
+        if not np.array_equal(where[hid], index):
+            raise ValueError(f"dataset cache: {name} repeats a host id")
 
 
 def get_dataset(

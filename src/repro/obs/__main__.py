@@ -2,7 +2,7 @@
 
 - ``report --dir DIR [--json]``  — render per-wave / per-shard /
   per-worker tables (or the machine-readable rollup document) for one
-  campaign directory;
+  campaign directory; a missing directory exits 2;
 - ``validate --dir DIR`` (or ``validate --events FILE``) — check an
   event log against the :mod:`repro.obs.schema`; non-zero exit on any
   violation (the CI smoke gate).
@@ -53,7 +53,11 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
 
     if args.command == "report":
-        rollup = load_rollup(args.dir)
+        try:
+            rollup = load_rollup(args.dir)
+        except FileNotFoundError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
         if args.json:
             print(json.dumps(rollup, indent=2, sort_keys=True))
         else:

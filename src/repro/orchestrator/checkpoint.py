@@ -135,8 +135,10 @@ class CheckpointStore:
 
     ``keep``/``fault_plan`` default to the validated environment knobs
     (``REPRO_CKPT_KEEP`` / ``REPRO_FS_FAULT_PLAN``); ``sweep=False``
-    leaves orphaned tmp files in place so :meth:`audit` can report
-    them.  Detections and injected faults are appended to
+    opens a reader's store: it leaves orphaned tmp files in place so
+    :meth:`audit` can report them, and creates nothing — a missing
+    directory is the same :class:`FileNotFoundError` as a missing
+    ``campaign.json``.  Detections and injected faults are appended to
     :attr:`incidents` — the campaign runner drains them into the
     observability plane via :meth:`drain_incidents`.
 
@@ -152,7 +154,10 @@ class CheckpointStore:
         from repro.env import ckpt_keep, fs_fault_plan
 
         self.directory = Path(directory)
-        self.directory.mkdir(parents=True, exist_ok=True)
+        if sweep:
+            self.directory.mkdir(parents=True, exist_ok=True)
+        elif not self.directory.is_dir():
+            raise self._no_spec()
         self.keep = ckpt_keep(keep)
         self.fault_plan = fs_fault_plan(fault_plan)
         #: Pending observability incidents (dicts with a ``type`` key).
@@ -255,12 +260,14 @@ class CheckpointStore:
     def write_spec(self, spec_dict: dict) -> None:
         self._write_json(self.spec_path, spec_dict)
 
+    def _no_spec(self) -> FileNotFoundError:
+        return FileNotFoundError(
+            f"no campaign.json under {self.directory} — run `plan` first"
+        )
+
     def read_spec(self) -> dict:
         if not self.spec_path.exists():
-            raise FileNotFoundError(
-                f"no campaign.json under {self.directory} — "
-                "run `plan` first"
-            )
+            raise self._no_spec()
         try:
             return json.loads(self.spec_path.read_text())
         except ValueError as exc:

@@ -19,7 +19,6 @@ import numpy as np
 # Module-level on purpose: this feeds per-wave hot loops, which must
 # not pay an import-machinery lookup per wave.
 from repro.bgp.backends import COUNT_CACHE
-from repro.scan.walk import _pack
 
 __all__ = [
     "RESEED_MODES",
@@ -32,6 +31,11 @@ __all__ = [
 ]
 
 RESEED_MODES = ("never", "interval", "hitrate")
+
+#: :func:`explore_unselected` buckets coordinate ``c`` as ``c >> shift``
+#: into a 2^16-entry (64 KiB) bool table, the shift being the smallest
+#: that fits the unselected space.
+_BUCKET_BITS = 16
 
 
 # ---------------------------------------------------------------------------
@@ -148,10 +152,14 @@ def explore_unselected(rng, partition, selected, values, n):
 
     Draws ``n`` uniform probes over the unselected space's flat
     coordinates ``[0, total)`` (unselected prefixes end to end, in
-    address order) and scores each against a packed bitmap of the
-    sorted responsive ``values`` that fall there.  Returns
-    ``(probe_count, unique_hits, fresh_indices)`` — the caller decides
-    whether to absorb (``selected[fresh_indices] = True``).
+    address order) and scores each against the responsive ``values``
+    (sorted ascending) that fall there.  Returns ``(probe_count,
+    unique_hits, fresh_indices)``, both arrays sorted — the caller
+    decides whether to absorb (``selected[fresh_indices] = True``).
+
+    Memory is fixed, whatever the unselected space's size: each host's
+    coordinate marks one of 2^16 buckets, and only the draws that land
+    in a marked bucket are matched exactly.
     """
     unselected = np.flatnonzero(~selected)
     sizes = partition.sizes[unselected]
@@ -160,21 +168,35 @@ def explore_unselected(rng, partition, selected, values, n):
     if total == 0 or n == 0:
         return 0, empty, empty
     draws = rng.integers(0, total, size=n)
-    # A responsive address's coordinate: its unselected prefix's
-    # cumulative-size offset plus its offset within that prefix.
-    part = partition.index_of(values)
-    keep = (part >= 0) & ~selected[part]
-    hosts, part = values[keep], part[keep]
+    # Each unselected prefix's responsive hosts are one slice of the
+    # sorted values; a host's coordinate is its offset within its
+    # prefix plus the prefix's cumulative-size offset.
+    lo = np.searchsorted(values, partition.starts[unselected])
+    counts = np.searchsorted(values, partition.ends[unselected]) - lo
+    owner = np.repeat(np.arange(len(unselected)), counts)
+    rows = np.arange(len(owner)) + (lo - (np.cumsum(counts) - counts))[owner]
+    hosts = values[rows]
     offsets = np.cumsum(sizes) - sizes
-    coords = offsets[np.searchsorted(unselected, part)] + (
-        hosts - partition.starts[part]
-    )
-    bits = _pack(coords, coords + 1, total)
-    mask = np.left_shift(np.uint8(1), (draws & 7).astype(np.uint8))
-    drawn = np.unique(draws[(bits[draws >> 3] & mask) != 0])
-    # The coordinate map is monotone, so coords is sorted like hosts.
-    at = np.searchsorted(coords, drawn)
-    return n, hosts[at], np.unique(part[at])
+    coords = hosts + (offsets - partition.starts[unselected])[owner]
+    shift = max(0, (total - 1).bit_length() - _BUCKET_BITS)
+    marked = np.zeros(1 << _BUCKET_BITS, dtype=bool)
+    marked[coords >> shift] = True
+    drawn = np.sort(draws[marked[draws >> shift]])
+    drawn = drawn[_first_of_runs(drawn)]
+    # Coordinates rise with the hosts, so coords is sorted.
+    at = np.searchsorted(coords, drawn).clip(max=len(coords) - 1)
+    at = at[coords[at] == drawn]
+    parts = unselected[owner[at]]
+    return n, hosts[at], parts[_first_of_runs(parts)]
+
+
+def _first_of_runs(sorted_values):
+    """Mask of the first element of each run of equal values in a sorted
+    array: ``np.unique``'s dedupe, which under NumPy 2.4 costs ~20x a
+    sort plus this mask on int64."""
+    keep = np.ones(len(sorted_values), dtype=bool)
+    keep[1:] = sorted_values[1:] != sorted_values[:-1]
+    return keep
 
 
 def hold_or_reseed(strategy, selection, snapshot, reseed, announced):

@@ -1,12 +1,16 @@
-"""Reader commands beside a running campaign: ``status`` and ``obs report``.
+"""Reader commands beside a running campaign: ``status``, ``obs report``
+and ``verify``.
 
-Both read a campaign directory that another process may be writing.
+``status`` and ``obs report`` read a campaign directory that another
+process may be writing.
 They verify the newest checkpoint generation and fall back to an older
 intact one exactly as a resume would, but they move, delete and
 rewrite nothing: no tmp-file sweep, no quarantine, no journal rewind.
 A reader that unlinks ``checkpoint.N.tmp.npz`` between a campaign's
 write and its rename kills that campaign.  Only the next ``resume``
-quarantines and rolls back.
+quarantines and rolls back.  No reader creates anything: given a
+missing directory, each of the three exits 2 with the missing
+``campaign.json`` error and leaves no directory behind.
 """
 
 import json
@@ -115,3 +119,29 @@ def test_status_of_bitrotted_newest_reads_the_previous_generation(
     ]
     assert (tmp_path / "quarantine" / f"checkpoint.{newest}.npz").exists()
     assert runner.status() == statuses[-2]
+
+
+_NO_SPEC = "no campaign.json under {} — run `plan` first"
+
+
+def test_status_of_a_missing_directory_creates_nothing(tmp_path, capsys):
+    missing = tmp_path / "missing"
+    assert main(["status", "--dir", str(missing)]) == 2
+    assert _NO_SPEC.format(missing) in capsys.readouterr().err
+    assert not missing.exists()
+
+
+def test_obs_report_of_a_missing_directory_creates_nothing(
+    tmp_path, capsys
+):
+    missing = tmp_path / "missing"
+    assert obs_main(["report", "--dir", str(missing)]) == 2
+    assert _NO_SPEC.format(missing) in capsys.readouterr().err
+    assert not missing.exists()
+
+
+def test_verify_of_a_missing_directory_creates_nothing(tmp_path, capsys):
+    missing = tmp_path / "missing"
+    assert main(["verify", "--dir", str(missing)]) == 2
+    assert _NO_SPEC.format(missing) in capsys.readouterr().err
+    assert not missing.exists()

@@ -1,6 +1,7 @@
 """Orchestrator units: spec, policy, pacing, checkpoints, wave behavior."""
 
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -402,6 +403,28 @@ class TestWaveCores:
         assert np.all(~selected[fresh])
         # Every reported hit really is a responsive address.
         assert np.isin(hits, values).all()
+
+    def test_explore_memory_does_not_scale_with_unselected_space(self):
+        from repro.bgp.table import Prefix, RoutingTable
+
+        # An unselected /1: a bitmap of it would take 256 MiB.
+        partition = RoutingTable(
+            [Prefix.from_cidr("0.0.0.0/1"), Prefix.from_cidr("192.0.2.0/24")]
+        ).partition("less-specific")
+        selected = np.array([False, True])
+        rng = np.random.default_rng(1)
+        values = np.unique(rng.integers(0, 1 << 31, 10_000))
+        tracemalloc.start()
+        try:
+            count, hits, _ = explore_unselected(
+                rng, partition, selected, values, 10_000
+            )
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert count == 10_000
+        assert np.isin(hits, values).all()
+        assert peak < 4 << 20, f"peak {peak / (1 << 20):.1f} MiB"
 
     def test_adaptive_charges_no_probes_to_a_full_selection(
         self, mini_dataset, monkeypatch
