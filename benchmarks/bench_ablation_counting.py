@@ -3,7 +3,7 @@
 TASS step 2 counts responsive addresses per prefix.  The library uses a
 vectorized two-``searchsorted`` pass over the sorted snapshot; the
 classic alternative is longest-prefix-matching every address in a radix
-trie.  This benchmark asserts the two agree on the benchmark dataset.
+trie.  This test asserts the two agree on the small preset.
 """
 
 import numpy as np

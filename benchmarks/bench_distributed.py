@@ -4,7 +4,7 @@ Scans the phi=0.9 TASS selection for HTTP against the seed snapshot
 through the ``distributed`` executor — real worker subprocesses, the
 full length-prefixed socket protocol, requeue machinery armed.  Every
 variant must merge to a byte-identical :class:`ScanResult` (executor
-invariance, re-asserted here on the full benchmark dataset), including
+invariance, re-asserted here on the small preset), including
 a run with an injected worker failure.  perfbench's ``v4-distributed``
 workload times this executor inside a whole campaign.
 """

@@ -1,18 +1,16 @@
 """The 128-bit address-family hot paths.
 
-Runs the v6-specific machinery against a generated v6 preset
-(``v6-tiny`` under ``REPRO_BENCH_PRESET=tiny``, ``v6-small``
-otherwise): phi-selection counting over an S16 partition, the
-hitlist + sampled sharded scan, and the big-modulus (Python-int)
-cyclic walk that covers one announced /32.  Every scan variant must
-merge to a byte-identical result — the executor-invariance contract
-re-asserted on the v6 path.
+Runs the v6-specific machinery against the generated ``v6-small``
+preset: phi-selection counting over an S16 partition, the hitlist +
+sampled sharded scan, and the big-modulus (Python-int) cyclic walk that
+covers one announced /32.  Every scan variant must merge to a
+byte-identical result — the executor-invariance contract re-asserted on
+the v6 path.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import os
 
 import pytest
 
@@ -27,9 +25,7 @@ _SAMPLES = 16
 
 @pytest.fixture(scope="module")
 def v6_dataset():
-    preset = os.environ.get("REPRO_BENCH_PRESET", "small")
-    v6_preset = "v6-tiny" if preset == "tiny" else "v6-small"
-    return get_dataset(preset=v6_preset, seed=0)
+    return get_dataset(preset="v6-small", seed=0)
 
 
 @pytest.fixture(scope="module")

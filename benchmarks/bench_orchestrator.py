@@ -1,10 +1,9 @@
 """Campaign orchestrator: checkpointed and uncheckpointed campaigns.
 
 Runs the same short campaign with checkpointing disabled and with a
-durable checkpoint after every shard, on the benchmark dataset.  The
+durable checkpoint after every shard, on the small preset.  The
 runs must agree byte-for-byte on every deterministic field,
-re-asserting kill-and-resume's precondition on the full benchmark
-dataset.  perfbench's ``v4-campaign`` workload times checkpointing
+re-asserting kill-and-resume's precondition on a generated preset.  perfbench's ``v4-campaign`` workload times checkpointing
 (``orchestrator.checkpoint_save_s``) inside a whole campaign.
 """
 

@@ -1,9 +1,9 @@
-"""The probe-level scanning substrate on the benchmark dataset.
+"""The probe-level scanning substrate on the small preset.
 
 Not a paper figure — these exercise the simulator itself: a scan with
-blocklist filtering, the address-set algebra, the MRT round trip and
-dataset generation, each checked once on the benchmark dataset.
-perfbench times them inside whole campaigns and analysis passes.
+blocklist filtering and the address-set algebra, each checked once on
+the small preset.  perfbench times them inside whole campaigns and
+analysis passes.
 """
 
 from repro.core.tass import TassStrategy
@@ -34,20 +34,3 @@ def test_address_set_algebra_throughput(dataset):
     series = dataset.series_for("http")
     a, b = series[0].addresses, series[3].addresses
     assert len((a | b) - (a & b)) > 0
-
-
-def test_mrt_roundtrip_throughput(dataset, tmp_path):
-    """Write + parse an MRT RIB dump of the whole synthetic table."""
-    from repro.bgp import pfx2as
-
-    path = tmp_path / "rib.mrt"
-    written = dataset.topology.write_mrt(path)
-    assert written == len(pfx2as.rib_to_pfx2as(path)) > 0
-
-
-def test_dataset_generation():
-    """End-to-end tiny-dataset generation (topology + census + churn)."""
-    from repro.census.loader import CensusDataset
-
-    result = CensusDataset.generate(preset="tiny", seed=99)
-    assert result.protocols == ["cwmp", "ftp", "http", "https"]

@@ -3,8 +3,8 @@
 Scans the phi=0.9 TASS selection for HTTP against the seed snapshot
 through the sharded executor at several shard counts.  Every variant
 must merge to a byte-identical :class:`ScanResult` — the K-invariance
-the sharded test suite locks down, re-asserted here on the full
-benchmark dataset.
+the sharded test suite locks down, re-asserted here on the small
+preset.
 """
 
 import dataclasses

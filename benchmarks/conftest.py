@@ -1,43 +1,21 @@
-"""Benchmark fixtures.
+"""Dataset-scale checks of the simulator on the seed-0 ``small`` preset.
 
-Benchmarks run against a cached dataset; the preset is selected with the
-``REPRO_BENCH_PRESET`` environment variable (default ``small`` — a good
-speed/fidelity compromise; use ``medium`` for the full-scale paper
-reproduction).  The first run generates and caches the dataset under
-``data/``; later runs reload it in a couple of seconds.
-
-Rendered experiment output is written to ``benchmarks/out/`` so the
-tables/series survive pytest's output capture.
+The paper's passes live in ``repro.analysis.PASSES`` and their shapes in
+``tests/test_paper_shapes.py``; what stays here re-asserts the
+simulator's invariants (counting backends agree, results do not depend
+on shard count, executor or checkpointing) on a generated preset rather
+than the hand-built worlds of ``tests/``.  Nothing here is timed:
+perfbench measures speed.  The first run generates and caches the
+dataset under ``data/``.
 """
 
 from __future__ import annotations
-
-import os
-from pathlib import Path
 
 import pytest
 
 from repro.census.loader import get_dataset
 
-OUTPUT_DIR = Path(__file__).parent / "out"
-
 
 @pytest.fixture(scope="session")
 def dataset():
-    """The benchmark dataset (env ``REPRO_BENCH_PRESET``, default small)."""
-    preset = os.environ.get("REPRO_BENCH_PRESET", "small")
-    return get_dataset(preset=preset, seed=0)
-
-
-@pytest.fixture(scope="session")
-def artifact_dir() -> Path:
-    """Directory for rendered tables and CSV artifacts."""
-    OUTPUT_DIR.mkdir(parents=True, exist_ok=True)
-    return OUTPUT_DIR
-
-
-def save_artifact(directory: Path, name: str, text: str) -> None:
-    """Write rendered experiment output (and echo it for -s runs)."""
-    (directory / name).write_text(text + "\n")
-    print()
-    print(text)
+    return get_dataset(preset="small", seed=0)

@@ -25,9 +25,9 @@
 #       crash@1,corrupt@3,mid_result@5,spawn_crash@2; this arm also
 #       requires progress.json's executor_telemetry (failures,
 #       respawns, faults armed, ...) to match
-#   analysis: the 13 paper analysis passes (each module's run_* then
-#       render_*) on V4_PRESET, dataset seed 0; each rendered text must
-#       match
+#   analysis: the paper analysis passes of this tree's
+#       repro.analysis.PASSES (each pass's run_* then render_*) on
+#       V4_PRESET, dataset seed 0; each rendered text must match
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -110,12 +110,15 @@ REPRO_FAULT_PLAN=crash@1,corrupt@3,mid_result@5,spawn_crash@2 \
     compare_arm v4-distributed-faults --preset "$V4_PRESET" \
     --executor distributed --use-blocklist --explore-frac 0.01
 
-# module:pass pairs; pass P of module M is M.run_P / M.render_P.
-ANALYSIS_PASSES=(figure1:figure1 figure2:figure2 figure3:figure3
-    figure4:figure4 figure5:figure5 figure6:figure6 table1:table1
-    section34:section34 efficiency:efficiency missed:missed_hosts
-    reseeding:reseeding adaptive:adaptive
-    churn_decomposition:churn_decomposition)
+# The paper's passes from this tree's registry, one "NAME MODULE:RUN
+# MODULE:RENDER" line each.  The same list goes to both trees, so a base
+# that predates the registry renders it too.
+PASS_LINES=$(PYTHONPATH="$HEAD_DIR/src" python -c '
+from repro.analysis import PASSES
+for name, entry in PASSES.items():
+    print(name, entry.run, entry.render)
+')
+mapfile -t ANALYSIS_PASSES <<< "$PASS_LINES"
 
 render_analysis() {  # render_analysis TREE OUT
     mkdir -p "$2"
@@ -125,16 +128,18 @@ render_analysis() {  # render_analysis TREE OUT
 import importlib, sys
 from repro.census.loader import get_dataset
 
+
+def resolve(ref):
+    module, name = ref.split(":")
+    return getattr(importlib.import_module(module), name)
+
+
 preset, out, *passes = sys.argv[1:]
 dataset = get_dataset(preset=preset, seed=0)
 for item in passes:
-    module_name, name = item.split(":")
-    module = importlib.import_module(f"repro.analysis.{module_name}")
-    text = getattr(module, f"render_{name}")(
-        getattr(module, f"run_{name}")(dataset)
-    )
+    name, run, render = item.split()
     with open(f"{out}/{name}.txt", "w") as fh:
-        fh.write(text + "\n")
+        fh.write(resolve(render)(resolve(run)(dataset)) + "\n")
 PY
     )
 }
@@ -143,7 +148,8 @@ echo "== analysis"
 render_analysis "$BASE_DIR" "$WORK/base-analysis"
 render_analysis "$HEAD_DIR" "$WORK/head-analysis"
 for item in "${ANALYSIS_PASSES[@]}"; do
-    cmp "$WORK/base-analysis/${item#*:}.txt" "$WORK/head-analysis/${item#*:}.txt"
+    name=${item%% *}
+    cmp "$WORK/base-analysis/$name.txt" "$WORK/head-analysis/$name.txt"
 done
 echo "   identical: ${#ANALYSIS_PASSES[@]} rendered passes"
 

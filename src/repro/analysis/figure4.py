@@ -9,19 +9,13 @@ whole TASS argument rests on.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
 from repro.analysis.report import format_table
 from repro.bgp.table import LESS_SPECIFIC, MORE_SPECIFIC
 
-__all__ = [
-    "Figure4Result",
-    "run_figure4",
-    "render_figure4",
-    "export_figure4_csv",
-]
+__all__ = ["Figure4Result", "run_figure4", "render_figure4"]
 
 _VIEWS = (LESS_SPECIFIC, MORE_SPECIFIC)
 
@@ -89,29 +83,3 @@ def render_figure4(result: Figure4Result) -> str:
         rows,
         title="Figure 4: space needed per host-coverage level",
     )
-
-
-def export_figure4_csv(result: Figure4Result, directory) -> list:
-    """Export every per-rank series as CSV; returns the written paths."""
-    directory = Path(directory)
-    directory.mkdir(parents=True, exist_ok=True)
-    written = []
-    for (view, protocol), curve in sorted(result.curves.items()):
-        path = directory / f"figure4_{view}_{protocol}.csv"
-        data = np.column_stack(
-            [
-                np.arange(1, len(curve.space_frac) + 1),
-                curve.space_frac,
-                curve.host_frac,
-            ]
-        )
-        np.savetxt(
-            path,
-            data,
-            delimiter=",",
-            header="rank,space_frac,host_frac",
-            comments="",
-            fmt=("%d", "%.8f", "%.8f"),
-        )
-        written.append(path)
-    return written

@@ -4,9 +4,8 @@ The production path is ``Partition.count_addresses`` (two vectorized
 ``searchsorted`` passes).  This module keeps the classic alternative —
 longest-prefix-matching every single address through a binary radix
 trie, one Python iteration per address — as the correctness oracle the
-differential tests check the production path against, and as the
-baseline of the counting ablation (``bench_ablation_counting.py``),
-which quantifies the 2-3 orders of magnitude between the two.
+differential tests (``tests/test_counting.py``, ``tests/test_backends.py``)
+check the production path against.
 """
 
 from __future__ import annotations

@@ -28,6 +28,7 @@ import math
 import time
 import typing
 from dataclasses import dataclass, field
+from pathlib import Path
 
 import numpy as np
 
@@ -35,7 +36,7 @@ from repro import obs
 from repro.bgp.table import LESS_SPECIFIC, MORE_SPECIFIC
 from repro.core.addrspace import FAMILIES
 from repro.core.tass import TassStrategy
-from repro.orchestrator.checkpoint import CheckpointStore
+from repro.orchestrator.checkpoint import CheckpointStore, nothing_to_resume
 from repro.orchestrator.pacing import PacedTargets, TokenBucket
 from repro.orchestrator.waves import (
     ReseedPolicy,
@@ -414,12 +415,15 @@ class CampaignRunner:
     @classmethod
     def from_directory(cls, directory, dataset=None) -> "CampaignRunner":
         """A fresh runner for the spec planned under ``directory``."""
-        spec = planned_spec(CheckpointStore(directory))
+        spec = planned_spec(CheckpointStore(directory, sweep=False))
         return cls(spec, dataset=dataset, directory=directory)
 
     @classmethod
     def resume(cls, directory, dataset=None) -> "CampaignRunner":
         """Rebuild a runner from the latest checkpoint under ``directory``."""
+        if not Path(directory).is_dir():
+            # Refused before the writing store below would create it.
+            raise nothing_to_resume(directory)
         store = CheckpointStore(directory)
         manifest, arrays = store.load()
         spec = CampaignSpec.from_dict(manifest["spec"])

@@ -81,6 +81,12 @@ def _is_gen(value) -> bool:
     )
 
 
+def nothing_to_resume(directory) -> FileNotFoundError:
+    return FileNotFoundError(
+        f"no checkpoint under {directory} — nothing to resume"
+    )
+
+
 class CheckpointCorruption(ValueError):
     """Every candidate checkpoint generation failed verification."""
 
@@ -530,9 +536,7 @@ class CheckpointStore:
                 (gen, path, None) for gen, path in self.generation_files()
             ]
         if not candidates:
-            raise FileNotFoundError(
-                f"no checkpoint under {self.directory} — nothing to resume"
-            )
+            raise nothing_to_resume(self.directory)
         rejected = []
         for gen, path, entry in reversed(candidates):
             try:

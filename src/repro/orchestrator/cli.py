@@ -321,9 +321,9 @@ def _dispatch(args) -> int:
 
     if args.command == "run":
         _install_signal_handlers()
-        # Refuse before the (potentially expensive) dataset load.
-        store = CheckpointStore(args.dir)
-        if store.has_checkpoint():
+        # Refuse before the (potentially expensive) dataset load, and
+        # refuse a missing directory before a writing store creates it.
+        if CheckpointStore(args.dir, sweep=False).has_checkpoint():
             if not args.fresh:
                 print(
                     f"error: {args.dir} already has a checkpoint; "
@@ -332,7 +332,7 @@ def _dispatch(args) -> int:
                     file=sys.stderr,
                 )
                 return 2
-            store.clear()
+            CheckpointStore(args.dir).clear()
         runner = CampaignRunner.from_directory(args.dir)
         status = runner.run(pace=not args.no_pace)
         _print_outcome(status)

@@ -244,8 +244,7 @@ class CyclicPermutation:
     def __iter__(self):
         # Yield Python ints (``tolist`` per batch): scalar iteration is
         # the JSON/telemetry boundary where ``np.int64`` leaks bite, and
-        # per-batch tolist is the faster variant anyway (see
-        # bench_scan_engine.py::test_iter_* for the measured trade-off).
+        # per-batch tolist is the faster variant anyway.
         for batch in self.batches():
             yield from batch.tolist()
 

@@ -10,7 +10,9 @@ A reader that unlinks ``checkpoint.N.tmp.npz`` between a campaign's
 write and its rename kills that campaign.  Only the next ``resume``
 quarantines and rolls back.  No reader creates anything: given a
 missing directory, each of the three exits 2 with the missing
-``campaign.json`` error and leaves no directory behind.
+``campaign.json`` error and leaves no directory behind.  Neither do
+``run`` and ``resume``, which refuse a missing directory before they
+open the store that writes.
 """
 
 import json
@@ -144,4 +146,20 @@ def test_verify_of_a_missing_directory_creates_nothing(tmp_path, capsys):
     missing = tmp_path / "missing"
     assert main(["verify", "--dir", str(missing)]) == 2
     assert _NO_SPEC.format(missing) in capsys.readouterr().err
+    assert not missing.exists()
+
+
+def test_run_of_a_missing_directory_creates_nothing(tmp_path, capsys):
+    missing = tmp_path / "missing"
+    assert main(["run", "--dir", str(missing)]) == 2
+    assert _NO_SPEC.format(missing) in capsys.readouterr().err
+    assert not missing.exists()
+
+
+def test_resume_of_a_missing_directory_creates_nothing(tmp_path, capsys):
+    missing = tmp_path / "missing"
+    assert main(["resume", "--dir", str(missing)]) == 2
+    assert f"no checkpoint under {missing} — nothing to resume" in (
+        capsys.readouterr().err
+    )
     assert not missing.exists()

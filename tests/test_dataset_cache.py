@@ -5,7 +5,8 @@ array must pair one-to-one with its addresses and hold distinct ids in
 ``[0, rows)``, ``rows`` being the protocol's total row count over all
 months.  A damaged array is a ``ValueError`` naming it.  These tests call
 ``CensusDataset.load`` directly: ``get_dataset`` deletes and regenerates
-any cache it cannot load.
+any cache it cannot load.  The last test generates a preset from
+scratch, as a cold cache does.
 """
 
 import numpy as np
@@ -61,3 +62,8 @@ def test_damaged_host_ids_are_a_named_error(tmp_path, damage, detail):
     path = _damaged_cache(tmp_path, damage)
     with pytest.raises(ValueError, match=rf"hid_http_1 .*{detail}"):
         CensusDataset.load(path)
+
+
+def test_tiny_preset_generates_every_protocol():
+    generated = CensusDataset.generate(preset="tiny", seed=99)
+    assert generated.protocols == ["cwmp", "ftp", "http", "https"]

@@ -1,56 +1,24 @@
 """Golden regression tests: paper outputs snapshotted on the tiny preset.
 
-Each rendered figure/table is diffed against a committed snapshot under
-``tests/golden/`` so refactors (counting changes, sharded
-execution, vectorization changes) cannot silently change the numbers
-the reproduction reports.  To regenerate after an *intentional* change::
+Each pass of :data:`repro.analysis.PASSES` is written through the
+function ``python -m repro.analysis`` uses and diffed against its
+committed snapshot under ``tests/golden/``, so refactors (counting
+changes, sharded execution, vectorization changes) cannot silently
+change the numbers the reproduction reports.  To regenerate after an
+*intentional* change::
 
-    REPRO_UPDATE_GOLDEN=1 PYTHONPATH=src python -m pytest tests/test_golden.py
+    PYTHONPATH=src python -m repro.analysis --preset tiny --out tests/golden
 """
 
-import os
 from pathlib import Path
 
 import pytest
 
-from repro.analysis.adaptive import render_adaptive, run_adaptive
-from repro.analysis.churn_decomposition import (
-    render_churn_decomposition,
-    run_churn_decomposition,
-)
-from repro.analysis.efficiency import render_efficiency, run_efficiency
-from repro.analysis.figure1 import render_figure1, run_figure1
-from repro.analysis.figure2 import render_figure2, run_figure2
-from repro.analysis.figure3 import render_figure3, run_figure3
-from repro.analysis.figure4 import render_figure4, run_figure4
-from repro.analysis.figure5 import render_figure5, run_figure5
-from repro.analysis.figure6 import render_figure6, run_figure6
-from repro.analysis.missed import render_missed_hosts, run_missed_hosts
-from repro.analysis.reseeding import render_reseeding, run_reseeding
-from repro.analysis.section34 import render_section34, run_section34
-from repro.analysis.table1 import render_table1, run_table1
+from repro.analysis import PASSES, write_passes
+from repro.analysis.__main__ import main
 from repro.census.loader import get_dataset
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
-
-CASES = {
-    "figure1": (run_figure1, render_figure1),
-    "figure2": (run_figure2, render_figure2),
-    "figure3": (run_figure3, render_figure3),
-    "figure4": (run_figure4, render_figure4),
-    "figure5": (run_figure5, render_figure5),
-    "figure6": (run_figure6, render_figure6),
-    "table1": (run_table1, render_table1),
-    "section34": (run_section34, render_section34),
-    "efficiency": (run_efficiency, render_efficiency),
-    "missed_hosts": (run_missed_hosts, render_missed_hosts),
-    "reseeding": (run_reseeding, render_reseeding),
-    "adaptive": (run_adaptive, render_adaptive),
-    "churn_decomposition": (
-        run_churn_decomposition,
-        render_churn_decomposition,
-    ),
-}
 
 
 @pytest.fixture(scope="module")
@@ -58,21 +26,62 @@ def tiny_dataset():
     return get_dataset(preset="tiny", seed=0)
 
 
-@pytest.mark.parametrize("name", sorted(CASES))
-def test_output_matches_golden(name, tiny_dataset):
-    run, render = CASES[name]
-    text = render(run(tiny_dataset)) + "\n"
-    path = GOLDEN_DIR / f"{name}.txt"
-    if os.environ.get("REPRO_UPDATE_GOLDEN"):
-        GOLDEN_DIR.mkdir(parents=True, exist_ok=True)
-        path.write_text(text)
-        pytest.skip(f"regenerated {path}")
-    assert path.exists(), (
-        f"missing golden snapshot {path}; regenerate with "
-        "REPRO_UPDATE_GOLDEN=1"
-    )
-    assert text == path.read_text(), (
-        f"{name} output changed; if intentional, regenerate goldens with "
-        "REPRO_UPDATE_GOLDEN=1"
+@pytest.mark.parametrize("name", sorted(PASSES))
+def test_output_matches_golden(name, tiny_dataset, tmp_path):
+    (path,) = write_passes(tiny_dataset, tmp_path, [name])
+    assert path.read_text() == (GOLDEN_DIR / path.name).read_text(), (
+        f"{name} output changed; if intentional, regenerate with "
+        "`PYTHONPATH=src python -m repro.analysis --preset tiny "
+        "--out tests/golden`"
     )
 
+
+def test_cli_writes_the_named_passes(tmp_path, capsys):
+    out = tmp_path / "out"
+    argv = ["--preset", "tiny", "--out", str(out), "figure4", "table1"]
+    assert main(argv) == 0
+    assert sorted(p.name for p in out.iterdir()) == [
+        "figure4.txt", "table1.txt"
+    ]
+    for path in out.iterdir():
+        assert path.read_text() == (GOLDEN_DIR / path.name).read_text()
+    assert capsys.readouterr().out.splitlines() == [
+        f"{out / 'figure4.txt'}  {PASSES['figure4'].paper}",
+        f"{out / 'table1.txt'}  {PASSES['table1'].paper}",
+    ]
+
+
+@pytest.mark.parametrize(
+    "argv, error",
+    [
+        (["figure7"], "unknown pass(es): figure7"),
+        (["--preset", "huge"], "unknown preset 'huge'"),
+        (["--preset", "v6-tiny"], "preset 'v6-tiny' is v6"),
+    ],
+)
+def test_cli_refuses_bad_input_before_writing(tmp_path, capsys, argv, error):
+    with pytest.raises(SystemExit) as exc:
+        main(["--out", str(tmp_path / "out"), *argv])
+    assert exc.value.code == 2
+    assert error in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_golden_dir_holds_one_file_per_pass():
+    assert sorted(p.stem for p in GOLDEN_DIR.glob("*.txt")) == sorted(PASSES)
+
+
+def test_perfbench_runs_the_registry_in_order():
+    # perfbench keeps its own pass list; its order sets the count-cache
+    # hits of the ``paper-analysis`` workload, so it must not drift.
+    from perfbench.workloads import PASSES as PERFBENCH_PASSES
+
+    assert [(module, stem) for _, module, stem in PERFBENCH_PASSES] == [
+        (entry.run.split(":")[0], name) for name, entry in PASSES.items()
+    ]
+
+
+def test_readme_table_lists_every_pass():
+    readme = (GOLDEN_DIR.parents[1] / "README.md").read_text()
+    for name, entry in PASSES.items():
+        assert f"| `{name}.txt` | {entry.paper} |" in readme, name

@@ -1,5 +1,6 @@
 """MRT RIB round-trip and prefix→origin-AS extraction."""
 
+from conftest import build_mini_dataset
 from repro.bgp.mrt import read_rib, write_rib
 from repro.bgp.pfx2as import rib_to_pfx2as
 from repro.bgp.table import Prefix
@@ -33,3 +34,11 @@ def test_empty_rib(tmp_path):
     assert write_rib(path, []) == 0
     assert list(read_rib(path)) == []
     assert rib_to_pfx2as(path) == {}
+
+
+def test_topology_dump_round_trips_every_origin(tmp_path):
+    """``Topology.write_mrt`` dumps the whole table, origin AS included."""
+    topology = build_mini_dataset().topology
+    path = tmp_path / "rib.mrt"
+    assert topology.write_mrt(path) == len(topology.table.prefixes) > 0
+    assert rib_to_pfx2as(path) == topology.asns

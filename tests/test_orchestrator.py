@@ -590,6 +590,14 @@ class TestCampaign:
         assert paced["waves"] == unpaced["waves"]
         assert paced["totals"] == unpaced["totals"]
 
+    def test_checkpointing_does_not_change_results(
+        self, mini_dataset, tmp_path
+    ):
+        unsaved = run_campaign(SPEC, dataset=mini_dataset)
+        saved = run_campaign(SPEC, dataset=mini_dataset, directory=tmp_path)
+        assert saved["waves"] == unsaved["waves"]
+        assert saved["totals"] == unsaved["totals"]
+
     def test_status_json_is_wall_clock_free(self, mini_dataset, tmp_path):
         run_campaign(SPEC, dataset=mini_dataset, directory=tmp_path)
         status_text = (tmp_path / "status.json").read_text()
