@@ -23,8 +23,9 @@
 #       v6 shard descriptions cross the wire)
 #   v4, distributed (2 workers) as above, under the fault plan
 #       crash@1,corrupt@3,mid_result@5,spawn_crash@2; this arm also
-#       requires progress.json's executor_telemetry (failures,
-#       respawns, faults armed, ...) to match
+#       requires progress.json's executor_telemetry (failures, faults
+#       armed, ...) to match, all but the counts that follow the clock
+#       (this tree's fleet_policy.CLOCKED_TELEMETRY: respawns)
 #   analysis: the paper analysis passes of this tree's
 #       repro.analysis.PASSES (each pass's run_* then render_*) on
 #       V4_PRESET, dataset seed 0; each rendered text must match
@@ -60,6 +61,13 @@ run_arm() {  # run_arm TREE OUT PLAN-ARGS...
     )
 }
 
+# Telemetry counts that depend on timing, not on the fault plan: two
+# runs of one plan may differ in them, so the faulted arm skips them.
+CLOCKED=$(PYTHONPATH="$HEAD_DIR/src" python -c '
+from repro.scan.fleet_policy import CLOCKED_TELEMETRY
+print(" ".join(CLOCKED_TELEMETRY))
+')
+
 compare_arm() {  # [REPRO_FAULT_PLAN=...] compare_arm NAME PLAN-ARGS...
     local name=$1
     shift
@@ -84,11 +92,18 @@ compare_arm() {  # [REPRO_FAULT_PLAN=...] compare_arm NAME PLAN-ARGS...
         exit 1
     }
     if [ -n "${REPRO_FAULT_PLAN:-}" ]; then
-        python - "$WORK/base-$name" "$WORK/head-$name" <<'PY'
+        python - "$WORK/base-$name" "$WORK/head-$name" $CLOCKED <<'PY'
 import json, sys
+clocked = set(sys.argv[3:])
 base, head = (
-    json.load(open(f"{d}/progress.json"))["executor_telemetry"]
-    for d in sys.argv[1:]
+    {
+        key: value
+        for key, value in json.load(
+            open(f"{d}/progress.json")
+        )["executor_telemetry"].items()
+        if key not in clocked
+    }
+    for d in sys.argv[1:3]
 )
 if base != head:
     sys.exit(f"executor_telemetry differs:\n  base {base}\n  head {head}")

@@ -81,7 +81,9 @@ PROGRESS_KEYS = {
         "executor-failure retries, cumulative across resumes"
     ),
     "executor_telemetry": (
-        "cumulative fleet telemetry ({} for in-process executors)"
+        "cumulative fleet telemetry ({} for in-process executors); the "
+        "counts in fleet_policy.CLOCKED_TELEMETRY (respawns) depend on "
+        "timing, the rest on the fault plan"
     ),
     "finished": "campaign completion flag",
 }

@@ -4,11 +4,14 @@ This is the zmap-class simulator core.  It drains a target stream of
 walk coordinates (:class:`~repro.scan.walk.IntervalTargets`) in
 fixed-size batches and scores each batch with one bit gather per
 :class:`ScanBitmaps` map, built once per wave; it never sees an
-address.  Probe order never changes a counter.
+address.  Probe order never changes a counter, so a shard cut into
+contiguous runs of batches, each scored on its own thread, counts
+exactly what one thread counts.
 """
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -63,7 +66,8 @@ class ScanEngine:
         self.config = config or EngineConfig()
 
     def run(
-        self, targets, bitmaps: ScanBitmaps, protocol: str | None = None
+        self, targets, bitmaps: ScanBitmaps, protocol: str | None = None,
+        parts: int = 1,
     ) -> ScanResult:
         """Scan a target stream against a wave's probe outcomes.
 
@@ -71,32 +75,114 @@ class ScanEngine:
         ``int64`` coordinate arrays of the walk ``bitmaps`` was built
         from.  A batch whose every coordinate is dropped sends nothing
         and does not count toward ``batches``.
+
+        ``parts > 1`` also needs ``split(batch_size, parts)``
+        (:meth:`~repro.scan.walk.IntervalTargets.split`): each of its
+        contiguous runs is scored on a thread of its own, the first on
+        the calling thread, and the runs' counts are summed, so every
+        counter equals the one-part scan's.  Every thread is joined
+        before ``run`` returns or raises.
         """
-        hits, blocked, dropped = bitmaps
+        size = self.config.batch_size
+        runs = targets.split(size, parts) if parts > 1 else ()
+        if len(runs) > 1:
+            tallies = _score_threaded(runs, bitmaps)
+        else:
+            tallies = [_score(targets.batches(size), bitmaps)]
         result = ScanResult(protocol=protocol)
-        # Resolved once per run: outside a metrics scope this is the
-        # no-op registry, whose instruments drop every update.
+        for tally in tallies:
+            result.probes_sent += tally.probes_sent
+            result.responses += tally.responses
+            result.blocked += tally.blocked
+            result.batches += tally.batches
+        # Updated here, on the calling thread, never from a helper.
+        # Outside a metrics scope this is the no-op registry.
         registry = obs.get_registry()
-        for coords in targets.batches(self.config.batch_size):
-            size = int(coords.size)
-            byte = coords >> 3
-            mask = np.left_shift(np.uint8(1), (coords & 7).astype(np.uint8))
-            if dropped is not None:
-                size -= int(np.count_nonzero(dropped[byte] & mask))
-                if size == 0:
-                    continue
-            result.batches += 1
-            registry.counter("engine.batches").inc()
-            if blocked is not None:
-                n_blocked = int(np.count_nonzero(blocked[byte] & mask))
-                result.blocked += n_blocked
-                size -= n_blocked
-            if size:
-                result.probes_sent += size
-                registry.counter("engine.probes_sent").inc(size)
-            # One bit per probe, duplicates included: each probe of a
-            # responsive address scores its own response.
-            result.responses += int(np.count_nonzero(hits[byte] & mask))
+        if result.batches:
+            registry.counter("engine.batches").inc(result.batches)
+        if result.probes_sent:
+            registry.counter("engine.probes_sent").inc(result.probes_sent)
         registry.counter("engine.responses").inc(result.responses)
         registry.counter("engine.blocked").inc(result.blocked)
         return result
+
+
+def _score(batches, bitmaps: ScanBitmaps, stop=None) -> ScanResult:
+    """Counts of one run of coordinate batches; shares no state.
+
+    Stops early once ``stop`` (a :class:`threading.Event`) is set.
+    """
+    hits, blocked, dropped = bitmaps
+    tally = ScanResult()
+    for coords in batches:
+        if stop is not None and stop.is_set():
+            break
+        size = int(coords.size)
+        byte = coords >> 3
+        mask = np.left_shift(np.uint8(1), (coords & 7).astype(np.uint8))
+        if dropped is not None:
+            size -= int(np.count_nonzero(dropped[byte] & mask))
+            if size == 0:
+                continue
+        tally.batches += 1
+        if blocked is not None:
+            n_blocked = int(np.count_nonzero(blocked[byte] & mask))
+            tally.blocked += n_blocked
+            size -= n_blocked
+        tally.probes_sent += size
+        # One bit per probe, duplicates included: each probe of a
+        # responsive address scores its own response.
+        tally.responses += int(np.count_nonzero(hits[byte] & mask))
+    return tally
+
+
+def _score_threaded(runs, bitmaps: ScanBitmaps) -> list[ScanResult]:
+    """Score ``runs[0]`` here and each other run on a helper thread.
+
+    The first exception, the caller's or a helper's, stops every run
+    at its next batch and is raised once all helpers are joined.
+    """
+    stop = threading.Event()
+    tallies = [None] * len(runs)
+    errors = []
+
+    def drain(index):
+        try:
+            tallies[index] = _score(runs[index], bitmaps, stop)
+        except BaseException as exc:
+            errors.append(exc)
+            stop.set()
+
+    helpers = []
+    try:
+        for index in range(1, len(runs)):
+            helper = threading.Thread(
+                target=drain, args=(index,), name=f"scan-run-{index}"
+            )
+            helper.start()
+            helpers.append(helper)
+        tallies[0] = _score(runs[0], bitmaps, stop)
+    except BaseException:
+        stop.set()
+        raise
+    finally:
+        _join(helpers, stop)
+    if errors:
+        raise errors[0]
+    return tallies
+
+
+def _join(threads, stop) -> None:
+    """Join every thread, even when a signal handler raises meanwhile
+    (the CLI's SIGTERM ``bail``); that exception is re-raised after."""
+    interrupted = None
+    for thread in threads:
+        while True:
+            try:
+                thread.join()
+                break
+            except BaseException as exc:
+                stop.set()
+                interrupted = interrupted or exc
+    if interrupted is not None:
+        raise interrupted

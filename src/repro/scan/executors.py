@@ -12,17 +12,18 @@ byte-identical no matter which executor drained the shards.
 
 :data:`EXECUTORS` maps the two names a spec may give to their functions:
 
-- ``serial``      — drain shards in-process, in order; the only executor
-  that supports ``wrap_targets`` (pacing wrappers share in-process
-  state with the caller).
+- ``serial``      — drain shards in-process, in order, each split
+  across the CPUs the process may use; the only executor that supports
+  ``wrap_targets`` (pacing wrappers share in-process state with the
+  caller).
 - ``distributed`` — a coordinator that ships shard descriptions to a
   worker fleet over a length-prefixed JSON socket protocol, re-queues
   shards lost to worker failures, and re-orders results back into
   shard order (:mod:`repro.scan.distributed`).  The fleet mixes
   locally spawned children with pre-started remote workers dialed from
   the ``REPRO_DIST_ADDRESS_BOOK``, optionally behind a mutual
-  HMAC-SHA256 handshake (``REPRO_DIST_SECRET``).  Local workers are
-  also how a scan uses more than one core.
+  HMAC-SHA256 handshake (``REPRO_DIST_SECRET``).  Each worker scores
+  a shard on one thread.
 
 :func:`open_executor` holds an executor open for a ``with`` block: for
 ``distributed`` it yields a drain whose one fleet serves every call
@@ -43,6 +44,7 @@ executor raises when its infrastructure collapses.
 from __future__ import annotations
 
 import contextlib
+import os
 
 from repro.scan.distributed import distributed_executor, open_fleet
 from repro.scan.fleet_policy import ExecutorFailure
@@ -101,11 +103,39 @@ def open_executor(name: str):
 
 
 def serial_executor(targets, worker_args, wrap_targets=None):
-    """Drain shards in-process, in order."""
+    """Drain shards in-process, in order, each on the CPUs it may use.
+
+    A shard is scored as one contiguous run of batches per CPU in this
+    process's affinity mask, at most ``_MAX_PARTS`` runs and one run
+    per batch (see :meth:`~repro.scan.engine.ScanEngine.run`).  A
+    paced stream keeps one run: its token bucket is shared state.
+    """
     engine, bitmaps, protocol = build_worker(targets[0], *worker_args)
+    parts = 1
+    if wrap_targets is None:
+        parts = min(_usable_cpus(), _MAX_PARTS)
     for shard in targets:
         stream = shard if wrap_targets is None else wrap_targets(shard)
-        yield engine.run(stream, bitmaps, protocol=protocol)
+        yield engine.run(stream, bitmaps, protocol=protocol, parts=parts)
+
+
+#: Most runs one serial shard is split into.  Each helper thread keeps
+#: its own malloc arena of freed batch scratch, about 4 MiB: with the
+#: affinity mask forced to 1, 2, 4 and 8 CPUs on a 2-CPU host,
+#: ``v4-campaign`` peaked at 97.5, 101.2, 110.2 and 123.8 MiB (97.8
+#: MiB at 8 with ``MALLOC_ARENA_MAX=1``, but 16% slower at 2 in one
+#: run).  Past two parts peak RSS is over 10% above one part's, the
+#: campaign benchmark's bound; what more parts would gain in wall time
+#: on more CPUs is unmeasured.
+_MAX_PARTS = 2
+
+
+def _usable_cpus() -> int:
+    """CPUs this process may run on: its affinity mask, where the OS
+    has one (macOS has none), else every CPU."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 #: Executor name -> generator function; the only names a spec may give.

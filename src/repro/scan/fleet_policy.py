@@ -33,7 +33,10 @@ from collections import deque
 from repro.scan.engine import ScanResult
 from repro.scan.faults import RespawnGovernor, deadline_action
 
-__all__ = ["ExecutorFailure", "FleetPolicy", "Worker", "REDIAL_INTERVAL"]
+__all__ = [
+    "CLOCKED_TELEMETRY", "ExecutorFailure", "FleetPolicy", "Worker",
+    "REDIAL_INTERVAL",
+]
 
 #: At most one speculative copy of a shard races the original attempt.
 _MAX_SPECULATION = 2
@@ -43,7 +46,9 @@ _HARD_KILL_FACTOR = 3.0
 #: down, rejected, or lost mid-run — the mid-wave join cadence.
 REDIAL_INTERVAL = 0.5
 
-#: One wave's telemetry, zeroed at the start of every wave.
+#: One wave's telemetry, zeroed at the start of every wave.  Most of
+#: it counts the wave's failures and faults, which a fault plan fixes.
+#: :data:`CLOCKED_TELEMETRY` follows the clock instead.
 _WAVE_TELEMETRY = {
     "failures": 0,
     "respawns": 0,
@@ -59,6 +64,14 @@ _WAVE_TELEMETRY = {
     "remote_fleet": 0,
     "remote_connected": 0,
 }
+
+#: Telemetry counts that depend on timing, so a replayed fault plan may
+#: read differently.  ``respawns`` counts replacements spawned: one is
+#: owed only while no idle survivor can take the lost worker's shard,
+#: and the respawn backoff can hold it past the end of the wave, which
+#: drops it.  The deadline counts are not listed: they move only when
+#: a shard outlasts its deadline, which a plan's ``stall`` arranges.
+CLOCKED_TELEMETRY = ("respawns",)
 
 
 class ExecutorFailure(RuntimeError):

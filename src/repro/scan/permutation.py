@@ -8,11 +8,11 @@ once; values above ``n`` are skipped and the rest are shifted down to
 ``0..n-1``.
 
 Batches are produced array-at-a-time: the powers ``g^0..g^{B-1}`` are
-built once per walk by vectorized doubling (a few vector multiplies,
-far cheaper than the walk it drives), and every batch is a single modular
-multiply of that table by the cursor element into a preallocated
-buffer; no Python-level loop per address, no per-batch allocation
-beyond the yielded array itself.
+built once per walk and batch size by vectorized doubling (a few
+vector multiplies, far cheaper than the walk it drives), and every
+batch is a single modular multiply of that table by the cursor element
+into a preallocated buffer; no Python-level loop per address, no
+per-batch allocation beyond the yielded array itself.
 """
 
 from __future__ import annotations
@@ -186,8 +186,13 @@ def _power_table_big(p: int, g: int, m: int) -> tuple:
     return tuple(table)
 
 
+@lru_cache(maxsize=4)
 def _power_table(p: int, g: int, m: int) -> np.ndarray:
-    """``[g^0, g^1, ..., g^{m-1}] mod p`` by vectorized doubling."""
+    """``[g^0, g^1, ..., g^{m-1}] mod p`` by vectorized doubling.
+
+    Read-only and cached: the shards of one walk share generator and
+    batch size, and so do the threads draining one split shard.
+    """
     table = np.empty(m, dtype=np.int64)
     table[0] = 1
     filled = 1
@@ -196,6 +201,7 @@ def _power_table(p: int, g: int, m: int) -> np.ndarray:
         scalar = int(table[filled - 1]) * g % p  # g^filled
         _mulmod(table[:span], scalar, p, out=table[filled:filled + span])
         filled += span
+    table.setflags(write=False)
     return table
 
 
@@ -266,61 +272,58 @@ class PermutationShard:
         # Group positions j in [0, p-1) with j == index (mod count).
         self._total = max(0, -(-(p - 1 - index) // count))
 
-    def batches(self, batch_size: int = 1 << 16):
+    def batch_count(self, batch_size: int) -> int:
+        """How many batches :meth:`batches` walks, skipped elements included."""
+        if batch_size < 1:
+            raise ValueError("batch_size must be >= 1")
+        return -(-self._total // batch_size)
+
+    def batches(self, batch_size: int = 1 << 16, start: int = 0, stop=None):
         """Yield int64 arrays covering this shard's slice of 0..n-1.
+
+        The walk is cut into :meth:`batch_count` batches of
+        ``batch_size`` group elements; only batches ``[start, stop)``
+        are walked (``stop`` defaults to the last).  The cursor jumps to
+        batch ``start`` with one ``pow``, so consecutive ranges yield,
+        in order, exactly the arrays of the whole walk.
 
         Every yielded array is freshly allocated (callers may keep or
         mutate it); the modular walk itself runs in two reused scratch
         buffers, one multiply per batch.
         """
-        if batch_size < 1:
-            raise ValueError("batch_size must be >= 1")
-        p, n = self.prime, self.n
-        total = self._total  # group elements to walk
-        if total == 0:
-            return
-        m = min(batch_size, total)
-        if p > _BIGINT_MOD:
-            yield from self._batches_bigint(m)
-            return
-        powers = _power_table(p, self._gen, m)
-        step = pow(self._gen, m, p)
-        cursor = self._start
-        walked = 0
-        buf = np.empty(m, dtype=np.int64)
-        tmp = np.empty(m, dtype=np.int64) if p > _INT64_SAFE_MOD else None
-        while walked < total:
-            k = min(m, total - walked)
-            values = _mulmod(
-                powers[:k],
-                cursor,
-                p,
-                out=buf[:k],
-                tmp=None if tmp is None else tmp[:k],
-            )
-            cursor = cursor * step % p
-            walked += k
-            kept = values[values <= n]
-            if kept.size:
-                kept -= 1
-                yield kept
+        return _walk(self, batch_size, start, stop)
 
-    def _batches_bigint(self, m: int):
+    def split(self, batch_size: int, parts: int) -> list:
+        """:meth:`batches` as at most ``parts`` contiguous runs, in order.
+
+        One run per batch at most, and one on a big-modulus walk: its
+        Python-int arithmetic holds the GIL, so threads draining the
+        runs would only take turns.  An empty shard has no run.
+        """
+        count = self.batch_count(batch_size)
+        parts = min(1 if self.prime > _BIGINT_MOD else parts, count)
+        return [
+            _walk(self, batch_size, count * i // parts,
+                  count * (i + 1) // parts)
+            for i in range(parts)
+        ]
+
+    def _batches_bigint(self, m: int, first: int, end: int):
         """Exact Python-int walk for primes beyond the int64-safe range.
 
         Yields ``object``-dtype arrays of Python ints — the same cyclic
         construction (generator ``g^count``, start ``start * g^i``),
         just with arbitrary-precision arithmetic so ``n`` may reach the
-        2^96 addresses of an announced /32 IPv6 prefix.
+        2^96 addresses of an announced /32 IPv6 prefix.  Walks group
+        positions ``[first, end)``; ``first`` is a multiple of ``m``.
         """
         p, n = self.prime, self.n
-        total = self._total
-        powers = _power_table_big(p, self._gen, min(m, total))
-        step = pow(self._gen, len(powers), p)
-        cursor = self._start
-        walked = 0
-        while walked < total:
-            k = min(len(powers), total - walked)
+        powers = _power_table_big(p, self._gen, m)
+        step = pow(self._gen, m, p)
+        cursor = self._start * pow(step, first // m, p) % p
+        walked = first
+        while walked < end:
+            k = min(m, end - walked)
             kept = [
                 v - 1
                 for pw in powers[:k]
@@ -332,3 +335,43 @@ class PermutationShard:
                 out = np.empty(len(kept), dtype=object)
                 out[:] = kept
                 yield out
+
+
+def _walk(shard: PermutationShard, batch_size: int, start: int, stop):
+    """The generator behind :meth:`PermutationShard.batches`.
+
+    :meth:`PermutationShard.split` hands these out directly, so the
+    threads that drain a split shard never call ``batches``.
+    """
+    count = shard.batch_count(batch_size)
+    stop = count if stop is None else min(stop, count)
+    start = max(0, start)
+    if start >= stop:
+        return
+    p, n, total = shard.prime, shard.n, shard._total
+    m = min(batch_size, total)
+    first, end = start * m, min(stop * m, total)
+    if p > _BIGINT_MOD:
+        yield from shard._batches_bigint(m, first, end)
+        return
+    powers = _power_table(p, shard._gen, m)
+    step = pow(shard._gen, m, p)
+    cursor = shard._start * pow(step, start, p) % p
+    walked = first
+    buf = np.empty(m, dtype=np.int64)
+    tmp = np.empty(m, dtype=np.int64) if p > _INT64_SAFE_MOD else None
+    while walked < end:
+        k = min(m, end - walked)
+        values = _mulmod(
+            powers[:k],
+            cursor,
+            p,
+            out=buf[:k],
+            tmp=None if tmp is None else tmp[:k],
+        )
+        cursor = cursor * step % p
+        walked += k
+        kept = values[values <= n]
+        if kept.size:
+            kept -= 1
+            yield kept

@@ -206,12 +206,24 @@ class IntervalTargets:
 
         Coordinates come straight from the walk: unsorted, unmapped.
         """
+        walk = self._walk()
+        if walk is not None:
+            yield from walk.batches(batch_size)
+
+    def split(self, batch_size: int, parts: int) -> list:
+        """:meth:`batches` as at most ``parts`` contiguous runs, in order
+        (:meth:`~repro.scan.permutation.PermutationShard.split`)."""
+        walk = self._walk()
+        return [] if walk is None else walk.split(batch_size, parts)
+
+    def _walk(self):
+        """This shard's sub-walk of ``[0, total)``; ``None`` when empty."""
         total = self.address_count()
         if total == 0:
-            return
-        yield from CyclicPermutation(total, seed=self.seed).shard(
+            return None
+        return CyclicPermutation(total, seed=self.seed).shard(
             self.shard, self.shards
-        ).batches(batch_size)
+        )
 
     def bitmaps(self, responsive: AddressSet, blocklist=None) -> ScanBitmaps:
         """The wave's probe outcomes over ``[0, total)``, built once.

@@ -5,13 +5,29 @@ each test builds the bitmaps from an :class:`IntervalTargets` walk and
 maps coordinates back to addresses itself for the reference oracle.
 """
 
+import os
+import signal
+import threading
+import time
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.census.addrset import AddressSet
+from repro.orchestrator import cli
 from repro.scan.blocklist import Blocklist
-from repro.scan.engine import EngineConfig, ScanEngine, ScanResult
-from repro.scan.sharded import IntervalTargets
+from repro.scan import executors
+from repro.scan.distributed import Coordinator
+from repro.scan.engine import (
+    EngineConfig,
+    ScanBitmaps,
+    ScanEngine,
+    ScanResult,
+)
+from repro.scan.sharded import IntervalTargets, shard_targets
+from repro.scan.walk import build_worker
 from repro.bgp.table import Prefix
 from repro.core.addrspace import V6
 
@@ -197,3 +213,160 @@ def test_fused_engine_matches_filter_then_membership_reference():
         assert got.blocked == 0, trial
         expected = int(np.isin(offsets, truth_offsets).sum())
         assert got.responses == expected, trial
+
+
+# ---------------------------------------------------------------------------
+# Split shards: contiguous runs of batches, one thread each
+# ---------------------------------------------------------------------------
+
+
+def _v6_shards(samples: int, shards: int, seed: int):
+    """A v6 walk: a hitlist of every third /88 plus ``samples`` draws."""
+    base = 0x20010DB8 << 96
+    hitlist = V6.encode([base + (o << 40) for o in range(0, samples, 3)])
+    bounds = (V6.encode([base]), V6.encode([base + (samples << 40)]))
+    return shard_targets(
+        bounds, shards=shards, seed=seed, hitlist=hitlist, samples=samples
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    v6=st.booleans(),
+    n=st.integers(min_value=1, max_value=3000),
+    shards=st.integers(min_value=1, max_value=9),
+    shard=st.integers(min_value=0, max_value=8),
+    batch_size=st.integers(min_value=1, max_value=700),
+    parts=st.integers(min_value=1, max_value=9),
+    blocked=st.booleans(),
+    dropped=st.booleans(),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_split_shard_counts_what_one_part_counts(
+    v6, n, shards, shard, batch_size, parts, blocked, dropped, seed
+):
+    walks = _v6_shards(n, shards, seed) if v6 else shard_targets(
+        n, shards=shards, seed=seed
+    )
+    targets = walks[shard % shards]
+    rng = np.random.default_rng(seed)
+    size = -(-targets.address_count() // 8)
+
+    def bits():
+        return rng.integers(0, 256, size=size, dtype=np.uint8)
+
+    bitmaps = ScanBitmaps(
+        bits(),
+        bits() if blocked else None,
+        # Sparse enough that most batches survive, dense enough that
+        # one-coordinate batches are dropped whole.
+        bits() & bits() if dropped else None,
+    )
+    engine = ScanEngine(EngineConfig(batch_size=batch_size))
+    assert engine.run(targets, bitmaps, "http", parts=parts) == engine.run(
+        targets, bitmaps, "http"
+    )
+
+
+class _Runs:
+    """A target stream whose split hands out the given runs."""
+
+    def __init__(self, *runs):
+        self.runs = list(runs)
+
+    def split(self, batch_size, parts):
+        return self.runs
+
+
+_BITMAPS = IntervalTargets(64).bitmaps(AddressSet(np.arange(0, 64, 3)))
+
+
+def test_split_scan_leaves_no_thread_behind():
+    targets = IntervalTargets(100_000, seed=1)
+    bitmaps = targets.bitmaps(AddressSet(np.arange(0, 100_000, 7)))
+    engine = ScanEngine(EngineConfig(batch_size=1000))
+    before = threading.active_count()
+    result = engine.run(targets, bitmaps, parts=4)
+    assert threading.active_count() == before
+    assert result == engine.run(targets, bitmaps)
+
+
+def test_a_helper_exception_reaches_the_caller():
+    def broken():
+        yield np.arange(8)
+        raise ZeroDivisionError("helper run")
+
+    before = threading.active_count()
+    with pytest.raises(ZeroDivisionError, match="helper run"):
+        ScanEngine().run(_Runs(iter([np.arange(8)]), broken()), _BITMAPS,
+                         parts=2)
+    assert threading.active_count() == before
+
+
+def test_sigterm_bail_joins_the_helpers_before_it_propagates():
+    helper_batches = []
+
+    def caller_run():
+        yield np.arange(8)
+        os.kill(os.getpid(), signal.SIGTERM)
+        time.sleep(5)  # the CLI's handler raises SystemExit in here
+        yield np.arange(8)
+
+    def helper_run():
+        for _ in range(10_000):  # ten seconds, unless the engine stops it
+            helper_batches.append(1)
+            yield np.arange(8)
+            time.sleep(0.001)
+
+    saved = {sig: signal.getsignal(sig)
+             for sig in (signal.SIGTERM, signal.SIGINT)}
+    before = threading.active_count()
+    try:
+        cli._install_signal_handlers()
+        with pytest.raises(SystemExit) as exit_info:
+            ScanEngine().run(_Runs(caller_run(), helper_run()), _BITMAPS,
+                             parts=2)
+        assert threading.active_count() == before
+    finally:
+        for sig, handler in saved.items():
+            signal.signal(sig, handler)
+    assert exit_info.value.code == cli.SIGTERM_EXIT
+    assert len(helper_batches) < 10_000
+
+
+def test_a_fleet_forks_after_a_split_serial_scan(monkeypatch):
+    # The coordinator refuses to fork beside a second thread, so every
+    # helper of a split scan must be gone once the scan returns.
+    monkeypatch.delenv("REPRO_FAULT_PLAN", raising=False)
+    responsive = np.unique(
+        np.random.default_rng(3).integers(0, 300_000, 5000)
+    )
+    targets = shard_targets(300_000, shards=2, seed=0)
+    worker_args = (responsive, 1 << 12, None, None)
+    engine, bitmaps, _ = build_worker(targets[0], *worker_args)
+    serial = [engine.run(shard, bitmaps, parts=2) for shard in targets]
+    with Coordinator(workers=1, address_book=None) as coordinator:
+        assert list(coordinator.run(targets, worker_args)) == serial
+
+
+def test_the_serial_executor_splits_a_shard_in_two_at_most(monkeypatch):
+    # Each part costs a malloc arena of peak RSS, so eight CPUs still
+    # score a shard of many batches as two runs.
+    monkeypatch.setattr(
+        executors.os, "sched_getaffinity", lambda pid: set(range(8))
+    )
+    asked = []
+    run = ScanEngine.run
+
+    def spy(self, targets, bitmaps, protocol=None, parts=1):
+        asked.append(parts)
+        return run(self, targets, bitmaps, protocol, parts)
+
+    monkeypatch.setattr(ScanEngine, "run", spy)
+    responsive = np.arange(0, 300_000, 7)
+    targets = shard_targets(300_000, shards=2, seed=0)
+    worker_args = (responsive, 1 << 10, None, None)
+    results = list(executors.serial_executor(targets, worker_args))
+    assert asked == [2, 2]
+    engine, bitmaps, _ = build_worker(targets[0], *worker_args)
+    assert results == [engine.run(shard, bitmaps) for shard in targets]

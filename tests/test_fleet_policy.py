@@ -143,6 +143,39 @@ def test_spawn_oserror_is_charged_and_retried():
     assert fleet.policy.telemetry["respawns"] == 1
 
 
+def test_a_wave_that_outlasts_the_backoff_reads_more_respawns():
+    # Both first workers crash, and the first two replacements die
+    # before hello, so the backoff after the second (0.1 s) outlasts
+    # the wave: the last replacement owed is dropped, never spawned.
+    plan = "crash@0,crash@1,spawn_crash@2,spawn_crash@3"
+    fleet = SimFleet(plan, workers=2)
+    ended = []  # (ended before the next spawn was due, spawns owed)
+    end_wave = fleet.policy.end_wave
+
+    def spy(now):
+        wave = fleet.policy.wave
+        ended.append((now < wave.next_spawn_at, wave.spawn_backlog))
+        end_wave(now)
+
+    fleet.policy.end_wave = spy
+    assert fleet.run_wave(range(2)) == [shard_result(0), shard_result(1)]
+    assert ended == [(True, 1)]
+    assert [spawn[0] for spawn in fleet.spawns if spawn[2]] == [2, 3, 4]
+    assert fleet.policy.telemetry["respawns"] == 3
+    # The same failures in a wave that a stalled third shard keeps open
+    # past the backoff: that replacement is spawned and counted.  The
+    # count follows the clock, so it is declared as such.
+    slow = SimFleet(plan + ",stall@2:delay=0.3", workers=2)
+    slow.run_wave(range(3))
+    assert [spawn[0] for spawn in slow.spawns if spawn[2]] == [2, 3, 4, 5]
+    assert slow.policy.telemetry["respawns"] == 4
+    assert slow.policy.telemetry["failures"] == (
+        fleet.policy.telemetry["failures"]
+    )
+    assert "respawns" in fleet_policy.CLOCKED_TELEMETRY
+    assert set(fleet_policy.CLOCKED_TELEMETRY) <= set(fleet.policy.telemetry)
+
+
 def test_respawns_back_off_exponentially():
     fleet = SimFleet(
         "crash@0,spawn_crash@1:attempts=3,stall@*:attempts=*:delay=5",

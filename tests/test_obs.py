@@ -8,6 +8,7 @@ kill and its resume produces byte-identical ``status.json`` and
 injected fault plan.
 """
 
+import dataclasses
 import json
 
 import pytest
@@ -24,6 +25,8 @@ from repro.orchestrator import (
     ReseedPolicy,
 )
 from repro.orchestrator.campaign import PROGRESS_KEYS
+import repro.scan.engine as engine_mod
+import repro.scan.executors as executors
 
 
 class _Killed(RuntimeError):
@@ -252,6 +255,44 @@ def test_byte_identity_serial(tmp_path, monkeypatch, mode):
         mode == "full"
     )
     assert validate_file(tmp_path / "on" / "events.jsonl") == []
+
+
+def test_engine_counters_do_not_depend_on_split_parts(
+    tmp_path, monkeypatch
+):
+    # A split shard is counted on helper threads; the registry is
+    # updated once per shard, on the calling thread.
+    monkeypatch.setenv("REPRO_OBS", "full")
+    spec = dataclasses.replace(SPEC, batch_size=1 << 10)
+    threaded = []
+    score_threaded = engine_mod._score_threaded
+
+    def spy(runs, bitmaps):
+        threaded.append(len(runs))
+        return score_threaded(runs, bitmaps)
+
+    monkeypatch.setattr(engine_mod, "_score_threaded", spy)
+    counters = {}
+    for parts in (1, 2):
+        monkeypatch.setattr(
+            executors.os, "sched_getaffinity", lambda pid: set(range(parts))
+        )
+        _run(spec, tmp_path / str(parts))
+        metrics = json.loads(
+            (tmp_path / str(parts) / "metrics.json").read_text()
+        )
+        counters[parts] = {
+            name: metric["value"] for name, metric in metrics.items()
+            if name.startswith("engine.")
+        }
+        if parts == 1:
+            assert threaded == []
+    assert threaded and set(threaded) == {2}
+    assert set(counters[1]) == {
+        "engine.batches", "engine.probes_sent", "engine.responses",
+        "engine.blocked",
+    }
+    assert counters[1] == counters[2]
 
 
 def test_byte_identity_toggled_mid_resume(tmp_path, monkeypatch):

@@ -1,7 +1,7 @@
 """Unit tests for the cyclic-group permutation (no dataset fixture)."""
 
 import numpy as np
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 import pytest
 
@@ -128,3 +128,50 @@ def test_permutation_beyond_int32_space():
             expected.append(element - 1)
         element = element * g % p
     assert sampled.tolist() == expected
+
+
+# ---------------------------------------------------------------------------
+# Split walks: contiguous runs of one shard's batches
+# ---------------------------------------------------------------------------
+
+
+@given(
+    n=st.integers(min_value=1, max_value=3000),
+    shards=st.integers(min_value=1, max_value=9),
+    shard=st.integers(min_value=0, max_value=8),
+    batch_size=st.integers(min_value=1, max_value=700),
+    parts=st.integers(min_value=1, max_value=9),
+    seed=st.integers(min_value=0, max_value=50),
+)
+@example(n=1, shards=9, shard=8, batch_size=1, parts=9, seed=0)  # empty
+@example(n=5, shards=1, shard=0, batch_size=700, parts=9, seed=0)  # 1 batch
+def test_split_runs_concatenate_to_the_unsplit_walk(
+    n, shards, shard, batch_size, parts, seed
+):
+    walk = CyclicPermutation(n, seed=seed).shard(shard % shards, shards)
+    whole = list(walk.batches(batch_size))
+    count = walk.batch_count(batch_size)
+    runs = walk.split(batch_size, parts)
+    assert len(runs) == min(parts, count)
+    split = [batch for run in runs for batch in run]
+    assert len(split) == len(whole)
+    for got, want in zip(split, whole):
+        assert got.dtype == want.dtype
+        assert np.array_equal(got, want)
+    # The same through explicit start/stop ranges, cut anywhere.
+    cut = count * shard // 9
+    ranged = list(walk.batches(batch_size, 0, cut)) + list(
+        walk.batches(batch_size, cut)
+    )
+    assert [b.tolist() for b in ranged] == [b.tolist() for b in whole]
+
+
+def test_big_modulus_walk_is_one_run_but_still_jumps():
+    walk = CyclicPermutation(1 << 96, seed=3).shard(1, 2)
+    assert walk.prime > 1 << 45
+    assert len(walk.split(64, 4)) == 1
+    head = np.concatenate(list(walk.batches(64, 0, 4)))
+    jumped = np.concatenate(
+        list(walk.batches(64, 0, 1)) + list(walk.batches(64, 1, 4))
+    )
+    assert head.tolist() == jumped.tolist()
