@@ -11,13 +11,19 @@ the two sorted operands, intersection/difference/membership are
 the pipeline fast — per-prefix counting over a snapshot is two
 ``searchsorted`` calls (see ``repro.bgp.table.Partition``), and the scan
 engine's per-batch responsive check is one.
+
+v6 membership searches ``uint64`` keys, not ``S16`` strings
+(:func:`_v6_membership`): each member's high limb is replaced by its
+rank among the members' distinct /64s, and when that rank and the low
+limb fit in 63 bits together they pack into one key whose order is
+address order.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.core.addrspace import space_of
+from repro.core.addrspace import V6, space_of
 
 __all__ = ["AddressSet"]
 
@@ -30,6 +36,71 @@ def _coerce(values) -> np.ndarray:
     if arr.dtype.kind == "S":
         return space_of(arr).asarray(arr)
     return np.asarray(values, dtype=np.int64)
+
+
+def _search(members: np.ndarray, probes: np.ndarray) -> np.ndarray:
+    """Mask of ``probes`` found in the sorted ``members`` (one search)."""
+    idx = np.searchsorted(members, probes)
+    idx[idx == len(members)] = len(members) - 1
+    return members[idx] == probes
+
+
+def _run_starts(x: np.ndarray) -> np.ndarray:
+    """Mask of the first element of each run of equal values in ``x``."""
+    starts = np.empty(len(x), dtype=bool)
+    starts[:1] = True
+    np.not_equal(x[1:], x[:-1], out=starts[1:])
+    return starts
+
+
+def _v6_membership(members: np.ndarray, probes: np.ndarray) -> np.ndarray:
+    """Exact membership of S16 ``probes`` in sorted unique S16 ``members``.
+
+    A member's key is ``rank << lo_bits | lo``: ``rank`` numbers its
+    high limb among the members' distinct high limbs (a change flag and
+    a cumulative sum over the sorted array) and ``lo_bits`` is the
+    width of the largest low limb.  A probe takes the rank of its high
+    limb, searched once per run of probes sharing one (a sorted hitlist
+    comes in such runs); a probe whose high limb no member has, or
+    whose low limb is wider than ``lo_bits``, is no member.
+
+    The limbs are views of the ``S16`` bytes (:meth:`V6.to_hi_lo`):
+    besides the member keys, only the probe keys and the search's own
+    index arrays are allocated, since every fresh large array costs
+    page faults.
+
+    The ``S16`` search itself is the general path, for:
+    - members whose rank and low-limb widths add up to more than 63
+      bits (a low limb using its top bit, say);
+    - fewer than ``len(members) // 4`` probes, where building the
+      member keys costs more than the search it speeds up.
+    """
+    if 4 * probes.size < len(members):
+        return _search(members, probes)
+    hi, lo = V6.to_hi_lo(members)
+    first = _run_starts(hi)
+    distinct = hi[first].astype(np.uint64)
+    lo_bits = int(lo.max()).bit_length()
+    if (len(distinct) - 1).bit_length() + lo_bits > 63:
+        return _search(members, probes)
+    keys = np.cumsum(first, dtype=np.uint64)
+    keys -= 1
+    keys <<= lo_bits
+    keys |= lo
+    hi, lo = V6.to_hi_lo(probes)
+    heads = np.flatnonzero(_run_starts(hi))
+    run_hi = hi[heads].astype(np.uint64)
+    rank = np.searchsorted(distinct, run_hi)
+    rank.clip(max=len(distinct) - 1, out=rank)
+    base = rank.astype(np.uint64) << lo_bits
+    # Keys stay below 2^63, so a run whose /64 no member has searches
+    # from 2^63 and finds nothing.
+    base[distinct[rank] != run_hi] = 1 << 63
+    needles = np.repeat(base, np.diff(heads, append=len(hi)))
+    needles |= lo
+    found = lo < (1 << lo_bits)
+    found &= _search(keys, needles)
+    return found.reshape(probes.shape)
 
 
 def _as_sorted_unique(values) -> np.ndarray:
@@ -113,14 +184,15 @@ class AddressSet:
 
         One ``searchsorted`` over the sorted member array — the same
         O(m log n) pass a zmap-class simulator runs per probe batch.
+        v6 sets search ``uint64`` limb keys (:func:`_v6_membership`).
         """
         a = self._values
         probes = _coerce(probes)
         if len(a) == 0 or probes.size == 0:
             return np.zeros(probes.shape, dtype=bool)
-        idx = np.searchsorted(a, probes)
-        idx[idx == len(a)] = len(a) - 1
-        return a[idx] == probes
+        if a.dtype.kind == "S":
+            return _v6_membership(a, probes)
+        return _search(a, probes)
 
     def intersection_count(self, other: "AddressSet") -> int:
         """``len(self & other)`` without materialising the intersection."""

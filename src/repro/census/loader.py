@@ -26,6 +26,7 @@ from pathlib import Path
 
 import numpy as np
 
+from repro import jsonio
 from repro.census.addrset import AddressSet
 from repro.census.synth import KINDS, PRESETS, generate_world
 from repro.bgp.table import Prefix, RoutingTable
@@ -249,7 +250,7 @@ class CensusDataset:
         """
         data = _read_members(path)
         try:
-            meta = json.loads(str(data["meta"]))
+            meta = jsonio.loads(str(data["meta"]))
             version, protocols = meta["version"], meta["protocols"]
             preset, seed = meta["preset"], meta["seed"]
             months = range(meta["months"])

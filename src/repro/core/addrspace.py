@@ -14,6 +14,13 @@ things ``S16`` cannot do are arithmetic and ``np.maximum``-style ufuncs;
 those few call sites dispatch on the family and do exact math in Python
 ints (arbitrary precision, so 2^128 is not special).
 
+Hot vector paths instead view an ``S16`` array as its ``(hi, lo)``
+``uint64`` limbs (:meth:`AddressSpace.to_hi_lo`), work on those, and
+rebuild ``S16`` with :meth:`AddressSpace.from_hi_lo`: a ``uint64``
+compare is a machine compare, an ``S16`` one a byte-string compare.
+The array codec goes through the same limbs.  ``S16`` stays the format
+of every stored, cached and transmitted array.
+
 One subtlety: NumPy's ``S`` kind strips *trailing* NUL bytes when a
 scalar is extracted, so ``bytes(scalar)`` may be shorter than 16 bytes.
 All decode paths therefore right-pad with ``b"\\0"`` — numerically this
@@ -38,6 +45,9 @@ __all__ = [
 
 #: dtype of the v6 representation: 16 big-endian bytes per address.
 V6_DTYPE = np.dtype("S16")
+
+#: Mask of one 64-bit limb.
+_LOW = (1 << 64) - 1
 
 
 class AddressSpace:
@@ -75,21 +85,24 @@ class AddressSpace:
     # -- array codec ----------------------------------------------------
 
     def encode(self, values) -> np.ndarray:
-        """A sequence of Python ints -> an array of this family."""
+        """A sequence of Python ints -> an array of this family.
+
+        A v6 value outside ``[0, 2^128)`` raises ``OverflowError``.
+        """
         if self.bits == 32:
             return np.asarray(values, dtype=np.int64)
-        blob = b"".join(int(v).to_bytes(16, "big") for v in values)
-        return np.frombuffer(blob, dtype=V6_DTYPE)
+        ints = np.array(list(map(int, values)), dtype=object)
+        return self.from_hi_lo(
+            (ints >> 64).astype(np.uint64), (ints & _LOW).astype(np.uint64)
+        )
 
     def decode(self, arr) -> list:
         """An array of this family -> a list of Python ints."""
         arr = np.asarray(arr, dtype=self.dtype)
         if self.bits == 32:
             return [int(v) for v in arr.tolist()]
-        raw = np.frombuffer(arr.tobytes(), dtype=np.uint8).reshape(-1, 16)
-        return [
-            int.from_bytes(bytes(row), "big") for row in raw
-        ]
+        hi, lo = self.to_hi_lo(arr)
+        return ((hi.astype(object) << 64) | lo.astype(object)).tolist()
 
     def asarray(self, values) -> np.ndarray:
         """Coerce to this family's dtype (ints are encoded for v6)."""
@@ -120,12 +133,20 @@ class AddressSpace:
         return out.reshape(-1).view(V6_DTYPE)
 
     def to_hi_lo(self, arr) -> tuple[np.ndarray, np.ndarray]:
-        """Split a v6 array into native-endian (hi, lo) uint64 halves."""
+        """A v6 array's (hi, lo) uint64 halves, as views of its bytes.
+
+        The views are big-endian (``>u8``) and copy nothing unless
+        ``arr`` is not contiguous.  NumPy compares and computes on them
+        as on native ``uint64``, converting in small buffered chunks;
+        ``astype(np.uint64)`` makes a native copy.  Limb order is
+        address order: ``x < y`` exactly when ``(hi_x, lo_x) <
+        (hi_y, lo_y)`` lexicographically.
+        """
         if self.bits != 128:
             raise ValueError("to_hi_lo is a v6-only accessor")
-        arr = np.asarray(arr, dtype=V6_DTYPE)
-        halves = arr.view(">u8").reshape(-1, 2).astype(np.uint64)
-        return halves[:, 0], halves[:, 1]
+        arr = np.ascontiguousarray(arr, dtype=V6_DTYPE).reshape(-1)
+        hi, lo = arr.view(">u8").reshape(-1, 2).T
+        return hi, lo
 
     # -- interval math ---------------------------------------------------
 

@@ -2,7 +2,8 @@
 
 - ``report --dir DIR [--json]``  — render per-wave / per-shard /
   per-worker tables (or the machine-readable rollup document) for one
-  campaign directory; a missing directory exits 2;
+  campaign directory; a missing directory or a document that is not
+  JSON exits 2;
 - ``validate --dir DIR`` (or ``validate --events FILE``) — check an
   event log against the :mod:`repro.obs.schema`; non-zero exit on any
   violation (the CI smoke gate).
@@ -55,7 +56,7 @@ def main(argv=None) -> int:
     if args.command == "report":
         try:
             rollup = load_rollup(args.dir)
-        except FileNotFoundError as exc:
+        except (FileNotFoundError, ValueError) as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 2
         if args.json:

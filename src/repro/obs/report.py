@@ -19,8 +19,9 @@ progress, just without the event-derived columns.
 
 from __future__ import annotations
 
-import json
 from pathlib import Path
+
+from repro import jsonio
 
 __all__ = [
     "read_events",
@@ -40,7 +41,7 @@ def read_events(path) -> list[dict]:
         for line in fh:
             line = line.strip()
             if line:
-                records.append(json.loads(line))
+                records.append(jsonio.loads(line))
     return records
 
 
@@ -48,7 +49,7 @@ def _read_json(path) -> dict | None:
     path = Path(path)
     if not path.exists():
         return None
-    return json.loads(path.read_text())
+    return jsonio.loads(path.read_text())
 
 
 def _status_of(directory: Path) -> dict | None:

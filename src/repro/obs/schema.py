@@ -16,8 +16,9 @@ feed it fabricated logs; ``validate_file`` wraps it for the CLI
 
 from __future__ import annotations
 
-import json
 from pathlib import Path
+
+from repro import jsonio
 
 __all__ = [
     "ENVELOPE_KEYS",
@@ -85,7 +86,7 @@ def validate_events(lines) -> list[str]:
             continue
         where = f"line {lineno}"
         try:
-            record = json.loads(line)
+            record = jsonio.loads(line)
         except ValueError as exc:
             errors.append(f"{where}: not JSON ({exc})")
             continue

@@ -40,6 +40,7 @@ from pathlib import Path
 
 import numpy as np
 
+from repro import jsonio
 from repro.orchestrator.storage_faults import SimulatedCrash, flip_byte
 
 __all__ = [
@@ -275,7 +276,7 @@ class CheckpointStore:
         if not self.spec_path.exists():
             raise self._no_spec()
         try:
-            return json.loads(self.spec_path.read_text())
+            return jsonio.loads(self.spec_path.read_text())
         except ValueError as exc:
             raise ValueError(
                 f"{self.spec_path} is not valid JSON ({exc}) — the "
@@ -303,7 +304,7 @@ class CheckpointStore:
         if cached is not None and cached[0] == raw:
             return cached[1], None
         try:
-            document = json.loads(raw.decode())
+            document = jsonio.loads(raw.decode())
             entries = document["generations"]
             latest = document["latest"]
             if not _is_gen(latest):
@@ -467,7 +468,7 @@ class CheckpointStore:
             with np.load(io.BytesIO(data)) as npz:
                 if _MANIFEST_KEY not in npz.files:
                     raise _CorruptGeneration("no manifest in archive")
-                manifest = json.loads(str(npz[_MANIFEST_KEY]))
+                manifest = jsonio.loads(str(npz[_MANIFEST_KEY]))
                 arrays = {
                     name: npz[name]
                     for name in npz.files
@@ -664,7 +665,7 @@ class CheckpointStore:
         if not self.progress_path.exists():
             return None
         try:
-            document = json.loads(self.progress_path.read_text())
+            document = jsonio.loads(self.progress_path.read_text())
         except ValueError:
             return None
         return document if isinstance(document, dict) else None
@@ -881,7 +882,7 @@ class CheckpointStore:
                 finding(name, True, "absent")
                 continue
             try:
-                json.loads(path.read_text())
+                jsonio.loads(path.read_text())
                 finding(name, True, "parses")
             except ValueError as exc:
                 repaired = None

@@ -21,6 +21,7 @@ import signal
 import sys
 import time
 
+from repro import jsonio
 from repro.bgp.table import LESS_SPECIFIC, MORE_SPECIFIC
 from repro.orchestrator.campaign import (
     CampaignRunner,
@@ -283,7 +284,7 @@ def _follow_events(store: CheckpointStore) -> int:
                 if not line:
                     continue
                 try:
-                    record = json.loads(line)
+                    record = jsonio.loads(line)
                 except ValueError:
                     continue
                 try:

@@ -93,7 +93,7 @@ from collections import deque
 
 import numpy as np
 
-from repro import obs
+from repro import jsonio, obs
 from repro.env import (
     dist_address_book,
     dist_secret,
@@ -256,10 +256,7 @@ class FrameStream:
         body = self._read_exact(length)
         if body is None:
             return None
-        try:
-            return json.loads(body)
-        except RecursionError:
-            raise ValueError("frame nests too deeply to decode") from None
+        return jsonio.loads(body)
 
     def _read_exact(self, n: int) -> bytes | None:
         chunks = []

@@ -70,6 +70,28 @@ def _intervals_of(spec):
     return starts, ends
 
 
+def _add(x, y) -> np.ndarray:
+    """``x + y`` on stacked ``(hi, lo)`` uint64 limbs (no carry out)."""
+    lo = x[1] + y[1]
+    return np.stack([x[0] + y[0] + (lo < x[1]), lo])
+
+
+def _sub(x, y) -> np.ndarray:
+    """``x - y`` on stacked ``(hi, lo)`` uint64 limbs, for ``x >= y``."""
+    return np.stack([x[0] - y[0] - (x[1] < y[1]), x[1] - y[1]])
+
+
+def _addmod(x, y, m) -> np.ndarray:
+    """``(x + y) % m`` on stacked ``(hi, lo)`` limbs, for ``x, y < m``.
+
+    ``x + y`` can need a 129th bit; ``x - (m - y)`` cannot, and it is the
+    answer exactly when ``x >= m - y``.
+    """
+    gap = _sub(m, y)
+    wraps = (x[0] > gap[0]) | ((x[0] == gap[0]) & (x[1] >= gap[1]))
+    return np.where(wraps, _sub(x, gap), _add(x, y))
+
+
 def _pack(lo, hi, total: int) -> np.ndarray:
     """A packed bitmap over ``[0, total)`` with disjoint ``[lo, hi)`` set."""
     bits = np.zeros(-(-total // 8), dtype=np.uint8)
@@ -99,12 +121,15 @@ class IntervalTargets:
     **v6 mode** (S16 interval bounds): exhaustive enumeration of 2^96
     addresses is off the table, so the flat space is the *probe budget*
     instead — ``hitlist`` entries (known-host seeding, filtered to the
-    covered intervals) followed by ``samples`` pseudorandom draws per
-    interval (a per-interval affine walk ``start + (b + a*j) mod size``
-    with ``gcd(a, size) = 1``, so draws within one interval never
-    collide).  The flat space still fits int64, so the same int64
-    cyclic walk shards it, and the shard/executor-invariance contract
-    carries over verbatim.
+    covered intervals: none when there are no intervals) followed by
+    ``samples`` pseudorandom draws per interval (a per-interval affine
+    walk ``start + (b + a*j) mod size`` with ``gcd(a, size) = 1``, so
+    draws within one interval never collide).  The flat space still
+    fits int64, so the same int64 cyclic walk shards it, and the
+    shard/executor-invariance contract carries over verbatim.  The
+    hitlist filter and the sampling run on ``(hi, lo)`` uint64 limbs
+    and no per-address Python int; only each interval's seeded
+    ``(b, a)`` draw is a Python-int step, once per interval.
     """
 
     __slots__ = (
@@ -151,17 +176,24 @@ class IntervalTargets:
         )
 
     def _init_v6(self, hitlist, samples) -> None:
-        from repro.bgp.table import interval_membership
         from repro.core.addrspace import V6
 
         hitlist = V6.empty() if hitlist is None else V6.asarray(hitlist)
         # Campaigns pass a snapshot's already sorted, unique values.
-        if not (hitlist[1:] > hitlist[:-1]).all():
+        hi, lo = V6.to_hi_lo(hitlist)
+        rising = (hi[1:] > hi[:-1]) | (
+            (hi[1:] == hi[:-1]) & (lo[1:] > lo[:-1])
+        )
+        if not rising.all():
             hitlist = np.unique(hitlist)
-        if len(self.starts):
-            hitlist = hitlist[
-                interval_membership(self.starts, self.ends, hitlist)
-            ]
+        # Bounds first: each interval's entries are one run of the sorted
+        # hitlist, found by searching the interval bounds into it.  The
+        # runs and the gaps between them alternate along the hitlist.
+        bounds = np.searchsorted(
+            hitlist, np.column_stack([self.starts, self.ends]).ravel()
+        )
+        lengths = np.diff(bounds, prepend=0, append=len(hitlist))
+        hitlist = hitlist[np.repeat(np.arange(len(lengths)) % 2 == 1, lengths)]
         hitlist.setflags(write=False)
         self.hitlist = hitlist
         self.samples = int(samples) if samples is not None else 0
@@ -176,17 +208,27 @@ class IntervalTargets:
         self._offsets = offsets
         # Per-interval affine draw parameters, derived deterministically
         # from (seed, interval index): any two builds of one walk agree.
-        params = []
+        draws = []
         for i, size in enumerate(size_ints):
             rng = _random.Random(f"v6-sample:{self.seed}:{i}")
             if size <= 1:
-                params.append((start_ints[i], size, 0, 1))
+                draws.append((0, 0))  # its one sample is its start
                 continue
             b = rng.randrange(size)
             a = rng.randrange(1, size) | 1
             while _math.gcd(a, size) != 1:
                 a = (a + 2) % size or 1
-            params.append((start_ints[i], size, b, a))
+            draws.append((b, a))
+        b_ints, a_ints = zip(*draws) if draws else ((), ())
+        # (start, size, b, a), each as (hi, lo) limb rows per interval.
+        params = np.array(
+            [
+                V6.to_hi_lo(V6.encode(ints))
+                for ints in (start_ints, size_ints, b_ints, a_ints)
+            ],
+            dtype=np.uint64,
+        )
+        params.setflags(write=False)
         self._v6 = params
 
     def _for_shard(self, shard: int) -> "IntervalTargets":
@@ -229,7 +271,8 @@ class IntervalTargets:
         """The wave's probe outcomes over ``[0, total)``, built once.
 
         v4 maps hosts and blocked ranges into coordinates; v6 maps its
-        small probe budget forward (:meth:`_v6_addresses`), unblocked.
+        small probe budget forward (the hitlist, then
+        :meth:`_v6_samples`), unblocked.
         """
         total = self.address_count()
         if total == 0:
@@ -237,15 +280,18 @@ class IntervalTargets:
         if self._v6 is not None:
             if blocklist is not None:
                 raise ValueError("blocklists are v4-only")
-            addresses = self._v6_addresses()
+            samples = self._v6_samples()
             n_hits = len(self.hitlist)
             # An affine sample can land on a hitlist address; the hitlist
             # coordinate already probes it, so the sample is dropped
             # (deterministic per coordinate -> shard-invariant).
             hitlist = AddressSet(self.hitlist, assume_sorted_unique=True)
             dropped = np.zeros(total, dtype=bool)
-            dropped[n_hits:] = hitlist.membership(addresses[n_hits:])
-            hits = responsive.membership(addresses) & ~dropped
+            dropped[n_hits:] = hitlist.membership(samples)
+            hits = np.empty(total, dtype=bool)
+            hits[:n_hits] = responsive.membership(self.hitlist)
+            hits[n_hits:] = responsive.membership(samples)
+            hits &= ~dropped
             return ScanBitmaps(
                 np.packbits(hits, bitorder="little"),
                 dropped=np.packbits(dropped, bitorder="little"),
@@ -267,18 +313,32 @@ class IntervalTargets:
         start = self.starts[i]
         return self._offsets[i] + np.clip(x - start, 0, self.ends[i] - start)
 
-    def _v6_addresses(self) -> np.ndarray:
-        """The S16 address of every v6 coordinate, in coordinate order."""
+    def _v6_samples(self) -> np.ndarray:
+        """The S16 address of every sample coordinate, in coordinate order.
+
+        Sample ``j`` of interval ``i`` is ``start + (b + a*j) % size``,
+        laid out as row ``i``, column ``j`` of a ``(hi, lo)`` limb grid
+        as wide as the largest budget.  Column 0 is ``b``; each doubling
+        fills the next ``w`` columns from the first ``w`` by adding
+        ``w*a % size``, every interval at once.  Row-major order of the
+        columns inside each budget is coordinate order.
+        """
         from repro.core.addrspace import V6
 
-        offsets = self._offsets
-        sampled = []
-        for i, (start, size, b, a) in enumerate(self._v6):
-            sampled.extend(
-                start + (b + a * j) % size
-                for j in range(int(offsets[i + 1] - offsets[i]))
-            )
-        return np.concatenate([self.hitlist, V6.encode(sampled)])
+        start, size, b, step = (p[:, :, None] for p in self._v6)
+        budgets = np.diff(self._offsets)
+        width = int(budgets.max(initial=0))
+        x = np.empty((2, len(budgets), width), dtype=np.uint64)
+        x[:, :, :1] = b
+        filled = 1
+        while filled < width:
+            n = min(filled, width - filled)
+            x[:, :, filled:filled + n] = _addmod(x[:, :, :n], step, size)
+            step = _addmod(step, step, size)
+            filled += n
+        hi, lo = _add(start, x)
+        inside = np.arange(width) < budgets[:, None]
+        return V6.from_hi_lo(hi[inside], lo[inside])
 
 
 def shard_targets(spec, shards: int = 1, seed: int = 0, **seeding):

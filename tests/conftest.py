@@ -1,4 +1,5 @@
-"""Shared test fixtures: a hand-built miniature census dataset.
+"""Shared test fixtures: a hand-built miniature census dataset, and the
+v6 sampling draws re-derived from their definition.
 
 The orchestrator suites need whole campaigns to run in milliseconds, so
 they use a four-prefix world with a few thousand hosts instead of a
@@ -7,6 +8,9 @@ also exercises the dataset API surface without the synth generator.
 """
 
 from __future__ import annotations
+
+import math
+import random
 
 import numpy as np
 import pytest
@@ -62,3 +66,20 @@ def build_mini_dataset(
 @pytest.fixture
 def mini_dataset() -> CensusDataset:
     return build_mini_dataset()
+
+
+def v6_draws(seed: int, i: int, size: int) -> tuple[int, int]:
+    """Interval ``i``'s affine sampling ``(b, a)`` for walk ``seed``.
+
+    The definition the v6 walk must follow, in Python ints: sample
+    ``j`` of an interval of ``size`` addresses is
+    ``start + (b + a*j) % size``.
+    """
+    if size <= 1:
+        return 0, 1
+    rng = random.Random(f"v6-sample:{seed}:{i}")
+    b = rng.randrange(size)
+    a = rng.randrange(1, size) | 1
+    while math.gcd(a, size) != 1:
+        a = (a + 2) % size or 1
+    return b, a

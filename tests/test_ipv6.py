@@ -414,7 +414,7 @@ def _drain(targets):
     """Every address the shards probe: their coordinates, dropped
     samples removed, mapped through the walk's coordinate order."""
     walk = targets[0]
-    addresses = walk._v6_addresses()
+    addresses = np.concatenate([walk.hitlist, walk._v6_samples()])
     dropped = walk.bitmaps(AddressSet(V6.empty())).dropped
     out = []
     for shard in targets:
