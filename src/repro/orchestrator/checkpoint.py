@@ -482,18 +482,28 @@ class CheckpointStore:
             raise _CorruptGeneration(
                 f"unreadable archive ({type(exc).__name__}: {exc})"
             ) from None
+        if not isinstance(manifest, dict):
+            raise _CorruptGeneration(
+                f"manifest is a JSON {type(manifest).__name__}, not an object"
+            )
         if manifest.get("version") != CHECKPOINT_VERSION:
             raise ValueError(
                 f"checkpoint version {manifest.get('version')!r} does "
                 f"not match this code's version {CHECKPOINT_VERSION}"
             )
+        # Every save writes one digest per array, so a missing field or
+        # a missing array is damage, not an older format.
         expected = manifest.get("array_sha256")
-        if isinstance(expected, dict):
-            for name, array in arrays.items():
-                if expected.get(name) != _array_digest(array):
-                    raise _CorruptGeneration(
-                        f"array {name!r} digest mismatch"
-                    )
+        if not isinstance(expected, dict):
+            raise _CorruptGeneration("manifest has no array_sha256 object")
+        if set(expected) != set(arrays):
+            raise _CorruptGeneration(
+                f"archive arrays {sorted(arrays)} != manifest digests "
+                f"{sorted(expected)}"
+            )
+        for name, array in arrays.items():
+            if expected[name] != _array_digest(array):
+                raise _CorruptGeneration(f"array {name!r} digest mismatch")
         return manifest, arrays, data
 
     def verify_generation(self, path, entry: dict | None = None):

@@ -1,10 +1,13 @@
-"""Shared test fixtures: a hand-built miniature census dataset, and the
-v6 sampling draws re-derived from their definition.
+"""Shared test fixtures: a hand-built miniature census dataset, the
+generated ``small`` preset, and the v6 sampling draws re-derived from
+their definition.
 
 The orchestrator suites need whole campaigns to run in milliseconds, so
 they use a four-prefix world with a few thousand hosts instead of a
 generated preset — built directly from the loader's dataclasses, which
 also exercises the dataset API surface without the synth generator.
+A few invariance tests (counting, shard count, executor, checkpointing)
+re-assert on ``small_dataset`` what they prove on hand-built worlds.
 """
 
 from __future__ import annotations
@@ -21,6 +24,7 @@ from repro.census.loader import (
     Snapshot,
     SnapshotSeries,
     Topology,
+    get_dataset,
 )
 
 
@@ -66,6 +70,13 @@ def build_mini_dataset(
 @pytest.fixture
 def mini_dataset() -> CensusDataset:
     return build_mini_dataset()
+
+
+@pytest.fixture(scope="session")
+def small_dataset() -> CensusDataset:
+    """The seed-0 ``small`` preset; the first run generates and caches it
+    under the data directory."""
+    return get_dataset(preset="small", seed=0)
 
 
 def v6_draws(seed: int, i: int, size: int) -> tuple[int, int]:

@@ -88,3 +88,15 @@ def test_subset():
     assert a.issubset(b)
     assert not b.issubset(a)
     assert AddressSet().issubset(a)
+
+
+def test_snapshot_intersection_on_small_preset(small_dataset):
+    """Month-over-month snapshot intersection (the Figure 5 inner loop)."""
+    series = small_dataset.series_for("https")
+    assert series[0].addresses.intersection_count(series[6].addresses) > 0
+
+
+def test_set_algebra_on_small_preset(small_dataset):
+    series = small_dataset.series_for("http")
+    a, b = series[0].addresses, series[3].addresses
+    assert len((a | b) - (a & b)) > 0

@@ -36,6 +36,28 @@ def _save_n(store, n, start=0):
         )
 
 
+def _rewrite_newest(directory, damage):
+    """Rewrite ``checkpoint.2.npz`` as ``damage(manifest, arrays)``
+    returns it, and drop the journal so its whole-file digest cannot
+    catch the change first: only the archive's own checks remain."""
+    path = directory / "checkpoint.2.npz"
+    with np.load(path) as npz:
+        manifest = json.loads(str(npz["manifest"]))
+        arrays = {name: npz[name] for name in npz.files if name != "manifest"}
+    manifest, arrays = damage(manifest, arrays)
+    np.savez_compressed(path, manifest=json.dumps(manifest), **arrays)
+    (directory / "checkpoints.json").unlink()
+
+
+def _assert_rolls_back_to_first(directory):
+    store = CheckpointStore(directory, keep=2)
+    manifest, arrays = store.load()
+    assert manifest["ordinal"] == 0
+    assert np.array_equal(arrays["mask"], np.arange(6))
+    assert (store.quarantine_dir / "checkpoint.2.npz").exists()
+    assert store.incidents[0]["type"] == "checkpoint.corrupt"
+
+
 # ---------------------------------------------------------------------------
 # Generation layout and journal
 # ---------------------------------------------------------------------------
@@ -263,6 +285,40 @@ class TestRollback:
             store.load()
         assert path.exists()
         assert not store.quarantine_dir.exists()
+
+    def test_non_object_manifest_is_corrupt(self, tmp_path, capsys):
+        store = _planned_store(tmp_path)
+        _save_n(store, 2)
+        _rewrite_newest(tmp_path, lambda manifest, arrays: ([1, 2], arrays))
+        assert main(["verify", "--dir", str(tmp_path)]) == 1
+        out = capsys.readouterr().out
+        assert "FAIL  checkpoint.2.npz" in out and "not an object" in out
+        _assert_rolls_back_to_first(tmp_path)
+
+    @pytest.mark.parametrize(
+        "damage",
+        [
+            # The field is gone and the mask changed with it.
+            lambda manifest, arrays: (
+                {k: v for k, v in manifest.items() if k != "array_sha256"},
+                {"mask": arrays["mask"][::-1], "extra": arrays["extra"]},
+            ),
+            lambda manifest, arrays: (
+                dict(manifest, array_sha256="0" * 64), arrays
+            ),
+            lambda manifest, arrays: (manifest, {"mask": arrays["mask"]}),
+        ],
+        ids=["field-missing", "field-not-a-dict", "array-missing"],
+    )
+    def test_manifest_must_digest_every_array(self, tmp_path, damage):
+        store = CheckpointStore(tmp_path, keep=2)
+        for i in range(2):
+            store.save(
+                {"ordinal": i},
+                {"mask": np.arange(6) + i, "extra": np.zeros(2) + i},
+            )
+        _rewrite_newest(tmp_path, damage)
+        _assert_rolls_back_to_first(tmp_path)
 
 
 # ---------------------------------------------------------------------------

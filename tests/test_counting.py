@@ -65,6 +65,22 @@ def test_trie_agrees_with_vectorized_counting():
         assert vectorized.sum() == len(sample) - len(outside)
 
 
+def test_count_addresses_on_small_preset(small_dataset):
+    partition = small_dataset.topology.table.partition(LESS_SPECIFIC)
+    snapshot = small_dataset.series_for("http").seed_snapshot
+    counts = partition.count_addresses(snapshot.addresses.values)
+    assert counts.sum() == len(snapshot.addresses)
+
+
+def test_trie_agrees_on_small_preset(small_dataset):
+    partition = small_dataset.topology.table.partition(LESS_SPECIFIC)
+    snapshot = small_dataset.series_for("http").seed_snapshot
+    # Every 37th address: the trie is orders of magnitude slower.
+    sample = AddressSet(snapshot.addresses.values[::37])
+    counts = count_with_trie(sample, partition)
+    assert np.array_equal(counts, partition.count_addresses(sample.values))
+
+
 def test_more_specific_partition_preserves_space():
     table = _table()
     forest = {p: table.children_of(p) for p in table.prefixes}

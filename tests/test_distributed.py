@@ -28,6 +28,7 @@ import pytest
 import repro.scan.distributed as distributed
 from conftest import build_mini_dataset
 from fleet_sim import SimFleet, shard_result
+from repro.core.tass import TassStrategy
 from repro.env import ENV_FAULT_PLAN
 from repro.orchestrator import CampaignRunner, CampaignSpec, ReseedPolicy
 from repro.orchestrator import cli
@@ -482,6 +483,25 @@ def test_distributed_matches_serial():
             runs["serial"].shard_results, run.shard_results
         ):
             assert _result_bytes(left) == _result_bytes(right), name
+
+
+@pytest.mark.parametrize(
+    "shards, plan", [(4, None), (8, None), (4, "crash@1")],
+    ids=["4", "8", "crash@1"],
+)
+def test_small_preset_distributed_matches_serial(
+    small_dataset, monkeypatch, shards, plan
+):
+    """The phi=0.9 HTTP selection of the ``small`` preset, scanned by
+    real workers (one of them killed by ``crash@1``), merges to the
+    one-shard serial result."""
+    if plan is not None:
+        monkeypatch.setenv(ENV_FAULT_PLAN, plan)
+    seed = small_dataset.series_for("http").seed_snapshot.addresses
+    selection = TassStrategy(small_dataset.topology.table, phi=0.9).plan(seed)
+    serial = run_sharded(selection, seed, shards=1, executor="serial")
+    dist = run_sharded(selection, seed, shards=shards, executor="distributed")
+    assert _result_bytes(serial.result) == _result_bytes(dist.result)
 
 
 def test_distributed_carries_blocklist_accounting():

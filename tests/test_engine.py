@@ -17,7 +17,8 @@ from hypothesis import strategies as st
 
 from repro.census.addrset import AddressSet
 from repro.orchestrator import cli
-from repro.scan.blocklist import Blocklist
+from repro.core.tass import TassStrategy
+from repro.scan.blocklist import Blocklist, default_blocklist
 from repro.scan import executors
 from repro.scan.distributed import Coordinator
 from repro.scan.engine import (
@@ -115,6 +116,20 @@ def test_fully_blocked_batch():
     assert result.blocked == 32
     assert result.batches == 2
     assert result.hitrate == 0.0
+
+
+def test_blocklisted_interval_scan_on_small_preset(small_dataset):
+    series = small_dataset.series_for("ftp")
+    plan = TassStrategy(small_dataset.topology.table, phi=0.5).plan(
+        series.seed_snapshot
+    )
+    targets = IntervalTargets(plan, seed=7)
+    bitmaps = targets.bitmaps(series[1].addresses, default_blocklist())
+    result = ScanEngine(EngineConfig(batch_size=1 << 16)).run(
+        targets, bitmaps, protocol="ftp"
+    )
+    assert result.probes_sent == plan.probe_count()
+    assert result.responses > 0
 
 
 def test_prefix_targets_visit_prefix_space_exactly_once():

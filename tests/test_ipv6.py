@@ -11,6 +11,7 @@ iteration).
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import pickle
 import socket
@@ -18,7 +19,7 @@ import threading
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.bgp.table import (
@@ -34,6 +35,7 @@ from repro.census.loader import (
     Snapshot,
     SnapshotSeries,
     Topology,
+    get_dataset,
 )
 from repro.core.addrspace import V4, V6, family_of, get_space, space_of
 from repro.core.density import count_trie
@@ -194,6 +196,7 @@ def test_v6_addrset_membership_matches_oracle(a, b):
     st.integers(min_value=(1 << 63) + 1, max_value=1 << 96),
     st.integers(min_value=0, max_value=1 << 30),
 )
+@example(1 << 96, 3)  # the walk over one announced /32
 @settings(max_examples=10, deadline=None)
 def test_big_modulus_walk_matches_bigint_oracle(n, seed):
     """Sampled prefix of an n > 2^63 walk: unique, in range, exact."""
@@ -215,6 +218,19 @@ def test_big_modulus_walk_matches_bigint_oracle(n, seed):
             expected.append(element - 1)
         element = element * g % p
     assert sampled == expected
+
+
+def test_walk_over_one_announced_slash32():
+    """The first 8k elements of the 2^96-element walk that covers one /32
+    arrive in 1k batches, in range and without repeats."""
+    seen = set()
+    for batch in CyclicPermutation(1 << 96, seed=3).batches(1 << 10):
+        assert len(batch) <= 1 << 10
+        seen.update(batch.tolist())
+        if len(seen) >= 1 << 13:
+            break
+    assert len(seen) >= 1 << 13
+    assert all(0 <= v < 1 << 96 for v in seen)
 
 
 @given(
@@ -388,6 +404,33 @@ def test_v6_phi_selection_consistent_across_backends(v6_dataset):
     (n, addresses, covered) = outcomes.pop()
     assert n > 0 and addresses > 1 << 64  # sums beyond int64, exactly
     assert covered / len(snap.addresses) >= 0.9
+
+
+@pytest.fixture(scope="module")
+def v6_small():
+    """The generated ``v6-small`` preset's HTTP seed addresses and their
+    phi=0.9 plan."""
+    dataset = get_dataset(preset="v6-small", seed=0)
+    responsive = dataset.series_for("http").seed_snapshot.addresses
+    strategy = TassStrategy(dataset.topology.table, phi=0.9)
+    return strategy, strategy.plan(responsive), responsive
+
+
+def test_v6_small_selection_plan_is_deterministic(v6_small):
+    strategy, selection, responsive = v6_small
+    assert strategy.plan(responsive).covered_hosts == selection.covered_hosts
+
+
+def test_v6_small_sharded_scan_matches_one_shard(v6_small):
+    """Hitlist + sampled scan of ``v6-small``: four shards merge to the
+    one-shard result."""
+    _, selection, responsive = v6_small
+    runs = [
+        run_sharded(selection, responsive, shards=shards, executor="serial",
+                    hitlist=responsive.values, samples=16).result
+        for shards in (1, 4)
+    ]
+    assert dataclasses.astuple(runs[0]) == dataclasses.astuple(runs[1])
 
 
 # ---------------------------------------------------------------------------

@@ -464,6 +464,18 @@ class TestWaveCores:
 # ---------------------------------------------------------------------------
 
 
+@pytest.fixture(scope="module")
+def small_campaign(small_dataset):
+    """A two-wave, four-shard campaign spec on ``small`` and the status of
+    one uncheckpointed run of it."""
+    spec = CampaignSpec(
+        preset="small", protocol="http", phi=0.9, waves=2,
+        reseed=ReseedPolicy("interval", interval=0), shards=4,
+        executor="serial",
+    )
+    return spec, run_campaign(spec, dataset=small_dataset)
+
+
 class TestCampaign:
     def test_records_one_per_wave(self, mini_dataset):
         status = run_campaign(SPEC, dataset=mini_dataset)
@@ -595,6 +607,22 @@ class TestCampaign:
     ):
         unsaved = run_campaign(SPEC, dataset=mini_dataset)
         saved = run_campaign(SPEC, dataset=mini_dataset, directory=tmp_path)
+        assert saved["waves"] == unsaved["waves"]
+        assert saved["totals"] == unsaved["totals"]
+
+    def test_uncheckpointed_campaign_repeats_on_small_preset(
+        self, small_dataset, small_campaign
+    ):
+        spec, reference = small_campaign
+        again = run_campaign(spec, dataset=small_dataset)
+        assert again["waves"] == reference["waves"]
+        assert again["totals"] == reference["totals"]
+
+    def test_checkpointing_does_not_change_results_on_small_preset(
+        self, small_dataset, small_campaign, tmp_path
+    ):
+        spec, unsaved = small_campaign
+        saved = run_campaign(spec, dataset=small_dataset, directory=tmp_path)
         assert saved["waves"] == unsaved["waves"]
         assert saved["totals"] == unsaved["totals"]
 

@@ -51,19 +51,31 @@ def _result_bytes(result) -> bytes:
     return repr(dataclasses.astuple(result)).encode()
 
 
-@pytest.mark.parametrize("shards", [2, 3, 8])
-def test_sharded_merge_is_byte_identical_to_serial(shards):
-    table, _, responsive = _world()
+@pytest.mark.parametrize(
+    "shards, world",
+    [(2, "hand-built"), (3, "hand-built"), (8, "hand-built"),
+     (1, "small"), (4, "small"), (8, "small")],
+    ids=["2", "3", "8", "small-1", "small-4", "small-8"],
+)
+def test_sharded_merge_is_byte_identical_to_serial(shards, world, request):
+    config = _CONFIG
+    if world == "small":
+        dataset = request.getfixturevalue("small_dataset")
+        table = dataset.topology.table
+        responsive = dataset.series_for("http").seed_snapshot.addresses
+        config = EngineConfig()  # 2k-address batches: 4x slower here
+    else:
+        table, _, responsive = _world()
     selection = TassStrategy(table, phi=0.95).plan(responsive)
     one = run_sharded(
-        selection, responsive, shards=1, executor="serial", config=_CONFIG
+        selection, responsive, shards=1, executor="serial", config=config
     )
     many = run_sharded(
         selection,
         responsive,
         shards=shards,
         executor="serial",
-        config=_CONFIG,
+        config=config,
     )
     assert _result_bytes(one.result) == _result_bytes(many.result)
     assert many.shards == shards
