@@ -438,7 +438,7 @@ def arm_storage_chaos(w):
     def faulted(name, plan, **kw):
         orch("plan", "--dir", w / name, *SERIAL_2x4)
         return orch("run", "--dir", w / name,
-                    env={"REPRO_FS_FAULT_PLAN": plan}, **kw)[0]
+                    env={"REPRO_FAULT_PLAN": plan}, **kw)[0]
 
     def verify_fails(d, *args):
         check(orch("verify", "--dir", d, *args, ok=False)[0] != 0,

@@ -12,7 +12,8 @@ Knobs:
 - ``REPRO_DIST_WORKERS``  — worker-process count for the
   ``distributed`` executor (default: one per shard, CPU-capped);
 - ``REPRO_FAULT_PLAN``    — declarative chaos plan for the distributed
-  executor (:mod:`repro.scan.faults` syntax, e.g. ``crash@2,hang@0``);
+  executor and the checkpoint store (:mod:`repro.scan.faults` syntax,
+  e.g. ``crash@2,hang@0,torn_write@save-2,bitrot@gen-3``);
 - ``REPRO_DIST_SHARD_DEADLINE`` — per-shard attempt deadline in seconds
   before speculative re-dispatch (default 30; ``0`` disables);
 - ``REPRO_DIST_ADDRESS_BOOK``   — comma-separated ``host:port`` entries
@@ -32,9 +33,6 @@ Knobs:
   retains (default 2); older generations are pruned after each save,
   newer ones are the rollback targets when the latest fails
   verification at resume;
-- ``REPRO_FS_FAULT_PLAN``       — declarative storage chaos plan for
-  the checkpoint store (:mod:`repro.orchestrator.storage_faults`
-  syntax, e.g. ``torn_write@save-2,bitrot@gen-3``);
 - ``REPRO_DATA_DIR``            — the census dataset cache directory
   (default ``data``).
 """
@@ -52,7 +50,6 @@ __all__ = [
     "ENV_DIST_SECRET",
     "ENV_OBS",
     "ENV_CKPT_KEEP",
-    "ENV_FS_FAULT_PLAN",
     "ENV_DATA_DIR",
     "OBS_MODES",
     "dist_workers",
@@ -62,7 +59,6 @@ __all__ = [
     "dist_secret",
     "obs_mode",
     "ckpt_keep",
-    "fs_fault_plan",
     "data_dir",
 ]
 
@@ -73,7 +69,6 @@ ENV_DIST_ADDRESS_BOOK = "REPRO_DIST_ADDRESS_BOOK"
 ENV_DIST_SECRET = "REPRO_DIST_SECRET"
 ENV_OBS = "REPRO_OBS"
 ENV_CKPT_KEEP = "REPRO_CKPT_KEEP"
-ENV_FS_FAULT_PLAN = "REPRO_FS_FAULT_PLAN"
 ENV_DATA_DIR = "REPRO_DATA_DIR"
 
 #: The observability modes, least to most recorded.
@@ -104,7 +99,8 @@ def dist_workers(explicit=None) -> int | None:
 
 
 def fault_plan(explicit=None):
-    """The validated chaos :class:`~repro.scan.faults.FaultPlan`.
+    """The validated chaos :class:`~repro.scan.faults.FaultPlan` of
+    both planes: the distributed executor and the checkpoint store.
 
     ``explicit`` may be a plan string or an existing ``FaultPlan``;
     otherwise ``$REPRO_FAULT_PLAN`` is parsed; with neither, the empty
@@ -280,30 +276,6 @@ def ckpt_keep(explicit=None) -> int:
     """
     raw, source = _resolve(explicit, ENV_CKPT_KEEP, 2)
     return _positive_int(raw, source, "checkpoint keep window")
-
-
-def fs_fault_plan(explicit=None):
-    """The validated storage-chaos
-    :class:`~repro.orchestrator.storage_faults.FsFaultPlan`.
-
-    ``explicit`` may be a plan string or an existing ``FsFaultPlan``;
-    otherwise ``$REPRO_FS_FAULT_PLAN`` is parsed; with neither, the
-    empty plan (no injected storage faults).  Syntax errors raise
-    :class:`ValueError` naming the source.
-    """
-    # Imported lazily: the storage fault plane lives next to the
-    # checkpoint store, which imports this module for the other knobs.
-    from repro.orchestrator.storage_faults import FsFaultPlan
-
-    if isinstance(explicit, FsFaultPlan):
-        return explicit
-    raw, source = _resolve(explicit, ENV_FS_FAULT_PLAN, None)
-    try:
-        return FsFaultPlan.parse(raw)
-    except ValueError as exc:
-        raise ValueError(
-            f"bad storage fault plan (from {source}): {exc}"
-        ) from None
 
 
 def data_dir(explicit=None) -> str:

@@ -21,10 +21,10 @@ rollback, and injected fault is recorded as an incident for the
 observability plane (``checkpoint.corrupt`` / ``checkpoint.rollback`` /
 ``storage.fault_fired`` events).
 
-Storage faults are injectable deterministically via
-``REPRO_FS_FAULT_PLAN`` (:mod:`repro.orchestrator.storage_faults`), and
-``python -m repro.orchestrator verify [--repair]`` audits every artifact
-through :meth:`CheckpointStore.audit`.
+Storage faults are injectable deterministically through the storage
+entries of ``REPRO_FAULT_PLAN`` (:mod:`repro.scan.faults`: ``kind@save-N``
+and ``bitrot@gen-N``), and ``python -m repro.orchestrator verify
+[--repair]`` audits every artifact through :meth:`CheckpointStore.audit`.
 """
 
 from __future__ import annotations
@@ -41,13 +41,14 @@ from pathlib import Path
 import numpy as np
 
 from repro import jsonio
-from repro.orchestrator.storage_faults import SimulatedCrash, flip_byte
 
 __all__ = [
     "CHECKPOINT_VERSION",
     "JOURNAL_VERSION",
     "CheckpointCorruption",
     "CheckpointStore",
+    "SimulatedCrash",
+    "flip_byte",
 ]
 
 
@@ -75,10 +76,31 @@ _MANIFEST_KEY = "manifest"
 _GENERATION_RE = re.compile(r"^checkpoint\.(\d+)\.npz$")
 
 
-def _is_gen(value) -> bool:
-    """A generation number: a non-negative ``int``, never a ``bool``."""
+_SHA256_RE = re.compile(r"[0-9a-f]{64}")
+
+
+def _is_count(value) -> bool:
+    """A generation number or a byte count: a non-negative ``int``,
+    never a ``bool``."""
     return (
         isinstance(value, int) and not isinstance(value, bool) and value >= 0
+    )
+
+
+def _is_entry(entry) -> bool:
+    """A journal entry as :func:`_journal_entry` writes it.
+
+    It must name the one file ``save()`` writes for its generation, so
+    pruning, loading and repair never touch a path outside the campaign
+    directory, and carry a digest and size the payload check can use.
+    """
+    return (
+        isinstance(entry, dict)
+        and _is_count(entry.get("gen"))
+        and entry.get("file") == f"checkpoint.{entry['gen']}.npz"
+        and isinstance(entry.get("sha256"), str)
+        and _SHA256_RE.fullmatch(entry["sha256"]) is not None
+        and _is_count(entry.get("bytes"))
     )
 
 
@@ -94,6 +116,36 @@ class CheckpointCorruption(ValueError):
 
 class _CorruptGeneration(Exception):
     """Internal: one generation failed verification (reason in args)."""
+
+
+class SimulatedCrash(RuntimeError):
+    """An injected process death mid-operation (``rename_crash``).
+
+    Deliberately *not* an :class:`OSError`: the campaign's bounded
+    save-retry path must not swallow it — a crash kills the process,
+    and only a ``resume`` (which sweeps the orphaned tmp and reloads
+    the journal) may continue the campaign.
+    """
+
+
+def flip_byte(path, offset: int | None = None) -> int:
+    """Flip one byte of ``path`` in place; returns the offset used.
+
+    The bitrot primitive: ``offset`` is taken modulo the file size
+    (``None`` = the middle of the file), so a plan stays valid whatever
+    the payload compresses to.
+    """
+    path = Path(path)
+    size = path.stat().st_size
+    if size == 0:
+        raise ValueError(f"cannot bitrot empty file {path}")
+    position = (size // 2) if offset is None else (offset % size)
+    with open(path, "r+b") as fh:
+        fh.seek(position)
+        byte = fh.read(1)
+        fh.seek(position)
+        fh.write(bytes([byte[0] ^ 0xFF]))
+    return position
 
 
 def _journal_entry(gen: int, path: Path, data: bytes) -> dict:
@@ -141,7 +193,8 @@ class CheckpointStore:
       (``REPRO_OBS=full``).
 
     ``keep``/``fault_plan`` default to the validated environment knobs
-    (``REPRO_CKPT_KEEP`` / ``REPRO_FS_FAULT_PLAN``); ``sweep=False``
+    (``REPRO_CKPT_KEEP`` / ``REPRO_FAULT_PLAN``, whose storage entries
+    this store fires and whose other entries it ignores); ``sweep=False``
     opens a reader's store: it leaves orphaned tmp files in place so
     :meth:`audit` can report them, and creates nothing — a missing
     directory is the same :class:`FileNotFoundError` as a missing
@@ -158,15 +211,15 @@ class CheckpointStore:
 
     def __init__(self, directory, keep=None, fault_plan=None,
                  sweep: bool = True):
-        from repro.env import ckpt_keep, fs_fault_plan
+        from repro import env
 
         self.directory = Path(directory)
         if sweep:
             self.directory.mkdir(parents=True, exist_ok=True)
         elif not self.directory.is_dir():
             raise self._no_spec()
-        self.keep = ckpt_keep(keep)
-        self.fault_plan = fs_fault_plan(fault_plan)
+        self.keep = env.ckpt_keep(keep)
+        self.fault_plan = env.fault_plan(fault_plan)
         #: Pending observability incidents (dicts with a ``type`` key).
         self.incidents: list[dict] = []
         self._save_index = 0
@@ -307,19 +360,13 @@ class CheckpointStore:
             document = jsonio.loads(raw.decode())
             entries = document["generations"]
             latest = document["latest"]
-            if not _is_gen(latest):
+            if not _is_count(latest):
                 raise ValueError(f"latest {latest!r} is not a generation")
-            # Each entry must name the one file save() writes for its
-            # generation, so pruning, loading and repair never touch a
-            # path outside the campaign directory.
             if not isinstance(entries, list) or not all(
-                isinstance(e, dict)
-                and _is_gen(e.get("gen"))
-                and e.get("file") == f"checkpoint.{e['gen']}.npz"
-                for e in entries
+                map(_is_entry, entries)
             ):
                 raise ValueError("malformed generation entries")
-            if entries and latest != max(e["gen"] for e in entries):
+            if latest != max((e["gen"] for e in entries), default=0):
                 raise ValueError("latest does not match the newest entry")
         except (ValueError, KeyError, TypeError) as exc:
             return None, f"{type(exc).__name__}: {exc}"
@@ -450,20 +497,17 @@ class CheckpointStore:
             raise _CorruptGeneration("file missing")
         data = path.read_bytes()
         if entry is not None:
-            expected_bytes = entry.get("bytes")
-            if expected_bytes is not None and len(data) != expected_bytes:
+            if len(data) != entry["bytes"]:
                 raise _CorruptGeneration(
-                    f"size {len(data)} != journaled {expected_bytes} "
+                    f"size {len(data)} != journaled {entry['bytes']} "
                     "(torn write?)"
                 )
-            expected_sha = entry.get("sha256")
-            if expected_sha is not None:
-                digest = hashlib.sha256(data).hexdigest()
-                if digest != expected_sha:
-                    raise _CorruptGeneration(
-                        "payload sha256 mismatch (journal "
-                        f"{expected_sha[:12]}…, file {digest[:12]}…)"
-                    )
+            digest = hashlib.sha256(data).hexdigest()
+            if digest != entry["sha256"]:
+                raise _CorruptGeneration(
+                    "payload sha256 mismatch (journal "
+                    f"{entry['sha256'][:12]}…, file {digest[:12]}…)"
+                )
         try:
             with np.load(io.BytesIO(data)) as npz:
                 if _MANIFEST_KEY not in npz.files:

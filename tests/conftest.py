@@ -1,6 +1,6 @@
 """Shared test fixtures: a hand-built miniature census dataset, the
-generated ``small`` preset, and the v6 sampling draws re-derived from
-their definition.
+generated ``small`` preset, the v6 sampling draws re-derived from
+their definition, and a fixture that clears every environment knob.
 
 The orchestrator suites need whole campaigns to run in milliseconds, so
 they use a four-prefix world with a few thousand hosts instead of a
@@ -17,7 +17,9 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
+import repro.env as env
 from repro.bgp.table import Prefix, RoutingTable
 from repro.census.loader import (
     CensusDataset,
@@ -67,6 +69,23 @@ def build_mini_dataset(
     return CensusDataset("mini", seed, topology, series)
 
 
+#: Every knob ``repro.env`` reads but the dataset cache directory, which
+#: moves where a preset is cached and changes no result.
+KNOBS = tuple(
+    getattr(env, name)
+    for name in env.__all__
+    if name.startswith("ENV_") and name != "ENV_DATA_DIR"
+)
+
+
+@pytest.fixture
+def clear_knobs(monkeypatch):
+    """Unset every :data:`KNOBS` entry: the test sees the built-in
+    defaults whatever the environment it was started in holds."""
+    for knob in KNOBS:
+        monkeypatch.delenv(knob, raising=False)
+
+
 @pytest.fixture
 def mini_dataset() -> CensusDataset:
     return build_mini_dataset()
@@ -94,3 +113,33 @@ def v6_draws(seed: int, i: int, size: int) -> tuple[int, int]:
     while math.gcd(a, size) != 1:
         a = (a + 2) % size or 1
     return b, a
+
+
+def byte_edits(max_position: int, min_size: int = 0):
+    """Up to six ``(position, operation, byte)`` edits for
+    :func:`mutate_bytes`."""
+    return st.lists(
+        st.tuples(
+            st.integers(min_value=0, max_value=max_position),
+            st.sampled_from(["set", "insert", "delete", "truncate"]),
+            st.integers(min_value=0, max_value=255),
+        ),
+        min_size=min_size,
+        max_size=6,
+    )
+
+
+def mutate_bytes(data: bytes, edits) -> bytes:
+    """``data`` with ``edits`` applied in order (positions wrap)."""
+    buf = bytearray(data)
+    for position, operation, byte in edits:
+        at = position % (len(buf) + 1)
+        if operation == "set" and at < len(buf):
+            buf[at] = byte
+        elif operation == "insert":
+            buf.insert(at, byte)
+        elif operation == "delete" and at < len(buf):
+            del buf[at]
+        elif operation == "truncate":
+            del buf[at:]
+    return bytes(buf)

@@ -24,8 +24,8 @@ from repro import obs
 from repro.obs.__main__ import main as obs_main
 from repro.obs.report import load_rollup
 from repro.orchestrator import CampaignRunner, CampaignSpec, ReseedPolicy
+from repro.orchestrator.checkpoint import flip_byte
 from repro.orchestrator.cli import main
-from repro.orchestrator.storage_faults import flip_byte
 
 SPEC = CampaignSpec(
     preset="mini",
@@ -46,10 +46,7 @@ class _Killed(RuntimeError):
 
 
 @pytest.fixture(autouse=True)
-def _quiet(monkeypatch):
-    for knob in ("REPRO_FS_FAULT_PLAN", "REPRO_FAULT_PLAN",
-                 "REPRO_CKPT_KEEP"):
-        monkeypatch.delenv(knob, raising=False)
+def _quiet(clear_knobs, monkeypatch):
     monkeypatch.setenv("REPRO_OBS", "off")
     yield
     obs.take_executor_telemetry()

@@ -291,6 +291,50 @@ def test_campaign_kill_and_resume_under_fault_plan(tmp_path, monkeypatch):
     assert status["totals"] == serial["totals"]
 
 
+def _killed_and_resumed(directory, plan, monkeypatch):
+    """DIST_SPEC under ``plan``, killed at its third checkpoint and
+    resumed under the same plan: the status and the fleet telemetry."""
+    monkeypatch.setenv(ENV_FAULT_PLAN, plan)
+    runner = CampaignRunner(
+        DIST_SPEC, dataset=build_mini_dataset(), directory=directory
+    )
+    runner.store.write_spec(runner.spec.to_dict())
+    seen = [0]
+
+    def kill(_):
+        seen[0] += 1
+        if seen[0] == 3:  # right after save 2
+            raise _Killed()
+
+    with pytest.raises(_Killed):
+        runner.run(on_checkpoint=kill)
+    status = CampaignRunner.resume(
+        directory, dataset=build_mini_dataset()
+    ).run()
+    progress = json.loads((directory / "progress.json").read_text())
+    return status, progress["executor_telemetry"]
+
+
+def test_one_plan_drives_both_chaos_planes(tmp_path, monkeypatch):
+    """A worker crash and a torn checkpoint, armed by one plan."""
+    monkeypatch.delenv(ENV_FAULT_PLAN, raising=False)
+    calm = CampaignRunner(DIST_SPEC, dataset=build_mini_dataset()).run()
+    both, telemetry = _killed_and_resumed(
+        tmp_path / "both", "crash@1,torn_write@save-2", monkeypatch
+    )
+    crash, crash_telemetry = _killed_and_resumed(
+        tmp_path / "crash", "crash@1", monkeypatch
+    )
+    assert _status_bytes(both) == _status_bytes(calm) == _status_bytes(crash)
+    # The fleet retried the crashed shard ...
+    assert telemetry["faults_armed"] >= 1 and telemetry["failures"] >= 1
+    # ... the resume caught the torn generation 3 and rolled back ...
+    assert (tmp_path / "both" / "quarantine" / "checkpoint.3.npz").exists()
+    assert not (tmp_path / "crash" / "quarantine").exists()
+    # ... and the fleet armed only the worker fault.
+    assert telemetry["faults_armed"] == crash_telemetry["faults_armed"]
+
+
 # ---------------------------------------------------------------------------
 # Wave-level retry policy
 # ---------------------------------------------------------------------------

@@ -27,7 +27,7 @@ from repro.orchestrator import (
     ReseedPolicy,
     checkpoint,
 )
-from repro.orchestrator.storage_faults import flip_byte
+from repro.orchestrator.checkpoint import flip_byte
 
 SPEC = CampaignSpec(
     preset="mini",
@@ -40,10 +40,7 @@ SPEC = CampaignSpec(
 )
 
 
-@pytest.fixture(autouse=True)
-def _quiet(monkeypatch):
-    for knob in ("REPRO_FS_FAULT_PLAN", "REPRO_CKPT_KEEP", "REPRO_OBS"):
-        monkeypatch.delenv(knob, raising=False)
+pytestmark = pytest.mark.usefixtures("clear_knobs")
 
 
 def _save(store, ordinal):

@@ -23,9 +23,10 @@ from repro.orchestrator.checkpoint import (
     CheckpointCorruption,
     CheckpointStore,
     _sanitize_floats,
+    flip_byte,
 )
 from repro.orchestrator.cli import main
-from repro.orchestrator.storage_faults import FsFaultPlan, flip_byte
+from repro.scan.faults import FaultPlan
 
 
 def _save_n(store, n, start=0):
@@ -122,7 +123,7 @@ class TestGenerations:
 
     def test_failed_save_consumes_no_generation_number(self, tmp_path):
         store = CheckpointStore(
-            tmp_path, keep=4, fault_plan=FsFaultPlan.parse("enospc@save-1")
+            tmp_path, keep=4, fault_plan=FaultPlan.parse("enospc@save-1")
         )
         _save_n(store, 1)
         with pytest.raises(OSError):
@@ -222,8 +223,13 @@ class TestRollback:
             # Generation numbers that are not ints.
             json.dumps({"latest": "x", "generations": []}),
             json.dumps({"latest": 1.5, "generations": []}),
+            # A latest generation the entries do not hold.
+            json.dumps({"latest": 2, "generations": []}),
         ],
-        ids=["not-json", "outside-file", "str-latest", "float-latest"],
+        ids=[
+            "not-json", "outside-file", "str-latest", "float-latest",
+            "latest-without-entries",
+        ],
     )
     def test_corrupt_journal_falls_back_to_scanning(self, tmp_path, journal):
         _save_n(CheckpointStore(tmp_path, keep=2), 2)
@@ -242,6 +248,30 @@ class TestRollback:
         assert store.incidents[-1]["type"] == "checkpoint.corrupt"
         assert [g for g, _ in store.generation_files()] == [1, 2, 3]
         assert store.read_journal()[0]["latest"] == 3
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [("sha256", 5), ("sha256", ["a"]), ("bytes", "12")],
+        ids=["int-sha256", "list-sha256", "str-bytes"],
+    )
+    def test_mistyped_entry_is_journal_damage(self, tmp_path, field, value):
+        # A digest or size of the wrong type damages the journal, not
+        # the generation it describes: load rebuilds the journal from
+        # the files and adopts the intact newest generation.
+        _save_n(CheckpointStore(tmp_path, keep=2), 2)
+        path = tmp_path / "checkpoints.json"
+        journal = json.loads(path.read_text())
+        journal["generations"][-1][field] = value
+        path.write_text(json.dumps(journal))
+        store = CheckpointStore(tmp_path, keep=2)
+        manifest, _ = store.load()
+        assert manifest["ordinal"] == 1
+        assert not store.quarantine_dir.exists()
+        (corrupt,) = store.incidents
+        assert corrupt["type"] == "checkpoint.corrupt"
+        assert corrupt["gen"] is None
+        assert store.read_journal()[0]["latest"] == 2
+        assert store.verify_generation(tmp_path / "checkpoint.2.npz") is None
 
     @pytest.mark.parametrize("outside", ["absolute", "relative"])
     def test_journal_never_reaches_outside_the_directory(
@@ -347,7 +377,7 @@ class TestClear:
 class TestFailedWriteCleanup:
     def test_failed_save_leaves_no_tmp(self, tmp_path):
         store = CheckpointStore(
-            tmp_path, fault_plan=FsFaultPlan.parse("enospc@save-0")
+            tmp_path, fault_plan=FaultPlan.parse("enospc@save-0")
         )
         with pytest.raises(OSError):
             _save_n(store, 1)

@@ -40,10 +40,7 @@ SPEC = CampaignSpec(
 
 
 @pytest.fixture(autouse=True)
-def _quiet(monkeypatch):
-    for knob in ("REPRO_FS_FAULT_PLAN", "REPRO_FAULT_PLAN",
-                 "REPRO_CKPT_KEEP"):
-        monkeypatch.delenv(knob, raising=False)
+def _quiet(clear_knobs, monkeypatch):
     monkeypatch.setenv("REPRO_OBS", "off")
     yield
     obs.take_executor_telemetry()

@@ -1,7 +1,12 @@
 """Validated environment knobs: clear errors instead of silent fallbacks."""
 
+import re
+from pathlib import Path
+
+import numpy as np
 import pytest
 
+import repro.env as env
 from repro.census.loader import get_dataset
 from repro.env import (
     ckpt_keep,
@@ -11,7 +16,9 @@ from repro.env import (
     dist_workers,
     obs_mode,
 )
-from repro.orchestrator import CampaignSpec
+from repro.orchestrator import CampaignSpec, CheckpointStore
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 class TestScanShards:
@@ -208,6 +215,39 @@ class TestCountBackend:
         message = str(excinfo.value)
         assert "backend" in message and "'gpu'" in message
         assert "searchsorted" in message
+
+
+class TestRetiredKnobs:
+    def test_fs_fault_plan_is_ignored(self, tmp_path, monkeypatch):
+        # Storage faults ride REPRO_FAULT_PLAN; REPRO_FS_FAULT_PLAN is
+        # no knob, so even a bogus value is ignored.
+        monkeypatch.delenv("REPRO_FAULT_PLAN", raising=False)
+        monkeypatch.setenv("REPRO_FS_FAULT_PLAN", "melt@save-0,enospc")
+        store = CheckpointStore(tmp_path)
+        assert not store.fault_plan
+        store.save({"spec": {}}, {"mask": np.arange(3)})
+        assert store.load()[0]["spec"] == {}
+
+
+def test_docs_name_only_live_knobs():
+    """Every knob README, the verify skill, the scripts and CI name is
+    one ``repro.env`` reads (CHANGES.md is history and may name more)."""
+    live = {
+        getattr(env, name) for name in env.__all__ if name.startswith("ENV_")
+    }
+    docs = [
+        ROOT / "README.md",
+        ROOT / ".claude" / "skills" / "verify" / "SKILL.md",
+        ROOT / ".github" / "workflows" / "ci.yml",
+        *sorted((ROOT / "scripts").glob("*.py")),
+    ]
+    named = {
+        (path.name, knob)
+        for path in docs
+        for knob in re.findall(r"REPRO_[A-Z][A-Z_]*", path.read_text())
+    }
+    assert {knob for _, knob in named} >= {"REPRO_FAULT_PLAN"}
+    assert sorted(p for p in named if p[1] not in live) == []
 
 
 class TestObsMode:

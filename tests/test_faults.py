@@ -1,9 +1,12 @@
 """Fault plane unit tests: plan syntax, matching, recovery arithmetic.
 
 Everything here is pure — no sockets, no subprocesses, fake clocks
-only.  The process-level chaos matrix that *uses* these plans lives in
-``tests/test_chaos.py``.
+only.  ``test_parse`` holds the good and bad entries of both planes'
+syntax.  The process-level chaos matrices that *use* these plans live
+in ``tests/test_chaos.py`` and ``tests/test_storage_chaos.py``.
 """
+
+import re
 
 import pytest
 
@@ -23,21 +26,87 @@ from repro.scan.faults import (
 # Plan syntax
 # ---------------------------------------------------------------------------
 
+#: Entries in canonical form and the fault each parses to:
+#: ``to_string()`` gives each entry back byte for byte.
+GOOD = {
+    "crash@2": FaultSpec("crash", 2),
+    "stall@1:attempts=3:delay=2.5": FaultSpec(
+        "stall", 1, attempts=3, delay=2.5
+    ),
+    "hang@*:attempts=*": FaultSpec("hang", None, attempts=None),
+    "hang@1": FaultSpec("hang", 1),
+    "stall@2:delay=1": FaultSpec("stall", 2, delay=1.0),
+    "hang@1:attempts=*": FaultSpec("hang", 1, attempts=None),
+    "stall@0:delay=1.5": FaultSpec("stall", 0, delay=1.5),
+    "spawn_crash@4:attempts=2": FaultSpec("spawn_crash", 4, attempts=2),
+    **{f"{kind}@0": FaultSpec(kind, 0) for kind in WORKER_FAULT_KINDS},
+    "spawn_crash@0": FaultSpec("spawn_crash", 0),
+    "auth_fail@0": FaultSpec("auth_fail", 0),
+    "torn_write@save-2": FaultSpec("torn_write", 2),
+    "bitrot@gen-3:offset=17": FaultSpec("bitrot", 3, offset=17),
+    "enospc@save-0": FaultSpec("enospc", 0),
+    "enospc@save-1": FaultSpec("enospc", 1),
+    "fsync_fail@save-1": FaultSpec("fsync_fail", 1),
+    "rename_crash@save-2": FaultSpec("rename_crash", 2),
+    "bitrot@gen-2": FaultSpec("bitrot", 2),
+}
+
+#: Worker and spawn entries no parser accepts.
+WORKER_BAD = [
+    "crash",                # no @shard
+    "crash@x",              # non-integer shard
+    "tornado@1",            # unknown kind
+    "crash@1:attempts",     # option without value
+    "crash@1:color=red",    # unknown option
+    "crash@-1",             # negative shard
+    "crash@1:attempts=0",   # zero attempts
+    "spawn_crash@*",        # spawn faults need an ordinal
+    "stall@0:delay=nan",    # non-finite delay
+    "stall@0:delay=inf",
+]
+
+#: Storage entries no parser accepts.
+STORAGE_BAD = [
+    "melt@save-1",          # unknown kind
+    "enospc",               # no site
+    "enospc@shard-1",       # unknown site
+    "enospc@save-x",        # non-integer position
+    "enospc@save--1",       # negative position
+    "bitrot@save-1",        # bitrot fires at gen sites
+    "torn_write@gen-1",     # save kinds fire at save sites
+    "bitrot@gen-0",         # generations are 1-based
+    "enospc@save-1:offset=3",  # offset is bitrot-only
+    "bitrot@gen-1:depth=3",    # unknown option
+]
+
+
+@pytest.mark.parametrize("entry", [*GOOD, *WORKER_BAD, *STORAGE_BAD])
+def test_parse(entry):
+    """Each good entry parses to its fault and back to itself; each bad
+    one raises a ValueError that names it."""
+    if entry in GOOD:
+        (spec,) = FaultPlan.parse(entry).specs
+        assert spec == GOOD[entry]
+        assert spec.to_string() == entry
+    else:
+        with pytest.raises(ValueError, match=re.escape(repr(entry))):
+            FaultPlan.parse(entry)
+
 
 class TestPlanParsing:
     def test_single_entry_defaults(self):
         plan = FaultPlan.parse("crash@2")
-        assert plan.specs == (FaultSpec("crash", shard=2),)
+        assert plan.specs == (FaultSpec("crash", 2),)
 
     def test_full_entry(self):
         (spec,) = FaultPlan.parse("stall@1:attempts=3:delay=2.5").specs
         assert spec == FaultSpec(
-            "stall", shard=1, attempts=3, delay=2.5
+            "stall", 1, attempts=3, delay=2.5
         )
 
     def test_wildcard_shard_and_unbounded_attempts(self):
         (spec,) = FaultPlan.parse("hang@*:attempts=*").specs
-        assert spec.shard is None and spec.attempts is None
+        assert spec.at is None and spec.attempts is None
 
     def test_separators_and_whitespace(self):
         plan = FaultPlan.parse(" crash@0 ; hang@1 , stall@2:delay=1 ")
@@ -54,24 +123,12 @@ class TestPlanParsing:
         assert FaultPlan.parse(plan.to_string()) == plan
         assert plan.to_string() == text
 
-    @pytest.mark.parametrize(
-        "bad",
-        [
-            "crash",                # no @shard
-            "crash@x",              # non-integer shard
-            "tornado@1",            # unknown kind
-            "crash@1:attempts",     # option without value
-            "crash@1:color=red",    # unknown option
-            "crash@-1",             # negative shard
-            "crash@1:attempts=0",   # zero attempts
-            "spawn_crash@*",        # spawn faults need an ordinal
-            "stall@0:delay=nan",    # non-finite delay
-            "stall@0:delay=inf",
-        ],
-    )
+    @pytest.mark.parametrize("bad", WORKER_BAD)
     def test_bad_entries_raise(self, bad):
-        with pytest.raises(ValueError):
-            FaultPlan.parse(bad)
+        # Through the knob's resolver the message names its source too.
+        with pytest.raises(ValueError, match="from argument") as excinfo:
+            env.fault_plan(bad)
+        assert repr(bad) in str(excinfo.value)
 
     def test_every_kind_parses(self):
         for kind in WORKER_FAULT_KINDS:
@@ -124,6 +181,19 @@ class TestMatching:
         plan = FaultPlan.parse("spawn_crash@0:attempts=*,crash@0")
         assert plan.shard_fault(0, 0).kind == "crash"
         assert plan.spawn_fault(0).kind == "spawn_crash"
+
+    def test_planes_ignore_each_others_entries(self):
+        plan = FaultPlan.parse(
+            "crash@2,spawn_crash@2,torn_write@save-2,bitrot@gen-2"
+        )
+        assert plan.shard_fault(2, 0).kind == "crash"
+        assert plan.spawn_fault(2).kind == "spawn_crash"
+        assert plan.save_fault(2).kind == "torn_write"
+        assert plan.gen_fault(2).kind == "bitrot"
+        plan = FaultPlan.parse("hang@*:attempts=*,enospc@save-0")
+        assert plan.save_fault(0).kind == "enospc"
+        assert plan.save_fault(1) is None and plan.gen_fault(1) is None
+        assert plan.spawn_fault(0) is None
 
     def test_auth_fail_matches_spawn_ordinals_like_spawn_crash(self):
         plan = FaultPlan.parse("auth_fail@1:attempts=2")

@@ -24,7 +24,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from conftest import build_mini_dataset
+from conftest import build_mini_dataset, byte_edits, mutate_bytes
 from repro import obs
 from repro.orchestrator import (
     CampaignRunner,
@@ -83,10 +83,7 @@ def _final_bytes(directory):
 
 
 @pytest.fixture(autouse=True)
-def _quiet(monkeypatch):
-    for knob in ("REPRO_FS_FAULT_PLAN", "REPRO_FAULT_PLAN",
-                 "REPRO_CKPT_KEEP"):
-        monkeypatch.delenv(knob, raising=False)
+def _quiet(clear_knobs, monkeypatch):
     monkeypatch.setenv("REPRO_OBS", "off")
     yield
     obs.take_executor_telemetry()
@@ -155,31 +152,7 @@ def _check_resume(campaign, progress: bytes | None) -> dict:
     return final
 
 
-def _mutate(data: bytes, edits) -> bytes:
-    buf = bytearray(data)
-    for position, operation, byte in edits:
-        at = position % (len(buf) + 1)
-        if operation == "set" and at < len(buf):
-            buf[at] = byte
-        elif operation == "insert":
-            buf.insert(at, byte)
-        elif operation == "delete" and at < len(buf):
-            del buf[at]
-        elif operation == "truncate":
-            del buf[at:]
-    return bytes(buf)
-
-
-#: ``(position, operation, byte)`` edits applied in order.
-_EDITS = st.lists(
-    st.tuples(
-        st.integers(min_value=0, max_value=1 << 10),
-        st.sampled_from(["set", "insert", "delete", "truncate"]),
-        st.integers(min_value=0, max_value=255),
-    ),
-    min_size=1,
-    max_size=6,
-)
+_EDITS = byte_edits(1 << 10, min_size=1)
 
 _JSON = st.recursive(
     st.none()
@@ -197,7 +170,7 @@ _JSON = st.recursive(
 @given(edits=_EDITS)
 def test_byte_mutated_progress_resumes_identically(campaign, edits):
     raw = (campaign[1] / "progress.json").read_bytes()
-    _check_resume(campaign, _mutate(raw, edits))
+    _check_resume(campaign, mutate_bytes(raw, edits))
 
 
 _DELETE = object()

@@ -1,5 +1,5 @@
-"""Storage chaos: campaigns under ``REPRO_FS_FAULT_PLAN`` recover
-byte-identically.
+"""Storage chaos: campaigns under the storage entries of
+``REPRO_FAULT_PLAN`` recover byte-identically.
 
 The acceptance bar from the storage-hardening work: under every fault
 kind — torn_write, bitrot, enospc, fsync_fail, rename_crash — a
@@ -7,8 +7,8 @@ campaign that is faulted (and, where the fault is fatal or silent,
 killed and resumed) recovers via save-retry, tmp sweep, or
 quarantine-and-rollback, and its final checkpoint generations, status
 JSON, and wave accounting are byte-identical to an unfaulted serial
-run.  Also covers the ``FsFaultPlan`` syntax and the incident →
-trace-event pipeline.
+run.  Also covers the storage entries of the ``FaultPlan`` syntax and
+the incident → trace-event pipeline.
 """
 
 import json
@@ -17,18 +17,16 @@ import numpy as np
 import pytest
 
 from conftest import build_mini_dataset
-from repro.env import fs_fault_plan
+from repro.env import ENV_FAULT_PLAN, fault_plan
 from repro.orchestrator import (
     CampaignRunner,
     CampaignSpec,
     CheckpointStore,
     ReseedPolicy,
 )
-from repro.orchestrator.storage_faults import (
-    FsFaultPlan,
-    FsFaultSpec,
-    SimulatedCrash,
-)
+from repro.orchestrator.checkpoint import SimulatedCrash
+from repro.scan.faults import FaultPlan, FaultSpec
+from test_faults import STORAGE_BAD
 
 SPEC = CampaignSpec(
     preset="mini",
@@ -48,9 +46,7 @@ class _Killed(RuntimeError):
 
 
 @pytest.fixture(autouse=True)
-def _no_plan_leak(monkeypatch):
-    monkeypatch.delenv("REPRO_FS_FAULT_PLAN", raising=False)
-    monkeypatch.delenv("REPRO_CKPT_KEEP", raising=False)
+def _no_plan_leak(clear_knobs, monkeypatch):
     # Save-retry backoff is wall-clock-only; don't sleep in tests.
     monkeypatch.setattr(
         "repro.orchestrator.campaign._retry_sleep", lambda _: None
@@ -121,11 +117,11 @@ class TestRecovery:
         # Clean OSError saves: the campaign's bounded save-retry
         # absorbs them without losing a generation number.
         monkeypatch.setenv(
-            "REPRO_FS_FAULT_PLAN", "enospc@save-1,fsync_fail@save-4"
+            ENV_FAULT_PLAN, "enospc@save-1,fsync_fail@save-4"
         )
         status = _run(tmp_path)
         assert status["finished"] is True
-        monkeypatch.delenv("REPRO_FS_FAULT_PLAN")
+        monkeypatch.delenv(ENV_FAULT_PLAN)
         _assert_identical(tmp_path, reference)
 
     def test_save_retry_exhaustion_propagates(
@@ -135,12 +131,12 @@ class TestRecovery:
         # the retry budget; the previous generation stays the durable
         # resume point and a clean-disk resume completes identically.
         monkeypatch.setenv(
-            "REPRO_FS_FAULT_PLAN",
+            ENV_FAULT_PLAN,
             "enospc@save-1,enospc@save-2,enospc@save-3",
         )
         with pytest.raises(OSError):
             _run(tmp_path)
-        monkeypatch.delenv("REPRO_FS_FAULT_PLAN")
+        monkeypatch.delenv(ENV_FAULT_PLAN)
         status = _resume(tmp_path)
         assert status["finished"] is True
         _assert_identical(tmp_path, reference)
@@ -151,10 +147,10 @@ class TestRecovery:
         # The tear is silent at save time (the rename promotes a
         # truncated payload) — the journaled digest catches it at the
         # next load, which quarantines gen 3 and rolls back to gen 2.
-        monkeypatch.setenv("REPRO_FS_FAULT_PLAN", "torn_write@save-2")
+        monkeypatch.setenv(ENV_FAULT_PLAN, "torn_write@save-2")
         with pytest.raises(_Killed):
             _run(tmp_path, on_checkpoint=_kill_at(3))
-        monkeypatch.delenv("REPRO_FS_FAULT_PLAN")
+        monkeypatch.delenv(ENV_FAULT_PLAN)
         status = _resume(tmp_path)
         assert status["finished"] is True
         assert (tmp_path / "quarantine" / "checkpoint.3.npz").exists()
@@ -163,10 +159,10 @@ class TestRecovery:
     def test_bitrot_rolls_back_on_resume(
         self, tmp_path, monkeypatch, reference
     ):
-        monkeypatch.setenv("REPRO_FS_FAULT_PLAN", "bitrot@gen-3")
+        monkeypatch.setenv(ENV_FAULT_PLAN, "bitrot@gen-3")
         with pytest.raises(_Killed):
             _run(tmp_path, on_checkpoint=_kill_at(3))
-        monkeypatch.delenv("REPRO_FS_FAULT_PLAN")
+        monkeypatch.delenv(ENV_FAULT_PLAN)
         status = _resume(tmp_path)
         assert status["finished"] is True
         assert (tmp_path / "quarantine" / "checkpoint.3.npz").exists()
@@ -178,11 +174,11 @@ class TestRecovery:
         # The "process dies at the promote rename" fault: the tmp file
         # is deliberately left behind (real crash semantics) and the
         # journal never learned about the generation.
-        monkeypatch.setenv("REPRO_FS_FAULT_PLAN", "rename_crash@save-2")
+        monkeypatch.setenv(ENV_FAULT_PLAN, "rename_crash@save-2")
         with pytest.raises(SimulatedCrash):
             _run(tmp_path)
         assert list(tmp_path.glob("*.tmp.npz")), "crash leaves its tmp"
-        monkeypatch.delenv("REPRO_FS_FAULT_PLAN")
+        monkeypatch.delenv(ENV_FAULT_PLAN)
         status = _resume(tmp_path)
         assert status["finished"] is True
         assert not list(tmp_path.glob("*.tmp*"))
@@ -195,10 +191,10 @@ class TestRecovery:
         # marches on: the newest generations stay intact, the rotted
         # one ages out of the keep window, and the final directory is
         # still byte-identical.
-        monkeypatch.setenv("REPRO_FS_FAULT_PLAN", "bitrot@gen-2")
+        monkeypatch.setenv(ENV_FAULT_PLAN, "bitrot@gen-2")
         status = _run(tmp_path)
         assert status["finished"] is True
-        monkeypatch.delenv("REPRO_FS_FAULT_PLAN")
+        monkeypatch.delenv(ENV_FAULT_PLAN)
         _assert_identical(tmp_path, reference)
 
 
@@ -213,10 +209,10 @@ def test_rollback_incidents_surface_as_obs_events(
     from repro.obs.schema import validate_file
 
     monkeypatch.setenv("REPRO_OBS", "events")
-    monkeypatch.setenv("REPRO_FS_FAULT_PLAN", "bitrot@gen-3")
+    monkeypatch.setenv(ENV_FAULT_PLAN, "bitrot@gen-3")
     with pytest.raises(_Killed):
         _run(tmp_path, on_checkpoint=_kill_at(3))
-    monkeypatch.delenv("REPRO_FS_FAULT_PLAN")
+    monkeypatch.delenv(ENV_FAULT_PLAN)
     assert _resume(tmp_path)["finished"] is True
     path = tmp_path / "events.jsonl"
     assert validate_file(path) == []
@@ -231,68 +227,58 @@ def test_rollback_incidents_surface_as_obs_events(
 
 
 # ---------------------------------------------------------------------------
-# FsFaultPlan syntax
+# Storage entries of the FaultPlan syntax
 # ---------------------------------------------------------------------------
 
 
 class TestFsFaultPlan:
     def test_parse_roundtrip(self):
         text = "torn_write@save-2,bitrot@gen-3:offset=17,enospc@save-0"
-        plan = FsFaultPlan.parse(text)
+        plan = FaultPlan.parse(text)
         assert len(plan) == 3
         assert plan.to_string() == text
-        assert FsFaultPlan.parse(plan.to_string()) == plan
+        assert FaultPlan.parse(plan.to_string()) == plan
 
     def test_separators_and_whitespace(self):
-        plan = FsFaultPlan.parse(" enospc@save-1 ; bitrot@gen-2 ,")
+        plan = FaultPlan.parse(" enospc@save-1 ; bitrot@gen-2 ,")
         assert [s.kind for s in plan.specs] == ["enospc", "bitrot"]
 
     def test_empty_plan_is_falsy(self):
-        assert not FsFaultPlan.parse(None)
-        assert not FsFaultPlan.parse("  ")
-        assert FsFaultPlan.parse("enospc@save-0")
+        assert not FaultPlan.parse(None)
+        assert not FaultPlan.parse("  ")
+        assert FaultPlan.parse("enospc@save-0")
 
     def test_queries_first_match_wins(self):
-        plan = FsFaultPlan.parse("enospc@save-1,fsync_fail@save-1")
+        plan = FaultPlan.parse("enospc@save-1,fsync_fail@save-1")
         assert plan.save_fault(1).kind == "enospc"
         assert plan.save_fault(0) is None
-        assert FsFaultPlan.parse("bitrot@gen-2").gen_fault(2).kind == (
+        assert FaultPlan.parse("bitrot@gen-2").gen_fault(2).kind == (
             "bitrot"
         )
 
-    @pytest.mark.parametrize(
-        "bad",
-        [
-            "melt@save-1",          # unknown kind
-            "enospc",               # no site
-            "enospc@shard-1",       # unknown site
-            "enospc@save-x",        # non-integer position
-            "enospc@save--1",       # negative position
-            "bitrot@save-1",        # bitrot fires at gen sites
-            "torn_write@gen-1",     # save kinds fire at save sites
-            "bitrot@gen-0",         # generations are 1-based
-            "enospc@save-1:offset=3",  # offset is bitrot-only
-            "bitrot@gen-1:depth=3",    # unknown option
-        ],
-    )
-    def test_bad_entries_rejected(self, bad):
-        with pytest.raises(ValueError):
-            FsFaultPlan.parse(bad)
+    @pytest.mark.parametrize("bad", STORAGE_BAD)
+    def test_bad_entries_rejected(self, bad, tmp_path, monkeypatch):
+        # The store refuses to open under a bad plan, naming the entry
+        # and the knob it came from.
+        monkeypatch.setenv(ENV_FAULT_PLAN, bad)
+        with pytest.raises(ValueError, match=ENV_FAULT_PLAN) as excinfo:
+            CheckpointStore(tmp_path)
+        assert repr(bad) in str(excinfo.value)
 
     def test_spec_validation_direct(self):
         with pytest.raises(ValueError, match="offset"):
-            FsFaultSpec(kind="bitrot", site="gen", index=1, offset=-1)
+            FaultSpec(kind="bitrot", at=1, offset=-1)
 
     def test_env_knob_parses_and_names_source(self, monkeypatch):
-        monkeypatch.setenv("REPRO_FS_FAULT_PLAN", "enospc@save-2")
-        assert fs_fault_plan().save_fault(2).kind == "enospc"
-        monkeypatch.setenv("REPRO_FS_FAULT_PLAN", "bogus@save-2")
-        with pytest.raises(ValueError, match="REPRO_FS_FAULT_PLAN"):
-            fs_fault_plan()
-        plan = FsFaultPlan.parse("bitrot@gen-1")
-        assert fs_fault_plan(plan) is plan
+        monkeypatch.setenv(ENV_FAULT_PLAN, "crash@1,enospc@save-2")
+        assert fault_plan().save_fault(2).kind == "enospc"
+        monkeypatch.setenv(ENV_FAULT_PLAN, "bogus@save-2")
+        with pytest.raises(ValueError, match=ENV_FAULT_PLAN):
+            fault_plan()
+        plan = FaultPlan.parse("bitrot@gen-1")
+        assert fault_plan(plan) is plan
         with pytest.raises(ValueError, match="argument"):
-            fs_fault_plan("nope@save-1")
+            fault_plan("nope@save-1")
 
 
 def test_store_numbering_deterministic_under_faulted_history(
@@ -309,7 +295,7 @@ def test_store_numbering_deterministic_under_faulted_history(
     store = CheckpointStore(
         faulted,
         keep=2,
-        fault_plan=FsFaultPlan.parse("enospc@save-1,bitrot@gen-3"),
+        fault_plan=FaultPlan.parse("enospc@save-1,bitrot@gen-3"),
     )
     for i in range(3):
         try:

@@ -1,0 +1,148 @@
+"""v4 campaign wave totals, with a blocklist, against a closed-form oracle.
+
+For wave ``w`` of a ``tiny`` campaign with no exploration, the oracle
+derives from the definitions alone, with Python ints and sets:
+- the selection ``S_w``: :class:`~repro.core.tass.TassStrategy` on the
+  month of the last reseed wave (wave 0, then every ``interval`` waves);
+- ``blocked``: ``|S_w ∩ B|``, summed over the overlaps of the selected
+  prefixes with the blocklist intervals ``B``;
+- ``probes_sent``: ``|S_w ∖ B|``;
+- ``responses``: ``|T_w ∩ S_w ∖ B|``, the hosts of wave ``w``'s month
+  inside the selection and outside the blocklist.
+
+The built-in blocklist misses every synthetic announced prefix, so the
+campaign runs with one that covers parts of the selection instead.  The
+oracle calls nothing in ``repro.scan`` or ``repro.orchestrator`` beyond
+running the campaign whose ``status.json`` it checks.
+"""
+
+import json
+
+import pytest
+
+from repro import obs
+from repro.census.loader import CensusDataset
+from repro.core.tass import TassStrategy
+from repro.orchestrator import CampaignRunner, CampaignSpec, ReseedPolicy
+from repro.scan.blocklist import Blocklist
+
+WAVES = 4
+INTERVAL = 2
+PHI = 0.9
+
+
+@pytest.fixture(scope="module")
+def dataset():
+    return CensusDataset.generate("tiny", seed=0)
+
+
+@pytest.fixture(autouse=True)
+def _quiet(clear_knobs, monkeypatch):
+    monkeypatch.setenv("REPRO_OBS", "off")
+    yield
+    obs.take_executor_telemetry()
+
+
+def _selections(dataset) -> list[list[tuple[int, int]]]:
+    """Each wave's selected prefixes as ``(start, end)`` Python ints."""
+    partition = dataset.topology.table.partition("less-specific")
+    series = dataset.series_for("http")
+    out = []
+    for wave in range(WAVES):
+        if wave % INTERVAL == 0:
+            month = min(wave, len(series) - 1)
+            chosen = TassStrategy(partition, phi=PHI).plan(series[month])
+            selected = [
+                (int(partition.starts[i]), int(partition.ends[i]))
+                for i in sorted(int(i) for i in chosen.indices)
+            ]
+        out.append(selected)
+    return out
+
+
+def _blocklist(dataset) -> list[tuple[int, int]]:
+    """Intervals over parts of the selected space: the middle quarter of
+    every other wave-0 prefix, one interval across the boundary of two
+    selected neighbours where there are any, and one prefix whole."""
+    selected = _selections(dataset)[0]
+    blocks = [
+        (start + (end - start) // 4, start + (end - start) // 2)
+        for start, end in selected[::2]
+    ]
+    for (_, end), (start, _) in zip(selected, selected[1:]):
+        if end == start:
+            blocks.append((end - 8, end + 8))
+            break
+    blocks.append(selected[-1])
+    return blocks
+
+
+def _oracle(dataset, blocks) -> list[tuple[int, int, int]]:
+    """``(probes_sent, responses, blocked)`` of every wave."""
+    series = dataset.series_for("http")
+    out = []
+    for wave, selected in enumerate(_selections(dataset)):
+        size = sum(end - start for start, end in selected)
+        blocked = sum(
+            max(0, min(end, b_end) - max(start, b_start))
+            for start, end in selected
+            for b_start, b_end in _disjoint(blocks)
+        )
+        month = min(wave, len(series) - 1)
+        hosts = {int(h) for h in series[month].addresses.values}
+        responses = sum(
+            1
+            for h in hosts
+            if any(start <= h < end for start, end in selected)
+            and not any(b_start <= h < b_end for b_start, b_end in blocks)
+        )
+        out.append((size - blocked, responses, blocked))
+    return out
+
+
+def _disjoint(blocks) -> list[tuple[int, int]]:
+    """``blocks`` merged into sorted disjoint intervals."""
+    merged = []
+    for start, end in sorted(blocks):
+        if merged and start <= merged[-1][1]:
+            merged[-1] = (merged[-1][0], max(merged[-1][1], end))
+        else:
+            merged.append((start, end))
+    return merged
+
+
+@pytest.mark.parametrize("executor", ["serial", "distributed"])
+def test_blocked_wave_totals_match_the_oracle(
+    dataset, executor, tmp_path, monkeypatch
+):
+    blocks = _blocklist(dataset)
+    monkeypatch.setattr(
+        "repro.orchestrator.campaign.default_blocklist",
+        lambda: Blocklist(*zip(*blocks)),
+    )
+    spec = CampaignSpec(
+        preset="tiny",
+        phi=PHI,
+        waves=WAVES,
+        reseed=ReseedPolicy("interval", interval=INTERVAL),
+        shards=3,
+        executor=executor,
+        use_blocklist=True,
+        explore_frac=0.0,
+        scan_seed=5,
+    )
+    runner = CampaignRunner(spec, dataset=dataset, directory=tmp_path)
+    runner.store.write_spec(runner.spec.to_dict())
+    runner.run()
+    status = json.loads((tmp_path / "status.json").read_text())
+    got = [
+        (w["probes_sent"], w["responses"], w["blocked"])
+        for w in status["waves"]
+    ]
+    expected = _oracle(dataset, blocks)
+    assert got == expected
+    # The check has teeth: every wave blocks part of its selection, and
+    # some blocked address is a host the wave would have found.
+    assert all(0 < blocked < probes for probes, _, blocked in expected)
+    unblocked = _oracle(dataset, [])
+    assert all(r > r_b for (_, r, _), (_, r_b, _) in zip(unblocked, expected))

@@ -82,10 +82,7 @@ def dataset(request):
 
 
 @pytest.fixture(autouse=True)
-def _quiet(monkeypatch):
-    for knob in ("REPRO_FS_FAULT_PLAN", "REPRO_FAULT_PLAN",
-                 "REPRO_CKPT_KEEP"):
-        monkeypatch.delenv(knob, raising=False)
+def _quiet(clear_knobs, monkeypatch):
     monkeypatch.setenv("REPRO_OBS", "off")
     yield
     obs.take_executor_telemetry()

@@ -20,6 +20,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import byte_edits, mutate_bytes
 from repro.scan.distributed import (
     _HEADER,
     FrameStream,
@@ -68,30 +69,7 @@ _FRAMES = [
     _frame(b"[" * 2_000),
 ]
 
-#: ``(position, operation, byte)`` edits applied in order.
-_EDITS = st.lists(
-    st.tuples(
-        st.integers(min_value=0, max_value=1 << 12),
-        st.sampled_from(["set", "insert", "delete", "truncate"]),
-        st.integers(min_value=0, max_value=255),
-    ),
-    max_size=6,
-)
-
-
-def _mutate(data: bytes, edits) -> bytes:
-    buf = bytearray(data)
-    for position, operation, byte in edits:
-        at = position % (len(buf) + 1)
-        if operation == "set" and at < len(buf):
-            buf[at] = byte
-        elif operation == "insert":
-            buf.insert(at, byte)
-        elif operation == "delete" and at < len(buf):
-            del buf[at]
-        elif operation == "truncate":
-            del buf[at:]
-    return bytes(buf)
+_EDITS = byte_edits(1 << 12)
 
 
 @settings(max_examples=100, deadline=None)
@@ -101,7 +79,7 @@ def _mutate(data: bytes, edits) -> bytes:
     chunk=st.integers(min_value=1, max_value=1 << 12),
 )
 def test_mutated_frames_decode_or_raise_value_error(seed, edits, chunk):
-    stream = FrameStream(_BytesSocket(_mutate(seed, edits), chunk))
+    stream = FrameStream(_BytesSocket(mutate_bytes(seed, edits), chunk))
     try:
         stream.recv()
     except ValueError:
@@ -120,7 +98,7 @@ def _check_carrier(carrier) -> None:
 @settings(max_examples=100, deadline=None)
 @given(seed=st.sampled_from(_CARRIERS), edits=_EDITS)
 def test_mutated_carriers_decode_or_raise_value_error(seed, edits):
-    raw = _mutate(json.dumps(seed).encode(), edits)
+    raw = mutate_bytes(json.dumps(seed).encode(), edits)
     try:
         carrier = json.loads(raw)
     except ValueError:
