@@ -287,6 +287,26 @@ def arm_ipv6(w):
                     env={"REPRO_DIST_WORKERS": "2"})
     serial_parity(dist, ref, keys=("totals", "waves", "announced_addresses",
                                    "waves_completed"))
+    step("a walk past 2^32 coordinates: one error line, exit 2, no debris")
+    for executor in ("serial", "distributed"):
+        d = w / f"oversized-{executor}"
+        orch("plan", "--dir", d, *spec, "--executor", executor,
+             "--samples-per-prefix", str(1 << 40))
+        proc = spawn("repro.orchestrator", "run", "--dir", d,
+                     env={"REPRO_DIST_WORKERS": "2"},
+                     stdout=subprocess.PIPE, stderr=subprocess.STDOUT)
+        out = proc.communicate()[0].decode()
+        errors = [line for line in out.splitlines()
+                  if line.startswith("error:")]
+        check(proc.returncode == 2, f"{executor}: run exited "
+              f"{proc.returncode}, not 2:\n{out[-2000:]}")
+        check(len(errors) == 1 and "Traceback" not in out,
+              f"{executor}: not one error line and no traceback:\n{out}")
+        check(not list(d.glob("checkpoint.*.npz")),
+              f"{executor}: the refused run left a checkpoint")
+        alive = group_alive(proc.pid)
+        check(not alive, f"{executor}: workers {alive} outlived the run")
+        print(f"   {executor}: {errors[0]}")
 
 
 def arm_distributed(w):

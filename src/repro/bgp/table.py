@@ -25,7 +25,7 @@ from functools import cached_property
 
 import numpy as np
 
-from repro.core.addrspace import V4, space_of
+from repro.core.addrspace import V4, address_array, space_of
 
 __all__ = [
     "LESS_SPECIFIC",
@@ -44,20 +44,6 @@ LESS_SPECIFIC = "less-specific"
 MORE_SPECIFIC = "more-specific"
 
 
-def _as_address_array(values) -> np.ndarray:
-    """Coerce to a family-native address array.
-
-    The historical behaviour — ``np.asarray(values, dtype=np.int64)`` —
-    is preserved verbatim for everything except 16-byte string arrays,
-    which pass through unchanged (the v6 representation; see
-    :mod:`repro.core.addrspace`).
-    """
-    arr = np.asarray(values)
-    if arr.dtype.kind == "S":
-        return space_of(arr).asarray(arr)
-    return np.asarray(values, dtype=np.int64)
-
-
 def interval_membership(starts, ends, values) -> np.ndarray:
     """Mask: which values fall inside a sorted disjoint ``[start, end)`` set.
 
@@ -66,7 +52,7 @@ def interval_membership(starts, ends, values) -> np.ndarray:
     and non-overlapping.  Works for both families: lexicographic order
     on the v6 byte strings is numeric order.
     """
-    values = _as_address_array(values)
+    values = address_array(values)
     idx = np.searchsorted(starts, values, side="right") - 1
     return (idx >= 0) & (values < ends[idx.clip(0)])
 
@@ -78,7 +64,7 @@ def count_in_intervals(starts, ends, values) -> np.ndarray:
     inside ``[start_i, end_i)`` is the difference of the two insertion
     points.  O((n + m) log) for the whole interval set.
     """
-    values = _as_address_array(values)
+    values = address_array(values)
     lo = np.searchsorted(values, starts, side="left")
     hi = np.searchsorted(values, ends, side="left")
     return hi - lo
@@ -93,8 +79,8 @@ def coalesce_intervals(starts, ends):
     adjacent prefixes) shrink to a handful of runs, which shrinks every
     downstream ``searchsorted`` table.  Returns ``(starts, ends)``.
     """
-    starts = _as_address_array(starts)
-    ends = _as_address_array(ends)
+    starts = address_array(starts)
+    ends = address_array(ends)
     if len(starts) <= 1:
         return starts, ends
     if starts.dtype.kind == "S":
@@ -189,8 +175,8 @@ class Partition:
     __slots__ = ("starts", "ends", "_prefixes", "__dict__", "__weakref__")
 
     def __init__(self, starts, ends, prefixes=None):
-        self.starts = _as_address_array(starts)
-        self.ends = _as_address_array(ends)
+        self.starts = address_array(starts)
+        self.ends = address_array(ends)
         self.space = space_of(self.starts)
         if self.starts.dtype != self.ends.dtype:
             raise ValueError("starts/ends address-family mismatch")
@@ -311,7 +297,7 @@ class Partition:
 
     def index_of(self, values: np.ndarray) -> np.ndarray:
         """Covering-interval index per address (-1 when uncovered)."""
-        values = _as_address_array(values)
+        values = address_array(values)
         idx = np.searchsorted(self.starts, values, side="right") - 1
         safe = idx.clip(0)
         inside = (idx >= 0) & (values < self.ends[safe])

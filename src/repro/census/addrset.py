@@ -23,19 +23,11 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.core.addrspace import V6, space_of
+from repro.core.addrspace import V6, address_array, space_of
 
 __all__ = ["AddressSet"]
 
 _EMPTY = np.empty(0, dtype=np.int64)
-
-
-def _coerce(values) -> np.ndarray:
-    """Family-preserving coercion: S16 passes through, the rest is int64."""
-    arr = np.asarray(values)
-    if arr.dtype.kind == "S":
-        return space_of(arr).asarray(arr)
-    return np.asarray(values, dtype=np.int64)
 
 
 def _search(members: np.ndarray, probes: np.ndarray) -> np.ndarray:
@@ -104,7 +96,7 @@ def _v6_membership(members: np.ndarray, probes: np.ndarray) -> np.ndarray:
 
 
 def _as_sorted_unique(values) -> np.ndarray:
-    arr = _coerce(values)
+    arr = address_array(values)
     if arr.ndim != 1:
         arr = arr.reshape(-1)
     return np.unique(arr)  # sorts and removes duplicates
@@ -117,7 +109,7 @@ class AddressSet:
 
     def __init__(self, values=(), *, assume_sorted_unique: bool = False):
         if assume_sorted_unique:
-            arr = _coerce(values)
+            arr = address_array(values)
         else:
             arr = _as_sorted_unique(values)
         arr.setflags(write=False)
@@ -187,7 +179,7 @@ class AddressSet:
         v6 sets search ``uint64`` limb keys (:func:`_v6_membership`).
         """
         a = self._values
-        probes = _coerce(probes)
+        probes = address_array(probes)
         if len(a) == 0 or probes.size == 0:
             return np.zeros(probes.shape, dtype=bool)
         if a.dtype.kind == "S":

@@ -41,6 +41,7 @@ __all__ = [
     "get_space",
     "family_of",
     "space_of",
+    "address_array",
 ]
 
 #: dtype of the v6 representation: 16 big-endian bytes per address.
@@ -168,12 +169,6 @@ class AddressSpace:
             self.interval_sizes_exact(starts, ends), dtype=np.float64
         )
 
-    def coalesce(self, starts, ends):
-        """Family-dispatching interval coalesce (see bgp.table)."""
-        from repro.bgp.table import coalesce_intervals
-
-        return coalesce_intervals(starts, ends)
-
     # -- text ------------------------------------------------------------
 
     def format_address(self, value) -> str:
@@ -228,3 +223,13 @@ def family_of(arr_or_dtype) -> str:
 def space_of(arr_or_dtype) -> AddressSpace:
     """The :class:`AddressSpace` matching an array's dtype."""
     return _SPACES[family_of(arr_or_dtype)]
+
+
+def address_array(values) -> np.ndarray:
+    """Family-preserving coercion: a byte-string array is v6 and passes
+    through as ``S16`` (any other width raises a :class:`ValueError`);
+    everything else becomes a v4 ``int64`` array."""
+    arr = np.asarray(values)
+    if arr.dtype.kind == "S":
+        return space_of(arr).asarray(arr)
+    return np.asarray(values, dtype=np.int64)

@@ -464,7 +464,7 @@ class CampaignRunner:
         state.shard = manifest["shard"]
         state.wave_planned = manifest["wave_planned"]
         state.wave_reseeded = manifest["wave_reseeded"]
-        state.wave_attempts = manifest.get("wave_attempts", 0)
+        state.wave_attempts = manifest["wave_attempts"]
         state.records = [
             WaveRecord.from_dict(r) for r in manifest["records"]
         ]
@@ -475,7 +475,7 @@ class CampaignRunner:
             )
             for p, r, b, n in manifest["shard_results"]
         ]
-        state.hitlist_month = manifest.get("hitlist_month", 0)
+        state.hitlist_month = manifest["hitlist_month"]
         state.finished = manifest["finished"]
         state.budget_exhausted = manifest["budget_exhausted"]
         mask = np.asarray(arrays["mask"], dtype=bool)

@@ -45,6 +45,7 @@ from repro import jsonio
 __all__ = [
     "CHECKPOINT_VERSION",
     "JOURNAL_VERSION",
+    "MANIFEST_FIELDS",
     "CheckpointCorruption",
     "CheckpointStore",
     "SimulatedCrash",
@@ -70,6 +71,16 @@ CHECKPOINT_VERSION = 4
 
 #: Bump when the ``checkpoints.json`` journal schema changes shape.
 JOURNAL_VERSION = 1
+
+#: The manifest fields a campaign restores and its status document
+#: reads, each with its JSON type (a bool is no int).  Every version-4
+#: save writes them all, so a generation lacking one is damaged.
+MANIFEST_FIELDS = {
+    "spec": dict, "announced": int, "wave": int, "shard": int,
+    "wave_planned": bool, "wave_reseeded": bool, "wave_attempts": int,
+    "records": list, "shard_results": list, "rng_state": dict,
+    "hitlist_month": int, "finished": bool, "budget_exhausted": bool,
+}
 
 _MANIFEST_KEY = "manifest"
 
@@ -342,7 +353,9 @@ class CheckpointStore:
 
     def read_journal(self) -> tuple[dict | None, str | None]:
         """``(journal, None)``, ``(None, None)`` when absent, or
-        ``(None, reason)`` when the journal itself is damaged.
+        ``(None, reason)`` when the journal itself is damaged, which
+        includes a journal listing no generation while generation files
+        exist.
 
         When the file holds exactly the bytes this store last wrote or
         validated, their cached document comes back without a re-parse;
@@ -368,6 +381,13 @@ class CheckpointStore:
                 raise ValueError("malformed generation entries")
             if latest != max((e["gen"] for e in entries), default=0):
                 raise ValueError("latest does not match the newest entry")
+            if not entries and self.generation_files():
+                # save() never commits an empty journal, and load() and
+                # audit(repair=True) write one only once no generation
+                # file is left: a commit was lost after a rename.
+                raise ValueError(
+                    "lists no generation beside generation files"
+                )
         except (ValueError, KeyError, TypeError) as exc:
             return None, f"{type(exc).__name__}: {exc}"
         self._journal_cache = (raw, document)
@@ -535,6 +555,15 @@ class CheckpointStore:
                 f"checkpoint version {manifest.get('version')!r} does "
                 f"not match this code's version {CHECKPOINT_VERSION}"
             )
+        for name, kind in MANIFEST_FIELDS.items():
+            if type(manifest.get(name)) is not kind:
+                found = (
+                    type(manifest[name]).__name__ if name in manifest
+                    else "missing"
+                )
+                raise _CorruptGeneration(
+                    f"manifest field {name!r} is {found}, not {kind.__name__}"
+                )
         # Every save writes one digest per array, so a missing field or
         # a missing array is damage, not an older format.
         expected = manifest.get("array_sha256")

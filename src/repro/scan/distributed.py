@@ -816,8 +816,9 @@ def _build_session(message: dict):
 
     The walk and its bitmaps are built once here; each ``shard`` frame
     drains one sub-walk of it.  Raises ``KeyError``/``TypeError``/
-    ``ValueError`` on a malformed frame, and ``ValueError`` on a walk
-    of more coordinates than all of IPv4 (the bitmaps are sized by it).
+    ``ValueError`` on a malformed frame, including a walk that
+    :class:`IntervalTargets` refuses as larger than all of IPv4 (the
+    bitmaps are sized by it).
     """
     block_state = None
     if message["block_starts"] is not None:
@@ -839,11 +840,6 @@ def _build_session(message: dict):
         ),
         samples=message.get("samples"),
     )
-    if walk.address_count() > 1 << 32:
-        raise ValueError(
-            f"init: starts/ends/samples span {walk.address_count()} "
-            "coordinates, more than all of IPv4"
-        )
     engine, bitmaps, protocol = build_worker(
         walk,
         decode_array(message["responsive"], "responsive"),

@@ -23,25 +23,22 @@ from functools import lru_cache
 
 import numpy as np
 
-__all__ = ["CyclicPermutation", "PermutationShard"]
+__all__ = ["MAX_WALK", "CyclicPermutation", "PermutationShard"]
+
+#: The one domain of every walk: at most 2^32 coordinates, all of IPv4
+#: (a v6 wave walks its probe budget, never a prefix's addresses).
+#: Its prime stays below 2^33, so the 16-bit-split :func:`_mulmod`
+#: partial sums (< p * 2^17) fit in int64.
+MAX_WALK = 1 << 32
 
 _INT64_SAFE_MOD = 1 << 31  # (p-1)^2 still fits in int64 below this
-# Above this prime the 16-bit-split _mulmod partial sums (< p * 2^17)
-# would no longer fit in int64; the walk switches to exact Python-int
-# arithmetic (object arrays), which is what lets one cyclic walk cover
-# a /32..' /64 IPv6 prefix (n up to 2^96) without overflow.
-_BIGINT_MOD = 1 << 45
 
 # Witnesses proving Miller-Rabin deterministic for n < 3.317e24.
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
-_MR_PROVEN_BOUND = 3_317_044_064_679_887_385_961_981
-# Beyond the proven bound (128-bit moduli) extra witnesses push the
-# error probability below 4^-28 — negligible against any hardware fault.
-_MR_EXTRA_WITNESSES = (41, 43, 47, 53, 59, 61, 67, 71, 73, 79, 83, 89)
 
 
 def _is_prime(n: int) -> bool:
-    """Miller-Rabin: deterministic for n < 3.3e24, near-certain above."""
+    """Miller-Rabin, deterministic for every prime a walk can need."""
     if n < 2:
         return False
     for p in _MR_WITNESSES:
@@ -51,10 +48,7 @@ def _is_prime(n: int) -> bool:
     while d % 2 == 0:
         d //= 2
         s += 1
-    witnesses = _MR_WITNESSES
-    if n >= _MR_PROVEN_BOUND:
-        witnesses = _MR_WITNESSES + _MR_EXTRA_WITNESSES
-    for a in witnesses:
+    for a in _MR_WITNESSES:
         x = pow(a, d, n)
         if x in (1, n - 1):
             continue
@@ -67,72 +61,21 @@ def _is_prime(n: int) -> bool:
     return True
 
 
-#: Trial-division ceiling: factors below this are stripped the cheap
-#: way; anything left is handed to Pollard rho.  2^20 keeps the trial
-#: loop under ~1M iterations while making rho's job easy (every
-#: surviving factor is > 2^20, so a composite survivor is > 2^40).
-_TRIAL_LIMIT = 1 << 20
-
-
-def _rho_split(n: int) -> int:
-    """A nontrivial factor of composite odd ``n`` (Brent's rho).
-
-    Deterministic: the polynomial offset ``c`` sweeps 1, 2, 3, ... so
-    the same ``n`` always factors the same way.  The gcd is batched
-    over 128-step products — one gcd per batch instead of per step.
-    """
-    for c in range(1, 1 << 10):
-        y, m = 2, 128
-        g = r = q = 1
-        while g == 1:
-            x = y
-            for _ in range(r):
-                y = (y * y + c) % n
-            k = 0
-            while k < r and g == 1:
-                ys = y
-                for _ in range(min(m, r - k)):
-                    y = (y * y + c) % n
-                    q = q * abs(x - y) % n
-                g = math.gcd(q, n)
-                k += m
-            r *= 2
-        if g == n:
-            # The batch overshot: replay one step at a time.
-            g = 1
-            while g == 1:
-                ys = (ys * ys + c) % n
-                g = math.gcd(abs(x - ys), n)
-        if g != n:
-            return g
-    raise ArithmeticError(f"rho failed to split {n}")
-
-
 def _prime_factors(n: int):
-    """Distinct prime factors; Pollard rho beyond the trial range.
+    """Distinct prime factors by trial division.
 
     Group-parameter search needs the factors of ``p - 1`` to test for
-    generators; with 128-bit moduli (v6 prefix walks) trial division
-    alone would run to sqrt(p) ~ 2^48, so composite survivors are
-    split recursively with Brent's rho instead.
+    generators; ``p - 1 < 2^33`` keeps the loop under 2^16 divisors.
     """
     factors = set()
     d = 2
-    while d * d <= n and d <= _TRIAL_LIMIT:
+    while d * d <= n:
         while n % d == 0:
             factors.add(d)
             n //= d
         d += 1 if d == 2 else 2
-    if n == 1:
-        return factors
-    pending = [n]
-    while pending:
-        m = pending.pop()
-        if _is_prime(m):
-            factors.add(m)
-            continue
-        split = _rho_split(m)
-        pending.extend((split, m // split))
+    if n > 1:
+        factors.add(n)
     return factors
 
 
@@ -154,7 +97,7 @@ def _group_params(n: int) -> tuple[int, int]:
 def _mulmod(values, scalar: int, p: int, out=None, tmp=None):
     """``values * scalar % p`` without int64 overflow, vectorized.
 
-    ``out`` (and, on the big-modulus path, ``tmp``) are optional
+    ``out`` (and, for ``p > 2^31``, ``tmp``) are optional
     preallocated result/scratch buffers of the same shape as
     ``values``; ``values`` itself is never written.  Returns ``out``.
     """
@@ -175,15 +118,6 @@ def _mulmod(values, scalar: int, p: int, out=None, tmp=None):
     out += tmp
     out %= p
     return out
-
-
-@lru_cache(maxsize=32)
-def _power_table_big(p: int, g: int, m: int) -> tuple:
-    """``(g^0, ..., g^{m-1}) mod p`` as Python ints (big-modulus walks)."""
-    table = [1] * m
-    for i in range(1, m):
-        table[i] = table[i - 1] * g % p
-    return tuple(table)
 
 
 @lru_cache(maxsize=4)
@@ -214,8 +148,10 @@ class CyclicPermutation:
     """
 
     def __init__(self, n: int, seed: int = 0):
-        if n < 1:
-            raise ValueError("permutation size must be >= 1")
+        if not 1 <= n <= MAX_WALK:
+            raise ValueError(
+                f"permutation size must be in [1, {MAX_WALK}], got {n}"
+            )
         self.n = int(n)
         self.seed = seed
         p, g = _group_params(self.n)
@@ -296,45 +232,15 @@ class PermutationShard:
     def split(self, batch_size: int, parts: int) -> list:
         """:meth:`batches` as at most ``parts`` contiguous runs, in order.
 
-        One run per batch at most, and one on a big-modulus walk: its
-        Python-int arithmetic holds the GIL, so threads draining the
-        runs would only take turns.  An empty shard has no run.
+        One run per batch at most; an empty shard has no run.
         """
         count = self.batch_count(batch_size)
-        parts = min(1 if self.prime > _BIGINT_MOD else parts, count)
+        parts = min(parts, count)
         return [
             _walk(self, batch_size, count * i // parts,
                   count * (i + 1) // parts)
             for i in range(parts)
         ]
-
-    def _batches_bigint(self, m: int, first: int, end: int):
-        """Exact Python-int walk for primes beyond the int64-safe range.
-
-        Yields ``object``-dtype arrays of Python ints — the same cyclic
-        construction (generator ``g^count``, start ``start * g^i``),
-        just with arbitrary-precision arithmetic so ``n`` may reach the
-        2^96 addresses of an announced /32 IPv6 prefix.  Walks group
-        positions ``[first, end)``; ``first`` is a multiple of ``m``.
-        """
-        p, n = self.prime, self.n
-        powers = _power_table_big(p, self._gen, m)
-        step = pow(self._gen, m, p)
-        cursor = self._start * pow(step, first // m, p) % p
-        walked = first
-        while walked < end:
-            k = min(m, end - walked)
-            kept = [
-                v - 1
-                for pw in powers[:k]
-                if (v := cursor * pw % p) <= n
-            ]
-            cursor = cursor * step % p
-            walked += k
-            if kept:
-                out = np.empty(len(kept), dtype=object)
-                out[:] = kept
-                yield out
 
 
 def _walk(shard: PermutationShard, batch_size: int, start: int, stop):
@@ -351,9 +257,6 @@ def _walk(shard: PermutationShard, batch_size: int, start: int, stop):
     p, n, total = shard.prime, shard.n, shard._total
     m = min(batch_size, total)
     first, end = start * m, min(stop * m, total)
-    if p > _BIGINT_MOD:
-        yield from shard._batches_bigint(m, first, end)
-        return
     powers = _power_table(p, shard._gen, m)
     step = pow(shard._gen, m, p)
     cursor = shard._start * pow(step, start, p) % p

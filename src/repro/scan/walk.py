@@ -22,36 +22,37 @@ import random as _random
 import numpy as np
 
 from repro.census.addrset import AddressSet
+from repro.core.addrspace import V4, V6, address_array
 from repro.scan.blocklist import Blocklist
 from repro.scan.engine import EngineConfig, ScanBitmaps, ScanEngine
-from repro.scan.permutation import CyclicPermutation
+from repro.scan.permutation import MAX_WALK, CyclicPermutation
 
 __all__ = ["IntervalTargets", "shard_targets", "build_worker"]
 
-def _coerce_bounds(values) -> np.ndarray:
-    """Interval bounds in family dtype: S16 passes through, else int64."""
-    arr = np.asarray(values)
-    if arr.dtype.kind == "S":
-        return arr
-    return np.asarray(values, dtype=np.int64)
+
+def _refuse_oversized(total: int) -> None:
+    """Refuse a walk past :data:`MAX_WALK` before anything is sized by it."""
+    if total > MAX_WALK:
+        raise ValueError(
+            f"starts/ends/samples span {total} walk coordinates, more "
+            f"than the {MAX_WALK} (2^32, all of IPv4) one walk covers"
+        )
 
 
 def _intervals_of(spec):
     """Normalise any target spec to sorted disjoint (starts, ends)."""
     if hasattr(spec, "starts") and hasattr(spec, "ends"):
-        starts = _coerce_bounds(spec.starts)
-        ends = _coerce_bounds(spec.ends)
+        starts = address_array(spec.starts)
+        ends = address_array(spec.ends)
     elif isinstance(spec, (int, np.integer)):
         starts = np.zeros(1, dtype=np.int64)
         ends = np.asarray([int(spec)], dtype=np.int64)
     elif isinstance(spec, tuple) and len(spec) == 2:
-        starts = _coerce_bounds(spec[0])
-        ends = _coerce_bounds(spec[1])
+        starts = address_array(spec[0])
+        ends = address_array(spec[1])
     else:
         prefixes = sorted(spec, key=lambda p: p.start)
         if prefixes and prefixes[0].bits == 128:
-            from repro.core.addrspace import V6
-
             starts = V6.encode([p.start for p in prefixes])
             ends = V6.encode([p.end for p in prefixes])
         else:
@@ -118,18 +119,22 @@ class IntervalTargets:
     the walk once and derives each shard with :meth:`_for_shard`);
     :meth:`batches` only reads them.
 
+    A walk of more than :data:`~repro.scan.permutation.MAX_WALK` (2^32)
+    coordinates raises a :class:`ValueError` here, before any bitmap is
+    built, so every executor and a worker's ``init`` refuse it alike.
+
     **v6 mode** (S16 interval bounds): exhaustive enumeration of 2^96
     addresses is off the table, so the flat space is the *probe budget*
     instead — ``hitlist`` entries (known-host seeding, filtered to the
     covered intervals: none when there are no intervals) followed by
     ``samples`` pseudorandom draws per interval (a per-interval affine
     walk ``start + (b + a*j) mod size`` with ``gcd(a, size) = 1``, so
-    draws within one interval never collide).  The flat space still
-    fits int64, so the same int64 cyclic walk shards it, and the
-    shard/executor-invariance contract carries over verbatim.  The
-    hitlist filter and the sampling run on ``(hi, lo)`` uint64 limbs
-    and no per-address Python int; only each interval's seeded
-    ``(b, a)`` draw is a Python-int step, once per interval.
+    draws within one interval never collide).  The same int64 cyclic
+    walk shards that flat space, and the shard/executor-invariance
+    contract carries over verbatim.  The hitlist filter and the
+    sampling run on ``(hi, lo)`` uint64 limbs and no per-address Python
+    int; only each interval's seeded ``(b, a)`` draw is a Python-int
+    step, once per interval.
     """
 
     __slots__ = (
@@ -171,13 +176,18 @@ class IntervalTargets:
         self.samples = None
         self._v6 = None
         sizes = self.ends - self.starts
+        if sizes.size and not 0 <= sizes.min() <= sizes.max() <= MAX_WALK:
+            # Refused before the cumsum, which an oversized interval (or
+            # one whose int64 size wrapped) could wrap too.
+            _refuse_oversized(
+                sum(V4.interval_sizes_exact(self.starts, self.ends))
+            )
         self._offsets = np.concatenate(
             [np.zeros(1, dtype=np.int64), np.cumsum(sizes)]
         )
+        _refuse_oversized(self.address_count())
 
     def _init_v6(self, hitlist, samples) -> None:
-        from repro.core.addrspace import V6
-
         hitlist = V6.empty() if hitlist is None else V6.asarray(hitlist)
         # Campaigns pass a snapshot's already sorted, unique values.
         hi, lo = V6.to_hi_lo(hitlist)
@@ -202,6 +212,7 @@ class IntervalTargets:
         start_ints = V6.decode(self.starts)
         size_ints = V6.interval_sizes_exact(self.starts, self.ends)
         budgets = [min(size, self.samples) for size in size_ints]
+        _refuse_oversized(len(hitlist) + sum(budgets))
         offsets = np.zeros(len(budgets) + 1, dtype=np.int64)
         np.cumsum(np.asarray(budgets, dtype=np.int64), out=offsets[1:])
         offsets += len(hitlist)
@@ -323,8 +334,6 @@ class IntervalTargets:
         ``w*a % size``, every interval at once.  Row-major order of the
         columns inside each budget is coordinate order.
         """
-        from repro.core.addrspace import V6
-
         start, size, b, step = (p[:, :, None] for p in self._v6)
         budgets = np.diff(self._offsets)
         width = int(budgets.max(initial=0))

@@ -1,6 +1,8 @@
 """Shared test fixtures: a hand-built miniature census dataset, the
-generated ``small`` preset, the v6 sampling draws re-derived from
-their definition, and a fixture that clears every environment knob.
+generated ``small`` preset, the v6 sampling draws and the cyclic walk
+re-derived from their definitions, a checkpoint manifest with every
+field the store checks, and a fixture that clears every environment
+knob.
 
 The orchestrator suites need whole campaigns to run in milliseconds, so
 they use a four-prefix world with a few thousand hosts instead of a
@@ -113,6 +115,59 @@ def v6_draws(seed: int, i: int, size: int) -> tuple[int, int]:
     while math.gcd(a, size) != 1:
         a = (a + 2) % size or 1
     return b, a
+
+
+def reference_walk(perm, shards: int = 1, batch_size=None, positions=None):
+    """Each shard's batches of ``perm``'s walk, from its definition.
+
+    Reads only ``perm.prime``, ``perm._gen`` and ``perm._start``, and
+    steps the group with Python ints: no power table, no ``_mulmod``,
+    no batching and no ``split``.  The element at cycle position ``j``
+    is ``start * gen^j mod prime``; it is coordinate ``element - 1``
+    when ``element <= n`` (else skipped), and it belongs to shard
+    ``j mod shards`` (the zmap sharding construction).  A shard's
+    ``k``-th position falls in its batch ``k // m``, with ``m`` the
+    smaller of ``batch_size`` and the shard's position count; a batch
+    that keeps no coordinate is empty.  Only the first ``positions``
+    cycle positions are walked (all ``prime - 1`` by default).
+    """
+    prime, n = perm.prime, perm.n
+    end = prime - 1 if positions is None else min(positions, prime - 1)
+    widths = []
+    for shard in range(shards):
+        total = len(range(shard, prime - 1, shards))
+        widths.append(max(1, min(batch_size or total, total)))
+    lanes = [[] for _ in range(shards)]
+    element = perm._start
+    for j in range(end):
+        shard, k = j % shards, j // shards
+        batches = lanes[shard]
+        while len(batches) <= k // widths[shard]:
+            batches.append([])
+        if element <= n:
+            batches[-1].append(element - 1)
+        element = element * perm._gen % prime
+    return lanes
+
+
+def checkpoint_manifest(**fields) -> dict:
+    """A manifest holding every field ``CheckpointStore`` checks, with
+    ``fields`` added or overriding."""
+    return dict(
+        spec={},
+        announced=0,
+        wave=0,
+        shard=0,
+        wave_planned=False,
+        wave_reseeded=False,
+        wave_attempts=0,
+        records=[],
+        shard_results=[],
+        rng_state={},
+        hitlist_month=0,
+        finished=False,
+        budget_exhausted=False,
+    ) | fields
 
 
 def byte_edits(max_position: int, min_size: int = 0):

@@ -19,7 +19,7 @@ import stat
 import numpy as np
 import pytest
 
-from conftest import build_mini_dataset
+from conftest import build_mini_dataset, checkpoint_manifest
 from repro.orchestrator import (
     CampaignRunner,
     CampaignSpec,
@@ -45,7 +45,8 @@ pytestmark = pytest.mark.usefixtures("clear_knobs")
 
 def _save(store, ordinal):
     store.save(
-        {"spec": {}, "ordinal": ordinal}, {"mask": np.arange(6) + ordinal}
+        checkpoint_manifest(ordinal=ordinal),
+        {"mask": np.arange(6) + ordinal},
     )
 
 

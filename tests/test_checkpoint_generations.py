@@ -18,8 +18,10 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from conftest import checkpoint_manifest
 from repro.orchestrator.checkpoint import (
     CHECKPOINT_VERSION,
+    MANIFEST_FIELDS,
     CheckpointCorruption,
     CheckpointStore,
     _sanitize_floats,
@@ -33,15 +35,15 @@ def _save_n(store, n, start=0):
     """n deterministic saves; the manifest carries its ordinal."""
     for i in range(start, start + n):
         store.save(
-            {"spec": {}, "ordinal": i}, {"mask": np.arange(6) + i}
+            checkpoint_manifest(ordinal=i), {"mask": np.arange(6) + i}
         )
 
 
-def _rewrite_newest(directory, damage):
-    """Rewrite ``checkpoint.2.npz`` as ``damage(manifest, arrays)``
+def _rewrite_newest(directory, damage, gen=2):
+    """Rewrite ``checkpoint.<gen>.npz`` as ``damage(manifest, arrays)``
     returns it, and drop the journal so its whole-file digest cannot
     catch the change first: only the archive's own checks remain."""
-    path = directory / "checkpoint.2.npz"
+    path = directory / f"checkpoint.{gen}.npz"
     with np.load(path) as npz:
         manifest = json.loads(str(npz["manifest"]))
         arrays = {name: npz[name] for name in npz.files if name != "manifest"}
@@ -344,11 +346,102 @@ class TestRollback:
         store = CheckpointStore(tmp_path, keep=2)
         for i in range(2):
             store.save(
-                {"ordinal": i},
+                checkpoint_manifest(ordinal=i),
                 {"mask": np.arange(6) + i, "extra": np.zeros(2) + i},
             )
         _rewrite_newest(tmp_path, damage)
         _assert_rolls_back_to_first(tmp_path)
+
+
+    @pytest.mark.parametrize(
+        "field", sorted(MANIFEST_FIELDS), ids=lambda field: field
+    )
+    @pytest.mark.parametrize("damage", ["dropped", "retyped"])
+    def test_manifest_field_lost_or_retyped_is_corrupt(
+        self, tmp_path, field, damage
+    ):
+        # Each field the runner restores or the status document reads
+        # has one JSON type; a bool is no int and an int is no bool.
+        wrong = {int: True, bool: 0, dict: [], list: {}}
+
+        def change(manifest, arrays):
+            manifest = dict(manifest)
+            if damage == "dropped":
+                del manifest[field]
+            else:
+                manifest[field] = wrong[MANIFEST_FIELDS[field]]
+            return manifest, arrays
+
+        _save_n(CheckpointStore(tmp_path, keep=2), 2)
+        _rewrite_newest(tmp_path, change)
+        _assert_rolls_back_to_first(tmp_path)
+
+    def test_campaign_generation_without_wave_is_corrupt(
+        self, tmp_path, mini_dataset, capsys
+    ):
+        # A finished campaign, its journal deleted, its newest
+        # generation rewritten without "wave" (the array digests still
+        # match): status and resume raised a bare KeyError.
+        from repro.orchestrator import CampaignRunner, run_campaign
+        from repro.orchestrator.campaign import CampaignSpec
+
+        spec = CampaignSpec(preset="mini", waves=2, shards=2,
+                            executor="serial")
+        run_campaign(spec, dataset=mini_dataset, directory=tmp_path)
+        gen, newest = CheckpointStore(tmp_path).generation_files()[-1]
+        _rewrite_newest(
+            tmp_path,
+            lambda manifest, arrays: (
+                {k: v for k, v in manifest.items() if k != "wave"}, arrays
+            ),
+            gen=gen,
+        )
+        assert main(["verify", "--dir", str(tmp_path)]) == 1
+        out = capsys.readouterr().out
+        assert f"FAIL  {newest.name}" in out and "'wave'" in out
+        # The generation before the finishing save: both waves done.
+        assert main(["status", "--dir", str(tmp_path), "--json"]) == 0
+        status = json.loads(capsys.readouterr().out)
+        assert status["waves_completed"] == 2 and not status["finished"]
+        runner = CampaignRunner.resume(tmp_path, dataset=mini_dataset)
+        assert (tmp_path / "quarantine" / newest.name).exists()
+        assert runner.run()["finished"]
+
+    @pytest.mark.parametrize("files", [1, 2], ids=["one-file", "two-files"])
+    def test_empty_journal_beside_generations_is_damage(
+        self, tmp_path, files, capsys
+    ):
+        # save() never commits an empty journal, so one that lists no
+        # generation while generation files exist is damaged: verify
+        # reports it, --repair rebuilds it and load() adopts the newest.
+        store = _planned_store(tmp_path)
+        _save_n(store, 2)
+        if files == 1:
+            (tmp_path / "checkpoint.1.npz").unlink()
+        empty = json.dumps({"version": 1, "latest": 0, "generations": []})
+        store.journal_path.write_text(empty)
+        assert main(["verify", "--dir", str(tmp_path)]) == 1
+        out = capsys.readouterr().out
+        assert "FAIL  checkpoints.json" in out
+        assert "lists no generation" in out
+        kept = [g for g, _ in store.generation_files()]
+        assert kept == [1, 2][2 - files:]
+        assert main(["verify", "--dir", str(tmp_path), "--repair"]) == 1
+        assert [g for g, _ in store.generation_files()] == kept
+        journal, error = store.read_journal()
+        assert error is None
+        assert [e["gen"] for e in journal["generations"]] == kept
+        capsys.readouterr()
+        assert main(["verify", "--dir", str(tmp_path)]) == 0
+        store.journal_path.write_text(empty)
+        store = CheckpointStore(tmp_path, keep=2)
+        manifest, _ = store.load()
+        assert manifest["ordinal"] == 1
+        assert store.incidents[0]["type"] == "checkpoint.corrupt"
+        journal, error = store.read_journal()
+        assert error is None
+        assert [e["gen"] for e in journal["generations"]] == kept
+        assert not store.quarantine_dir.exists()
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from conftest import checkpoint_manifest
 import repro.env as env
 from repro.census.loader import get_dataset
 from repro.env import (
@@ -225,7 +226,7 @@ class TestRetiredKnobs:
         monkeypatch.setenv("REPRO_FS_FAULT_PLAN", "melt@save-0,enospc")
         store = CheckpointStore(tmp_path)
         assert not store.fault_plan
-        store.save({"spec": {}}, {"mask": np.arange(3)})
+        store.save(checkpoint_manifest(), {"mask": np.arange(3)})
         assert store.load()[0]["spec"] == {}
 
 

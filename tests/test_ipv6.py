@@ -2,8 +2,7 @@
 
 Covers the :mod:`repro.core.addrspace` representation, the interval
 math and counting (against the interval-trie oracle) on 128-bit
-partitions, the big-modulus
-cyclic walk, hitlist/sampled v6 target streams, executor parity, and a
+partitions, hitlist/sampled v6 target streams, executor parity, and a
 full v6 campaign with kill-and-resume byte-identity — plus the two
 ride-along regressions (exact ``Partition.lengths``, Python-int scalar
 iteration).
@@ -19,7 +18,7 @@ import threading
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.bgp.table import (
@@ -185,100 +184,6 @@ def test_v6_addrset_membership_matches_oracle(a, b):
     assert mask.tolist() == [v in oa for v in b]
     for v in b[:10]:
         assert (v in sa) == (v in oa)
-
-
-# ---------------------------------------------------------------------------
-# Hypothesis: the cyclic walk beyond 2^63
-# ---------------------------------------------------------------------------
-
-
-@given(
-    st.integers(min_value=(1 << 63) + 1, max_value=1 << 96),
-    st.integers(min_value=0, max_value=1 << 30),
-)
-@example(1 << 96, 3)  # the walk over one announced /32
-@settings(max_examples=10, deadline=None)
-def test_big_modulus_walk_matches_bigint_oracle(n, seed):
-    """Sampled prefix of an n > 2^63 walk: unique, in range, exact."""
-    perm = CyclicPermutation(n, seed=seed)
-    assert perm.prime > n
-    sampled = []
-    for batch in perm.batches(1 << 10):
-        assert batch.dtype == object  # Python ints, no silent overflow
-        sampled.extend(batch.tolist())
-        if len(sampled) >= 2000:
-            break
-    assert all(type(v) is int for v in sampled)
-    assert all(0 <= v < n for v in sampled)
-    assert len(set(sampled)) == len(sampled)
-    p, g, start = perm.prime, perm._gen, perm._start
-    expected, element = [], start
-    while len(expected) < len(sampled):
-        if element <= n:
-            expected.append(element - 1)
-        element = element * g % p
-    assert sampled == expected
-
-
-def test_walk_over_one_announced_slash32():
-    """The first 8k elements of the 2^96-element walk that covers one /32
-    arrive in 1k batches, in range and without repeats."""
-    seen = set()
-    for batch in CyclicPermutation(1 << 96, seed=3).batches(1 << 10):
-        assert len(batch) <= 1 << 10
-        seen.update(batch.tolist())
-        if len(seen) >= 1 << 13:
-            break
-    assert len(seen) >= 1 << 13
-    assert all(0 <= v < 1 << 96 for v in seen)
-
-
-@given(
-    st.integers(min_value=(1 << 63) + 1, max_value=1 << 96),
-    st.integers(min_value=0, max_value=1 << 30),
-    st.integers(min_value=2, max_value=5),
-)
-@settings(max_examples=10, deadline=None)
-def test_big_modulus_shards_interleave_the_full_cycle(n, seed, shards):
-    """Shard i carries exactly positions i, i+K, ... of the group walk.
-
-    Full coverage is unobservable at 2^63+, but the interleaving
-    invariant — which is what makes K shards a disjoint cover — is
-    checkable on any prefix of the walk.
-    """
-    perm = CyclicPermutation(n, seed=seed)
-    per_shard = 300
-    lanes = []
-    for i in range(shards):
-        lane = []
-        for batch in perm.shard(i, shards).batches(1 << 9):
-            lane.extend(batch.tolist())
-            if len(lane) >= per_shard:
-                break
-        lanes.append(lane[:per_shard])
-    # Reconstruct the full-cycle prefix from the group positions the
-    # lanes claim, and compare against the unsharded walk.
-    p, g, start = perm.prime, perm._gen, perm._start
-    full, element, positions = [], start, 0
-    while positions < shards * per_shard:
-        if element <= n:
-            full.append((positions % shards, element - 1))
-        element = element * g % p
-        positions += 1
-    for lane_index, value in full:
-        lane = lanes[lane_index]
-        if lane:
-            assert lane.pop(0) == value
-
-
-def test_prime_factors_exact_beyond_trial_division():
-    """Pollard rho keeps generator search exact past trial range."""
-    from repro.scan.permutation import _prime_factors
-
-    mersennes = (2**61 - 1) * (2**31 - 1)  # both prime, both > 2^20
-    n = 12 * mersennes
-    factors = _prime_factors(n)
-    assert factors == {2, 3, 2**31 - 1, 2**61 - 1}
 
 
 # ---------------------------------------------------------------------------

@@ -20,7 +20,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from conftest import byte_edits, mutate_bytes
+from conftest import byte_edits, checkpoint_manifest, mutate_bytes
 from repro.orchestrator.checkpoint import (
     CheckpointCorruption,
     CheckpointStore,
@@ -43,7 +43,7 @@ def campaign(tmp_path_factory):
     store = CheckpointStore(directory, keep=2, fault_plan="")
     for ordinal in range(2):
         store.save(
-            {"spec": {}, "ordinal": ordinal},
+            checkpoint_manifest(ordinal=ordinal),
             {"mask": np.arange(6) + ordinal},
         )
     return directory

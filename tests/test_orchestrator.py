@@ -6,6 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from conftest import checkpoint_manifest
 from repro.orchestrator import (
     CampaignRunner,
     CampaignSpec,
@@ -282,7 +283,9 @@ class TestTokenBucket:
 class TestCheckpointStore:
     def test_roundtrip(self, tmp_path):
         store = CheckpointStore(tmp_path / "camp")
-        manifest = {"wave": 2, "shard": 1, "records": [{"a": 1}]}
+        manifest = checkpoint_manifest(
+            wave=2, shard=1, records=[{"a": 1}]
+        )
         mask = np.array([True, False, True])
         store.save(manifest, {"mask": mask})
         loaded, arrays = store.load()
@@ -743,6 +746,21 @@ class TestCli:
 
         assert main(["run", "--dir", str(tmp_path / "nowhere")]) == 2
         assert "plan" in capsys.readouterr().err
+
+    def test_oversized_walk_is_a_clean_error(self, tmp_path, capsys,
+                                             cli_env):
+        # 2^40 samples per prefix made the first wave size a 432 TiB
+        # sample grid: a bare MemoryError traceback, exit 1.
+        from repro.orchestrator.cli import main
+
+        plan = ["plan", "--dir", str(tmp_path), "--preset", "v6-tiny",
+                "--samples-per-prefix", str(1 << 40)]
+        assert main(plan) == 0
+        capsys.readouterr()
+        assert main(["run", "--dir", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.count("error:") == 1 and "walk coordinates" in err
+        assert not list(tmp_path.glob("checkpoint.*.npz"))
 
     def test_bad_knob_is_a_clean_error(self, tmp_path, capsys, cli_env):
         from repro.orchestrator.cli import main

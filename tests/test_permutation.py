@@ -1,11 +1,12 @@
 """Unit tests for the cyclic-group permutation (no dataset fixture)."""
 
 import numpy as np
+import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
-import pytest
 
-from repro.scan.permutation import CyclicPermutation, _mulmod
+from conftest import reference_walk
+from repro.scan.permutation import MAX_WALK, CyclicPermutation, _mulmod
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 5, 16, 97, 100, 1000, 1 << 12])
@@ -105,29 +106,62 @@ def test_mulmod_big_modulus_out_buffers_match(values, scalar, p):
     assert out.tolist() == _mulmod(arr, scalar, p).tolist()
 
 
+def _nonempty(batches):
+    return [batch for batch in batches if batch]
+
+
 def test_permutation_beyond_int32_space():
-    """End-to-end walk sampling over n > 2^31 (the big-modulus regime)."""
+    """End-to-end walk sampling over n > 2^31 (the 16-bit-split path)."""
     n = (1 << 31) + 1000
     perm = CyclicPermutation(n, seed=7)
     assert perm.prime > 1 << 31
-    p, g, start = perm.prime, perm._gen, perm._start
+    walk = perm.shard(0, 1).batches(1 << 12, 0, 4)
+    sampled = [batch.tolist() for batch in walk]
+    (expected,) = reference_walk(perm, 1, 1 << 12, positions=4 << 12)
+    assert sampled == _nonempty(expected)
+    flat = [v for batch in sampled for v in batch]
+    assert all(0 <= v < n for v in flat)
+    assert len(set(flat)) == len(flat)
 
-    sampled = []
-    for batch in perm.batches(1 << 12):
-        sampled.append(batch)
-        if len(sampled) == 4:
-            break
-    sampled = np.concatenate(sampled)
-    assert np.all(sampled >= 0) and np.all(sampled < n)
-    assert len(np.unique(sampled)) == len(sampled)  # no repeats
 
-    # Cross-check against the obviously-correct Python big-int walk.
-    expected, element = [], start
-    while len(expected) < len(sampled):
-        if element <= n:
-            expected.append(element - 1)
-        element = element * g % p
-    assert sampled.tolist() == expected
+def test_sharded_walk_just_under_the_bound_matches_the_reference():
+    """The largest walks' first batches, shard by shard: a prime just
+    past 2^32 runs the 16-bit-split ``_mulmod`` at its widest."""
+    perm = CyclicPermutation(MAX_WALK - 3, seed=11)
+    assert perm.prime > MAX_WALK
+    shards, size = 3, 1 << 12
+    expected = reference_walk(perm, shards, size, positions=shards * 2 * size)
+    for index, lane in enumerate(expected):
+        walked = perm.shard(index, shards).batches(size, 0, 2)
+        assert [batch.tolist() for batch in walked] == _nonempty(lane)
+
+
+@given(
+    n=st.integers(min_value=1, max_value=3000),
+    shards=st.integers(min_value=1, max_value=6),
+    batch_size=st.integers(min_value=1, max_value=700),
+    seed=st.integers(min_value=0, max_value=50),
+)
+def test_shards_walk_the_reference_cycle_positions(
+    n, shards, batch_size, seed
+):
+    """Shard ``i`` walks exactly cycle positions ``i, i+K, ...``, batch
+    by batch, as the scalar reference walk does."""
+    perm = CyclicPermutation(n, seed=seed)
+    expected = reference_walk(perm, shards, batch_size)
+    for index, lane in enumerate(expected):
+        walk = perm.shard(index, shards)
+        assert walk.batch_count(batch_size) == len(lane)
+        walked = [batch.tolist() for batch in walk.batches(batch_size)]
+        assert walked == _nonempty(lane)
+
+
+def test_walk_domain_is_at_most_2_to_the_32():
+    first = next(CyclicPermutation(MAX_WALK, seed=1).batches())
+    assert first.size and 0 <= first.min() and first.max() < MAX_WALK
+    for n in (0, MAX_WALK + 1):
+        with pytest.raises(ValueError, match="permutation size"):
+            CyclicPermutation(n)
 
 
 # ---------------------------------------------------------------------------
@@ -164,14 +198,3 @@ def test_split_runs_concatenate_to_the_unsplit_walk(
         walk.batches(batch_size, cut)
     )
     assert [b.tolist() for b in ranged] == [b.tolist() for b in whole]
-
-
-def test_big_modulus_walk_is_one_run_but_still_jumps():
-    walk = CyclicPermutation(1 << 96, seed=3).shard(1, 2)
-    assert walk.prime > 1 << 45
-    assert len(walk.split(64, 4)) == 1
-    head = np.concatenate(list(walk.batches(64, 0, 4)))
-    jumped = np.concatenate(
-        list(walk.batches(64, 0, 1)) + list(walk.batches(64, 1, 4))
-    )
-    assert head.tolist() == jumped.tolist()

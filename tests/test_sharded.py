@@ -12,9 +12,12 @@ import pytest
 
 from repro.bgp.table import LESS_SPECIFIC, Prefix, RoutingTable
 from repro.census.addrset import AddressSet
+from repro.core.addrspace import V6
 from repro.core.tass import TassStrategy
 from repro.scan.blocklist import Blocklist
+from repro.scan.distributed import Coordinator
 from repro.scan.engine import EngineConfig
+from repro.scan.permutation import MAX_WALK
 from repro.scan.sharded import (
     IntervalTargets,
     merge_results,
@@ -263,3 +266,50 @@ def test_interleaved_walks_are_immune_to_batch_sorting(spec):
         assert len(fresh) == len(interleaved[name])
         for left, right in zip(fresh, interleaved[name]):
             assert np.array_equal(np.sort(left), right), name
+
+
+# ---------------------------------------------------------------------------
+# One walk domain: at most 2^32 coordinates, refused alike everywhere
+# ---------------------------------------------------------------------------
+
+
+_HALF = MAX_WALK // 2 + 1
+
+
+@pytest.mark.parametrize(
+    "spec, seeding, total",
+    [
+        (([0], [MAX_WALK + 1]), {}, MAX_WALK + 1),
+        (([0, 1 << 40], [_HALF, (1 << 40) + _HALF]), {}, 2 * _HALF),
+        # The first interval's int64 size wraps to -2^63.
+        (([-(1 << 63), 0], [0, (1 << 63) - 1]), {}, (1 << 64) - 1),
+        (
+            (V6.encode([0, 1 << 64]), V6.encode([1 << 64, 1 << 65])),
+            {"hitlist": V6.encode([5]), "samples": _HALF},
+            1 + 2 * _HALF,
+        ),
+    ],
+    ids=["v4-one-interval", "v4-two-intervals", "v4-wrapped-size",
+         "v6-budget"],
+)
+def test_walk_past_the_bound_is_refused_before_any_bitmap(
+    spec, seeding, total, monkeypatch
+):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("sized something by an oversized walk")
+
+    monkeypatch.setattr(IntervalTargets, "bitmaps", forbidden)
+    monkeypatch.setattr(Coordinator, "spawn", forbidden)
+    message = f"starts/ends/samples span {total} walk coordinates"
+    with pytest.raises(ValueError, match=message):
+        shard_targets(spec, shards=2, **seeding)
+    for executor in ("serial", "distributed"):
+        with pytest.raises(ValueError, match=message):
+            run_sharded(
+                spec, [], shards=2, executor=executor, **seeding
+            )
+
+
+def test_walk_of_exactly_the_bound_is_accepted():
+    (walk,) = shard_targets(([0], [MAX_WALK]))
+    assert walk.address_count() == MAX_WALK

@@ -16,7 +16,7 @@ import json
 import numpy as np
 import pytest
 
-from conftest import build_mini_dataset
+from conftest import build_mini_dataset, checkpoint_manifest
 from repro.env import ENV_FAULT_PLAN, fault_plan
 from repro.orchestrator import (
     CampaignRunner,
@@ -290,7 +290,7 @@ def test_store_numbering_deterministic_under_faulted_history(
     clean = tmp_path / "clean"
     store = CheckpointStore(clean, keep=2)
     for i in range(4):
-        store.save({"spec": {}, "i": i}, {"mask": np.arange(4) + i})
+        store.save(checkpoint_manifest(i=i), {"mask": np.arange(4) + i})
     faulted = tmp_path / "faulted"
     store = CheckpointStore(
         faulted,
@@ -299,15 +299,15 @@ def test_store_numbering_deterministic_under_faulted_history(
     )
     for i in range(3):
         try:
-            store.save({"spec": {}, "i": i}, {"mask": np.arange(4) + i})
+            store.save(checkpoint_manifest(i=i), {"mask": np.arange(4) + i})
         except OSError:
-            store.save({"spec": {}, "i": i}, {"mask": np.arange(4) + i})
+            store.save(checkpoint_manifest(i=i), {"mask": np.arange(4) + i})
     # "Kill": reopen; load rolls back past the rotted gen 3.
     store = CheckpointStore(faulted, keep=2)
     manifest, _ = store.load()
     assert manifest["i"] == 1
     for i in range(2, 4):
-        store.save({"spec": {}, "i": i}, {"mask": np.arange(4) + i})
+        store.save(checkpoint_manifest(i=i), {"mask": np.arange(4) + i})
     names = lambda d: sorted(
         p.name for p in d.glob("checkpoint.*.npz")
     )

@@ -14,17 +14,29 @@ The built-in blocklist misses every synthetic announced prefix, so the
 campaign runs with one that covers parts of the selection instead.  The
 oracle calls nothing in ``repro.scan`` or ``repro.orchestrator`` beyond
 running the campaign whose ``status.json`` it checks.
+
+Each shard's counts are checked too, in every checkpoint generation:
+the scalar reference walk (``conftest.reference_walk``) deals wave
+``w``'s coordinates to the shards, each coordinate is mapped through
+the selected intervals to its address, and the shard's ``probes_sent``,
+``responses``, ``blocked`` and ``batches`` follow by counting.  Only
+the group parameters (prime, generator, start) come from
+:class:`~repro.scan.permutation.CyclicPermutation`.
 """
 
 import json
+from functools import lru_cache
 
+import numpy as np
 import pytest
 
+from conftest import reference_walk
 from repro import obs
 from repro.census.loader import CensusDataset
 from repro.core.tass import TassStrategy
 from repro.orchestrator import CampaignRunner, CampaignSpec, ReseedPolicy
 from repro.scan.blocklist import Blocklist
+from repro.scan.permutation import CyclicPermutation
 
 WAVES = 4
 INTERVAL = 2
@@ -111,10 +123,12 @@ def _disjoint(blocks) -> list[tuple[int, int]]:
     return merged
 
 
-@pytest.mark.parametrize("executor", ["serial", "distributed"])
-def test_blocked_wave_totals_match_the_oracle(
-    dataset, executor, tmp_path, monkeypatch
-):
+SHARDS = 3
+SCAN_SEED = 5
+
+
+def _run(dataset, executor, directory, monkeypatch):
+    """Run the blocked ``tiny`` campaign; its blocklist intervals."""
     blocks = _blocklist(dataset)
     monkeypatch.setattr(
         "repro.orchestrator.campaign.default_blocklist",
@@ -125,15 +139,51 @@ def test_blocked_wave_totals_match_the_oracle(
         phi=PHI,
         waves=WAVES,
         reseed=ReseedPolicy("interval", interval=INTERVAL),
-        shards=3,
+        shards=SHARDS,
         executor=executor,
         use_blocklist=True,
         explore_frac=0.0,
-        scan_seed=5,
+        scan_seed=SCAN_SEED,
     )
-    runner = CampaignRunner(spec, dataset=dataset, directory=tmp_path)
+    runner = CampaignRunner(spec, dataset=dataset, directory=directory)
     runner.store.write_spec(runner.spec.to_dict())
     runner.run()
+    return blocks
+
+
+@lru_cache(maxsize=None)
+def _shard_oracle(dataset, wave):
+    """``[probes_sent, responses, blocked, batches]`` of each shard of
+    ``wave``: its reference walk, mapped through the selection."""
+    selected = _selections(dataset)[wave]
+    starts = np.array([start for start, _ in selected])
+    offsets = np.cumsum([0] + [end - start for start, end in selected])
+    perm = CyclicPermutation(int(offsets[-1]), seed=SCAN_SEED + wave)
+    series = dataset.series_for("http")
+    hosts = series[min(wave, len(series) - 1)].addresses.values
+    out = []
+    for batches in reference_walk(perm, SHARDS, CampaignSpec.batch_size):
+        coords = np.array([c for batch in batches for c in batch])
+        interval = np.searchsorted(offsets, coords, side="right") - 1
+        addresses = starts[interval] + coords - offsets[interval]
+        blocked = np.zeros(len(addresses), dtype=bool)
+        for b_start, b_end in _blocklist(dataset):
+            blocked |= (b_start <= addresses) & (addresses < b_end)
+        hits = np.isin(addresses, hosts) & ~blocked
+        out.append([
+            int((~blocked).sum()),
+            int(hits.sum()),
+            int(blocked.sum()),
+            sum(1 for batch in batches if batch),
+        ])
+    return out
+
+
+@pytest.mark.parametrize("executor", ["serial", "distributed"])
+def test_blocked_wave_totals_match_the_oracle(
+    dataset, executor, tmp_path, monkeypatch
+):
+    blocks = _run(dataset, executor, tmp_path, monkeypatch)
     status = json.loads((tmp_path / "status.json").read_text())
     got = [
         (w["probes_sent"], w["responses"], w["blocked"])
@@ -146,3 +196,25 @@ def test_blocked_wave_totals_match_the_oracle(
     assert all(0 < blocked < probes for probes, _, blocked in expected)
     unblocked = _oracle(dataset, [])
     assert all(r > r_b for (_, r, _), (_, r_b, _) in zip(unblocked, expected))
+
+
+@pytest.mark.parametrize("parts", [1, 2])
+def test_shard_results_match_the_reference_walk(
+    dataset, parts, tmp_path, monkeypatch
+):
+    monkeypatch.setattr("repro.scan.executors._usable_cpus", lambda: parts)
+    monkeypatch.setenv("REPRO_CKPT_KEEP", "1000")  # keep every generation
+    _run(dataset, "serial", tmp_path, monkeypatch)
+    checked = set()
+    for path in sorted(tmp_path.glob("checkpoint.*.npz")):
+        with np.load(path) as npz:
+            manifest = json.loads(str(npz["manifest"]))
+        wave = manifest["wave"]
+        for shard, counts in enumerate(manifest["shard_results"]):
+            assert counts == _shard_oracle(dataset, wave)[shard], (
+                path.name, shard
+            )
+            checked.add((wave, shard))
+    assert checked == {
+        (wave, shard) for wave in range(WAVES) for shard in range(SHARDS)
+    }
