@@ -12,10 +12,11 @@ shard boundary.
 
 Modules:
 
-- :mod:`repro.orchestrator.campaign`   — spec, runner, wave records;
+- :mod:`repro.orchestrator.campaign`   — spec and runner;
 - :mod:`repro.orchestrator.waves`      — wave compilation, the reseed
   policy, and the per-wave cores shared with the analysis layer;
-- :mod:`repro.orchestrator.checkpoint` — atomic single-file checkpoints;
+- :mod:`repro.orchestrator.checkpoint` — atomic single-file checkpoints
+  and the wave records they hold;
 - :mod:`repro.orchestrator.pacing`     — token-bucket probe pacing;
 - :mod:`repro.orchestrator.cli`        — ``python -m repro.orchestrator``.
 """

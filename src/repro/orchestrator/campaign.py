@@ -36,7 +36,11 @@ from repro import obs
 from repro.bgp.table import LESS_SPECIFIC, MORE_SPECIFIC
 from repro.core.addrspace import FAMILIES
 from repro.core.tass import TassStrategy
-from repro.orchestrator.checkpoint import CheckpointStore, nothing_to_resume
+from repro.orchestrator.checkpoint import (
+    CheckpointStore,
+    WaveRecord,
+    nothing_to_resume,
+)
 from repro.orchestrator.pacing import PacedTargets, TokenBucket
 from repro.orchestrator.waves import (
     ReseedPolicy,
@@ -306,34 +310,6 @@ def planned_spec(store: CheckpointStore) -> CampaignSpec:
         return CampaignSpec.from_dict(data).resolved()
     except ValueError as exc:
         raise ValueError(f"{store.spec_path}: {exc}") from None
-
-
-@dataclass
-class WaveRecord:
-    """Deterministic accounting of one completed wave."""
-
-    wave: int
-    month: int
-    reseeded: bool
-    selected_prefixes: int
-    selected_addresses: int
-    probes_sent: int
-    responses: int
-    blocked: int
-    batches: int
-    explore_probes: int
-    explore_hits: int
-    absorbed_prefixes: int
-    responsive_hosts: int
-    hitrate: float
-    missed: int
-
-    def to_dict(self) -> dict:
-        return dataclasses.asdict(self)
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "WaveRecord":
-        return cls(**data)
 
 
 @dataclass

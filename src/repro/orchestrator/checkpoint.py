@@ -29,6 +29,7 @@ and ``bitrot@gen-N``), and ``python -m repro.orchestrator verify
 
 from __future__ import annotations
 
+import dataclasses
 import errno
 import hashlib
 import io
@@ -36,6 +37,8 @@ import json
 import math
 import os
 import re
+import typing
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -46,9 +49,12 @@ __all__ = [
     "CHECKPOINT_VERSION",
     "JOURNAL_VERSION",
     "MANIFEST_FIELDS",
+    "RECORD_FIELDS",
+    "SPEC_FIELDS",
     "CheckpointCorruption",
     "CheckpointStore",
     "SimulatedCrash",
+    "WaveRecord",
     "flip_byte",
 ]
 
@@ -82,6 +88,44 @@ MANIFEST_FIELDS = {
     "hitlist_month": int, "finished": bool, "budget_exhausted": bool,
 }
 
+#: The ``spec`` fields the status document reads; a resume checks the
+#: whole spec again (``CampaignSpec.from_dict``).
+SPEC_FIELDS = {"name": str, "waves": int}
+
+
+@dataclass
+class WaveRecord:
+    """Deterministic accounting of one completed wave: one entry of a
+    manifest's ``records``."""
+
+    wave: int
+    month: int
+    reseeded: bool
+    selected_prefixes: int
+    selected_addresses: int
+    probes_sent: int
+    responses: int
+    blocked: int
+    batches: int
+    explore_probes: int
+    explore_hits: int
+    absorbed_prefixes: int
+    responsive_hosts: int
+    hitrate: float
+    missed: int
+
+    def to_dict(self) -> dict:
+        return dataclasses.asdict(self)
+
+    @classmethod
+    def from_dict(cls, data: dict) -> "WaveRecord":
+        return cls(**data)
+
+
+#: One ``records`` entry: exactly the :class:`WaveRecord` fields, each
+#: with its JSON type (an int is a float).
+RECORD_FIELDS = typing.get_type_hints(WaveRecord)
+
 _MANIFEST_KEY = "manifest"
 
 _GENERATION_RE = re.compile(r"^checkpoint\.(\d+)\.npz$")
@@ -113,6 +157,47 @@ def _is_entry(entry) -> bool:
         and _SHA256_RE.fullmatch(entry["sha256"]) is not None
         and _is_count(entry.get("bytes"))
     )
+
+
+def _fields_damage(what: str, data: dict, fields: dict) -> str | None:
+    """The first of ``fields`` that ``data`` lacks or holds with another
+    JSON type (a bool is no int, an int is a float), as a reason."""
+    for name, kind in fields.items():
+        value = data.get(name)
+        if type(value) is kind or (kind is float and type(value) is int):
+            continue
+        found = type(value).__name__ if name in data else "missing"
+        return f"{what} field {name!r} is {found}, not {kind.__name__}"
+    return None
+
+
+def _manifest_damage(manifest: dict) -> str | None:
+    """Why ``manifest`` cannot be restored or read into a status
+    document, down to its nested fields; ``None`` when it can."""
+    damage = _fields_damage(
+        "manifest", manifest, MANIFEST_FIELDS
+    ) or _fields_damage("manifest spec", manifest["spec"], SPEC_FIELDS)
+    if damage is not None:
+        return damage
+    for index, record in enumerate(manifest["records"]):
+        what = f"manifest record {index}"
+        if type(record) is not dict:
+            return f"{what} is {type(record).__name__}, not dict"
+        unknown = sorted(set(record) - set(RECORD_FIELDS))
+        if unknown:
+            return f"{what} has unknown field {unknown[0]!r}"
+        damage = _fields_damage(what, record, RECORD_FIELDS)
+        if damage is not None:
+            return damage
+    # An in-flight shard: probes sent, responses, blocked, batches.
+    for index, row in enumerate(manifest["shard_results"]):
+        if not (
+            type(row) is list
+            and len(row) == 4
+            and all(type(value) is int for value in row)
+        ):
+            return f"manifest shard_results row {index} is not four ints"
+    return None
 
 
 def nothing_to_resume(directory) -> FileNotFoundError:
@@ -555,15 +640,9 @@ class CheckpointStore:
                 f"checkpoint version {manifest.get('version')!r} does "
                 f"not match this code's version {CHECKPOINT_VERSION}"
             )
-        for name, kind in MANIFEST_FIELDS.items():
-            if type(manifest.get(name)) is not kind:
-                found = (
-                    type(manifest[name]).__name__ if name in manifest
-                    else "missing"
-                )
-                raise _CorruptGeneration(
-                    f"manifest field {name!r} is {found}, not {kind.__name__}"
-                )
+        damage = _manifest_damage(manifest)
+        if damage is not None:
+            raise _CorruptGeneration(damage)
         # Every save writes one digest per array, so a missing field or
         # a missing array is damage, not an older format.
         expected = manifest.get("array_sha256")

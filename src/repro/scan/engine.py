@@ -119,7 +119,10 @@ def _score(batches, bitmaps: ScanBitmaps, stop=None) -> ScanResult:
             break
         size = int(coords.size)
         byte = coords >> 3
-        mask = np.left_shift(np.uint8(1), (coords & 7).astype(np.uint8))
+        # The bit index from the low byte: one uint8 cast, then in place.
+        mask = coords.astype(np.uint8)
+        mask &= 7
+        np.left_shift(np.uint8(1), mask, out=mask)
         if dropped is not None:
             size -= int(np.count_nonzero(dropped[byte] & mask))
             if size == 0:

@@ -13,6 +13,11 @@ vector multiplies, far cheaper than the walk it drives), and every
 batch is a single modular multiply of that table by the cursor element
 into a preallocated buffer; no Python-level loop per address, no
 per-batch allocation beyond the yielded array itself.
+
+The reduction modulo ``p`` is a floor division by the prime followed
+by a multiply and a subtract.  NumPy divides an integer array by a
+scalar with a multiply-and-shift (libdivide), which it does not do for
+``%``: the whole reduction costs well under half of one int64 ``%``.
 """
 
 from __future__ import annotations
@@ -94,29 +99,43 @@ def _group_params(n: int) -> tuple[int, int]:
     return p, g
 
 
+def _reduce(x, p: int, q):
+    """``x %= p`` for non-negative int64 ``x``, with ``q`` as scratch.
+
+    ``q * p <= x`` never overflows, and every term stays exact.
+    """
+    np.floor_divide(x, p, out=q)
+    q *= p
+    x -= q
+
+
 def _mulmod(values, scalar: int, p: int, out=None, tmp=None):
     """``values * scalar % p`` without int64 overflow, vectorized.
 
-    ``out`` (and, for ``p > 2^31``, ``tmp``) are optional
-    preallocated result/scratch buffers of the same shape as
-    ``values``; ``values`` itself is never written.  Returns ``out``.
+    ``values`` and ``scalar`` must lie in ``[0, p)``; every caller
+    passes a walk element or a power of the generator, both reduced.
+    ``out`` and ``tmp`` are optional preallocated result and scratch
+    buffers of the same shape as ``values``; ``tmp`` holds the
+    quotients (and, for ``p > 2^31``, the low partial product) and its
+    contents afterwards are garbage.  ``values`` itself is never
+    written.  Returns ``out``.
     """
     if out is None:
         out = np.empty_like(values)
-    if p <= _INT64_SAFE_MOD:
-        np.multiply(values, scalar, out=out)
-        out %= p
-        return out
-    # Split the scalar into 16-bit halves so partial products stay < 2^49.
-    hi, lo = divmod(scalar % p, 1 << 16)
-    np.multiply(values, hi, out=out)
-    out %= p
-    out <<= 16
     if tmp is None:
         tmp = np.empty_like(values)
+    if p <= _INT64_SAFE_MOD:
+        np.multiply(values, scalar, out=out)
+        _reduce(out, p, tmp)
+        return out
+    # Split the scalar into 16-bit halves so partial products stay < 2^50.
+    hi, lo = divmod(scalar, 1 << 16)
+    np.multiply(values, hi, out=out)
+    _reduce(out, p, tmp)
+    out <<= 16
     np.multiply(values, lo, out=tmp)
     out += tmp
-    out %= p
+    _reduce(out, p, tmp)
     return out
 
 
@@ -224,8 +243,9 @@ class PermutationShard:
         in order, exactly the arrays of the whole walk.
 
         Every yielded array is freshly allocated (callers may keep or
-        mutate it); the modular walk itself runs in two reused scratch
-        buffers, one multiply per batch.
+        mutate it); the modular walk runs in one reused buffer, one
+        modular multiply per batch, with the yielded array as its
+        quotient scratch.
         """
         return _walk(self, batch_size, start, stop)
 
@@ -262,19 +282,17 @@ def _walk(shard: PermutationShard, batch_size: int, start: int, stop):
     cursor = shard._start * pow(step, start, p) % p
     walked = first
     buf = np.empty(m, dtype=np.int64)
-    tmp = np.empty(m, dtype=np.int64) if p > _INT64_SAFE_MOD else None
     while walked < end:
         k = min(m, end - walked)
-        values = _mulmod(
-            powers[:k],
-            cursor,
-            p,
-            out=buf[:k],
-            tmp=None if tmp is None else tmp[:k],
-        )
+        # The fresh output array is the reduction's quotient scratch
+        # until it receives the shifted coordinates.
+        kept = np.empty(k, dtype=np.int64)
+        values = _mulmod(powers[:k], cursor, p, out=buf[:k], tmp=kept)
         cursor = cursor * step % p
         walked += k
-        kept = values[values <= n]
+        np.subtract(values, 1, out=kept)
+        # Only the prime gap above n is skipped: rare, so test first.
+        if kept.max() >= n:
+            kept = kept[kept < n]
         if kept.size:
-            kept -= 1
             yield kept

@@ -30,6 +30,7 @@ from repro.census.loader import (
     Topology,
     get_dataset,
 )
+from repro.orchestrator.checkpoint import RECORD_FIELDS
 
 
 def build_mini_dataset(
@@ -150,11 +151,16 @@ def reference_walk(perm, shards: int = 1, batch_size=None, positions=None):
     return lanes
 
 
+def wave_record(**fields) -> dict:
+    """A manifest ``records`` entry of zeros, with ``fields`` overriding."""
+    return {name: kind() for name, kind in RECORD_FIELDS.items()} | fields
+
+
 def checkpoint_manifest(**fields) -> dict:
     """A manifest holding every field ``CheckpointStore`` checks, with
     ``fields`` added or overriding."""
     return dict(
-        spec={},
+        spec={"name": "checkpoint-test", "waves": 1},
         announced=0,
         wave=0,
         shard=0,

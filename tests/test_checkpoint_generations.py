@@ -12,16 +12,19 @@ under fault plans) lives in ``test_storage_chaos.py``.
 import hashlib
 import json
 import math
+import typing
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import checkpoint_manifest
+from conftest import checkpoint_manifest, wave_record
 from repro.orchestrator.checkpoint import (
     CHECKPOINT_VERSION,
     MANIFEST_FIELDS,
+    RECORD_FIELDS,
+    SPEC_FIELDS,
     CheckpointCorruption,
     CheckpointStore,
     _sanitize_floats,
@@ -50,6 +53,12 @@ def _rewrite_newest(directory, damage, gen=2):
     manifest, arrays = damage(manifest, arrays)
     np.savez_compressed(path, manifest=json.dumps(manifest), **arrays)
     (directory / "checkpoints.json").unlink()
+
+
+#: A nested value to delete, and a value of the wrong JSON type for
+#: each kind (a bool is no int and an int is no bool).
+_DROP = object()
+_WRONG = {int: True, bool: 0, str: 1, float: "0.5"}
 
 
 def _assert_rolls_back_to_first(directory):
@@ -375,6 +384,102 @@ class TestRollback:
         _save_n(CheckpointStore(tmp_path, keep=2), 2)
         _rewrite_newest(tmp_path, change)
         _assert_rolls_back_to_first(tmp_path)
+
+    def test_status_of_a_generation_with_an_empty_spec(
+        self, tmp_path, capsys
+    ):
+        # The newest generation's spec is {}: status exited 1 with a
+        # bare KeyError: 'name'.  It reads the older generation now.
+        store = _planned_store(tmp_path)
+        _save_n(store, 1)
+        store.save(
+            checkpoint_manifest(ordinal=1, spec={}),
+            {"mask": np.arange(6) + 1},
+        )
+        assert main(["status", "--dir", str(tmp_path), "--json"]) == 0
+        status = json.loads(capsys.readouterr().out)
+        assert status["name"] == "checkpoint-test"
+        assert main(["verify", "--dir", str(tmp_path)]) == 1
+        out = capsys.readouterr().out
+        assert "FAIL  checkpoint.2.npz" in out
+        assert "manifest spec field 'name' is missing, not str" in out
+        _assert_rolls_back_to_first(tmp_path)
+
+    @pytest.mark.parametrize(
+        "path, value",
+        [
+            *(
+                case
+                for name, kind in SPEC_FIELDS.items()
+                for case in [
+                    (("spec", name), _DROP), (("spec", name), _WRONG[kind])
+                ]
+            ),
+            (("records", 0), []),
+            (("records", 0, "extra"), 0),
+            *(
+                case
+                for name, kind in RECORD_FIELDS.items()
+                for case in [
+                    (("records", 0, name), _DROP),
+                    (("records", 0, name), _WRONG[kind]),
+                ]
+            ),
+            (("shard_results", 0), {}),
+            (("shard_results", 0, 3), _DROP),
+            (("shard_results", 0, 4), 0),
+            (("shard_results", 0, 0), True),
+            (("shard_results", 0, 1), 1.0),
+        ],
+        ids=lambda case: (
+            "drop" if case is _DROP
+            else "-".join(map(str, case)) if isinstance(case, tuple)
+            else type(case).__name__
+        ),
+    )
+    def test_nested_manifest_damage_is_corrupt(
+        self, tmp_path, path, value, capsys
+    ):
+        # Each nested field the runner restores or the status document
+        # reads: verify reports it, a reader skips to the older
+        # generation and load() quarantines it and rolls back.
+        store = _planned_store(tmp_path)
+        for i in range(2):
+            store.save(
+                checkpoint_manifest(
+                    ordinal=i,
+                    records=[wave_record(wave=0, hitrate=0.5)],
+                    shard_results=[[4, 3, 2, 1]],
+                ),
+                {"mask": np.arange(6) + i},
+            )
+
+        def change(manifest, arrays):
+            *parents, last = path
+            node = manifest
+            for key in parents:
+                node = node[key]
+            if value is _DROP:
+                del node[last]
+            elif isinstance(node, list) and last == len(node):
+                node.append(value)
+            else:
+                node[last] = value
+            return manifest, arrays
+
+        _rewrite_newest(tmp_path, change)
+        assert main(["verify", "--dir", str(tmp_path)]) == 1
+        out = capsys.readouterr().out
+        assert "FAIL  checkpoint.2.npz" in out and "manifest" in out
+        manifest, _ = CheckpointStore(tmp_path, sweep=False).read_newest()
+        assert manifest["ordinal"] == 0
+        _assert_rolls_back_to_first(tmp_path)
+
+    def test_spec_fields_match_the_campaign_spec(self):
+        from repro.orchestrator.campaign import CampaignSpec
+
+        spec = typing.get_type_hints(CampaignSpec)
+        assert {name: spec[name] for name in SPEC_FIELDS} == SPEC_FIELDS
 
     def test_campaign_generation_without_wave_is_corrupt(
         self, tmp_path, mini_dataset, capsys

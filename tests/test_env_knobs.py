@@ -226,8 +226,9 @@ class TestRetiredKnobs:
         monkeypatch.setenv("REPRO_FS_FAULT_PLAN", "melt@save-0,enospc")
         store = CheckpointStore(tmp_path)
         assert not store.fault_plan
-        store.save(checkpoint_manifest(), {"mask": np.arange(3)})
-        assert store.load()[0]["spec"] == {}
+        manifest = checkpoint_manifest()
+        store.save(manifest, {"mask": np.arange(3)})
+        assert store.load()[0]["spec"] == manifest["spec"]
 
 
 def test_docs_name_only_live_knobs():

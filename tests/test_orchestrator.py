@@ -6,7 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from conftest import checkpoint_manifest
+from conftest import checkpoint_manifest, wave_record
 from repro.orchestrator import (
     CampaignRunner,
     CampaignSpec,
@@ -284,7 +284,7 @@ class TestCheckpointStore:
     def test_roundtrip(self, tmp_path):
         store = CheckpointStore(tmp_path / "camp")
         manifest = checkpoint_manifest(
-            wave=2, shard=1, records=[{"a": 1}]
+            wave=2, shard=1, records=[wave_record(wave=1)]
         )
         mask = np.array([True, False, True])
         store.save(manifest, {"mask": mask})

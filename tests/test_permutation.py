@@ -68,42 +68,57 @@ def test_batches_are_independent_arrays():
 
 
 # ---------------------------------------------------------------------------
-# Big-modulus (p > 2^31) arithmetic: the 16-bit-split _mulmod path
+# _mulmod on both paths: one multiply (p <= 2^31) and the 16-bit split
+# (2^31 < p < 2^33), each reduced by floor division
 # ---------------------------------------------------------------------------
 
 
-@given(
-    st.lists(
-        st.integers(min_value=0, max_value=(1 << 33) - 1),
-        min_size=1,
-        max_size=50,
+@st.composite
+def _mulmod_case(draw, low, high):
+    """``(values, scalar, p)`` with every value and the scalar in
+    ``[0, p)``, the ends of that range drawn often."""
+    p = draw(st.integers(min_value=low, max_value=high))
+    element = st.integers(min_value=0, max_value=p - 1) | st.sampled_from(
+        [0, p - 1]
+    )
+    values = draw(st.lists(element, min_size=1, max_size=50))
+    return values, draw(element), p
+
+
+_MULMOD_PATHS = [
+    pytest.param(_mulmod_case(2, 1 << 31), id="one-multiply"),
+    pytest.param(
+        _mulmod_case((1 << 31) + 1, (1 << 33) - 1), id="16-bit-split"
     ),
-    st.integers(min_value=0, max_value=(1 << 33) - 1),
-    st.integers(min_value=(1 << 31) + 1, max_value=(1 << 33) - 1),
-)
-def test_mulmod_big_modulus_matches_python_bigint(values, scalar, p):
-    arr = np.asarray([v % p for v in values], dtype=np.int64)
+]
+
+
+@pytest.mark.parametrize("case", _MULMOD_PATHS)
+@given(data=st.data())
+def test_mulmod_matches_python_ints(case, data):
+    values, scalar, p = data.draw(case)
+    arr = np.asarray(values, dtype=np.int64)
     got = _mulmod(arr, scalar, p)
-    expected = [v % p * scalar % p for v in values]
-    assert got.tolist() == expected
+    assert got.tolist() == [v * scalar % p for v in values]
+    assert arr.tolist() == values
 
 
-@given(
-    st.lists(
-        st.integers(min_value=0, max_value=(1 << 33) - 1),
-        min_size=1,
-        max_size=50,
-    ),
-    st.integers(min_value=0, max_value=(1 << 33) - 1),
-    st.integers(min_value=(1 << 31) + 1, max_value=(1 << 33) - 1),
-)
-def test_mulmod_big_modulus_out_buffers_match(values, scalar, p):
-    arr = np.asarray([v % p for v in values], dtype=np.int64)
-    out = np.empty_like(arr)
-    tmp = np.empty_like(arr)
-    got = _mulmod(arr, scalar, p, out=out, tmp=tmp)
+@pytest.mark.parametrize("case", _MULMOD_PATHS)
+@given(data=st.data())
+def test_mulmod_into_caller_buffers(case, data):
+    # The walk passes the array it will yield as ``tmp``: the result
+    # lands in ``out`` whatever ``tmp`` held, and ``tmp`` is then free.
+    values, scalar, p = data.draw(case)
+    arr = np.asarray(values, dtype=np.int64)
+    out = np.full_like(arr, -1)
+    kept = np.full_like(arr, p)
+    got = _mulmod(arr, scalar, p, out=out, tmp=kept)
     assert got is out
-    assert out.tolist() == _mulmod(arr, scalar, p).tolist()
+    expected = [v * scalar % p for v in values]
+    assert out.tolist() == expected
+    np.subtract(out, 1, out=kept)
+    assert kept.tolist() == [e - 1 for e in expected]
+    assert arr.tolist() == values
 
 
 def _nonempty(batches):
