@@ -5,12 +5,15 @@ An :class:`AddressSet` is a sorted, duplicate-free NumPy array — plain
 see :mod:`repro.core.addrspace`) for 128-bit v6 addresses, whose
 lexicographic order is numeric order so every idiom below works on both
 families unchanged.
-All set algebra is array-at-a-time: union is a single vectorized merge of
-the two sorted operands, intersection/difference/membership are
-``searchsorted`` passes.  This representation is what makes the rest of
-the pipeline fast — per-prefix counting over a snapshot is two
-``searchsorted`` calls (see ``repro.bgp.table.Partition``), and the scan
-engine's per-batch responsive check is one.
+All set algebra is array-at-a-time: union is a single vectorized merge
+of the two sorted operands, intersection/difference/membership are
+``searchsorted`` passes, and the intersection count of two v4 sets of
+comparable size is one stable sort of their concatenation
+(:func:`_mergeable`).  Sets of different families refuse to combine
+with a :class:`ValueError`.  The same sorted arrays make per-prefix
+counting over a snapshot two ``searchsorted`` calls (see
+``repro.bgp.table.Partition``); the scan engine scores bitmaps built
+from them once per wave (``repro.scan.walk``).
 
 v6 membership searches ``uint64`` keys, not ``S16`` strings
 (:func:`_v6_membership`): each member's high limb is replaced by its
@@ -23,7 +26,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.core.addrspace import V6, address_array, space_of
+from repro.core.addrspace import V6, address_array, family_of, space_of
 
 __all__ = ["AddressSet"]
 
@@ -93,6 +96,25 @@ def _v6_membership(members: np.ndarray, probes: np.ndarray) -> np.ndarray:
     found = lo < (1 << lo_bits)
     found &= _search(keys, needles)
     return found.reshape(probes.shape)
+
+
+def _mergeable(a: np.ndarray, b: np.ndarray) -> bool:
+    """Count the common members of two arrays with one merge, not a search?
+
+    Only v4 pairs of comparable size merge: both non-empty, and the
+    smaller at least a quarter of the larger.  Measured on int64 on a
+    2-CPU host, the merge counts a 60k x 60k intersection in 0.9 ms
+    against 2.2 ms for the search, and a 60k x 15k one (the cut-over)
+    in 0.37 ms against 0.75 ms; the two meet near 1:24, and at 1:64
+    the search is 2.7x faster.  ``S16`` pairs never merge: on two
+    ~74k ``v6-small`` months a merge counts in 7.7 ms, the ``S16``
+    search in 7.6 ms and the limb keys (:func:`_v6_membership`) in
+    3.4 ms.
+    """
+    if a.dtype.kind == "S":
+        return False
+    small, big = sorted((len(a), len(b)))
+    return 0 < small and 4 * small >= big
 
 
 def _as_sorted_unique(values) -> np.ndarray:
@@ -188,6 +210,14 @@ class AddressSet:
 
     def intersection_count(self, other: "AddressSet") -> int:
         """``len(self & other)`` without materialising the intersection."""
+        a, b = self._values, self._combinable(other)
+        if _mergeable(a, b):
+            # The stable sort (timsort on int64) finds the two sorted
+            # runs and merges them in one linear pass; a value in both
+            # is a pair of equal neighbours.
+            merged = np.concatenate((a, b))
+            merged.sort(kind="stable")
+            return int(np.count_nonzero(merged[1:] == merged[:-1]))
         small, big = (
             (self, other) if len(self) <= len(other) else (other, self)
         )
@@ -196,7 +226,7 @@ class AddressSet:
     # -- set algebra ---------------------------------------------------
 
     def __or__(self, other: "AddressSet") -> "AddressSet":
-        a, b = self._values, other._values
+        a, b = self._values, self._combinable(other)
         if len(a) == 0:
             return other
         if len(b) == 0:
@@ -211,6 +241,7 @@ class AddressSet:
         return AddressSet._trusted(merged[keep])
 
     def __and__(self, other: "AddressSet") -> "AddressSet":
+        self._combinable(other)
         small, big = (
             (self, other) if len(self) <= len(other) else (other, self)
         )
@@ -221,6 +252,7 @@ class AddressSet:
         )
 
     def __sub__(self, other: "AddressSet") -> "AddressSet":
+        self._combinable(other)
         if len(self) == 0 or len(other) == 0:
             return self
         return AddressSet._trusted(
@@ -231,6 +263,18 @@ class AddressSet:
         return (self | other) - (self & other)
 
     def issubset(self, other: "AddressSet") -> bool:
+        self._combinable(other)
         if len(self) == 0:
             return True
         return bool(other.membership(self._values).all())
+
+    def _combinable(self, other: "AddressSet") -> np.ndarray:
+        """``other``'s members, refused when both sets hold addresses of
+        different families (an empty set combines with either)."""
+        a, b = self._values, other._values
+        if a.dtype != b.dtype and len(a) and len(b):
+            raise ValueError(
+                f"cannot combine a {family_of(a)} AddressSet with a "
+                f"{family_of(b)} AddressSet"
+            )
+        return b

@@ -33,9 +33,11 @@ __all__ = [
 RESEED_MODES = ("never", "interval", "hitrate")
 
 #: :func:`explore_unselected` buckets coordinate ``c`` as ``c >> shift``
-#: into a 2^16-entry (64 KiB) bool table, the shift being the smallest
-#: that fits the unselected space.
-_BUCKET_BITS = 16
+#: into a 2^18-entry (256 KiB) bool table, the shift being the smallest
+#: that fits the unselected space.  On ``small`` about 1% of draws land
+#: in a marked bucket and go on to the exact match, against ~4% at 2^16;
+#: a 2^20 table was no faster, and a 2^22 one about twice as slow.
+_BUCKET_BITS = 18
 
 
 # ---------------------------------------------------------------------------
@@ -158,7 +160,7 @@ def explore_unselected(rng, partition, selected, values, n):
     decides whether to absorb (``selected[fresh_indices] = True``).
 
     Memory is fixed, whatever the unselected space's size: each host's
-    coordinate marks one of 2^16 buckets, and only the draws that land
+    coordinate marks one of 2^18 buckets, and only the draws that land
     in a marked bucket are matched exactly.
     """
     unselected = np.flatnonzero(~selected)

@@ -1,8 +1,8 @@
 """Shared test fixtures: a hand-built miniature census dataset, the
-generated ``small`` preset, the v6 sampling draws and the cyclic walk
-re-derived from their definitions, a checkpoint manifest with every
-field the store checks, and a fixture that clears every environment
-knob.
+generated ``small`` preset, the v6 sampling draws, the cyclic walk and
+the exploration draws re-derived from their definitions, a checkpoint
+manifest with every field the store checks, and a fixture that clears
+every environment knob.
 
 The orchestrator suites need whole campaigns to run in milliseconds, so
 they use a four-prefix world with a few thousand hosts instead of a
@@ -149,6 +149,31 @@ def reference_walk(perm, shards: int = 1, batch_size=None, positions=None):
             batches[-1].append(element - 1)
         element = element * perm._gen % prime
     return lanes
+
+
+def explore_reference(rng, partition, selected, values, n):
+    """``explore_unselected``'s answer the long way: sort the ``n``
+    draws over the unselected space's flat coordinates, map each to its
+    address, and keep the responsive ``values`` (sorted) among them.
+    Returns ``(probe_count, unique_hits, fresh_prefix_indices)``."""
+    unselected = np.flatnonzero(~selected)
+    sizes = partition.sizes[unselected]
+    total = int(sizes.sum())
+    empty = np.empty(0, dtype=np.int64)
+    if total == 0 or n == 0:
+        return 0, empty, empty
+    bounds = np.cumsum(sizes)
+    draws = np.sort(rng.integers(0, total, size=n))
+    slot = np.searchsorted(bounds, draws, side="right")
+    offset = draws - (bounds[slot] - sizes[slot])
+    probes = partition.starts[unselected[slot]] + offset
+    if len(values) == 0:
+        return n, empty, empty
+    idx = np.searchsorted(probes, values).clip(max=n - 1)
+    hits = values[probes[idx] == values]
+    parts = np.unique(partition.index_of(hits))
+    parts = parts[parts >= 0]
+    return n, hits, parts[~selected[parts]]
 
 
 def wave_record(**fields) -> dict:
